@@ -17,13 +17,12 @@ import json
 import os
 import sys
 import warnings
-from fractions import Fraction
 from typing import Any, NamedTuple, Optional, Sequence
 
 from .cones import Cone
 from .errors import PreconditionError, ResourceLimitError, SchemaError
 from .lattice import PointConfig, lattice_points, mediated_set
-from .linalg import IntVec, integerize, primitive, rref_int
+from .linalg import IntVec
 from .moments import (
     SemialgSpec,
     render_binomial,
@@ -192,21 +191,10 @@ def _load(path: str) -> Any:
 
 
 def reduced_rays(cone: Cone) -> list[IntVec]:
-    """Extreme rays in a canonical gauge: each ray is reduced modulo the
-    lineality space by zeroing the pivot coordinates of its row-reduced
-    basis, then made primitive and lex-sorted."""
-    basis = rref_int(cone.lineality)
-    pivots = [next(i for i, x in enumerate(b) if x) for b in basis]
-    out = []
-    for r in cone.rays:
-        vec = [Fraction(x) for x in r]
-        for b, j in zip(basis, pivots):
-            if vec[j]:
-                f = Fraction(vec[j], b[j])
-                vec = [x - f * Fraction(y) for x, y in zip(vec, b)]
-        out.append(primitive(integerize(vec)))
-    out.sort()
-    return out
+    """Extreme rays in the cone's canonical gauge: reduced modulo the
+    row-reduced lineality basis (pivot coordinates zeroed), primitive and
+    lex-sorted, as Cone.rays already keeps them."""
+    return list(cone.rays)
 
 
 def _facet_entries(support: PointConfig, normals: Sequence[IntVec]) -> list:

@@ -26,13 +26,13 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from .linalg import IntVec, dot, integerize, kernel_basis, primitive, rank, rref_int
+from .linalg import IntVec, dot, kernel_basis, primitive, rank, rref_int
 
 Rows = tuple[IntVec, ...]
 
 
 def _unit(n: int, i: int) -> IntVec:
-    return tuple(1 if j == i else 0 for j in range(n))
+    return tuple([1 if j == i else 0 for j in range(n)])
 
 
 def _clean_rows(rows: Iterable[Sequence[int]]) -> list[IntVec]:
@@ -40,7 +40,7 @@ def _clean_rows(rows: Iterable[Sequence[int]]) -> list[IntVec]:
     seen = set()
     out = []
     for row in rows:
-        v = primitive(tuple(int(a) for a in row))
+        v = primitive([int(a) for a in row])
         if any(v) and v not in seen:
             seen.add(v)
             out.append(v)
@@ -63,7 +63,7 @@ def _reduce_mod(basis: Sequence[IntVec], vec: Sequence[int]) -> IntVec:
         if v[p] != 0:
             a, c = row[p], v[p]
             if a < 0:
-                a, row = -a, tuple(-x for x in row)
+                a, row = -a, [-x for x in row]
             v = [a * x - c * y for x, y in zip(v, row)]
     return primitive(v)
 
@@ -89,9 +89,9 @@ def double_description(
             continue
         b0, s = lin[j], vals[j]
         if s < 0:
-            b0, s = tuple(-x for x in b0), -s
+            b0, s = tuple([-x for x in b0]), -s
         lin = [
-            primitive(tuple(s * x - t * y for x, y in zip(b, b0)))
+            primitive([s * x - t * y for x, y in zip(b, b0)])
             for b, t in zip(lin, vals)
             if b is not lin[j]
         ]
@@ -106,9 +106,9 @@ def double_description(
         if j is not None:
             b0, s = lin[j], vals[j]
             if s < 0:
-                b0, s = tuple(-x for x in b0), -s
+                b0, s = tuple([-x for x in b0]), -s
             lin = [
-                primitive(tuple(s * x - t * y for x, y in zip(b, b0)))
+                primitive([s * x - t * y for x, y in zip(b, b0)])
                 for b, t in zip(lin, vals)
                 if b is not lin[j]
             ]
@@ -117,7 +117,7 @@ def double_description(
                 t = dot(a, entry[0])
                 if t:
                     entry[0] = primitive(
-                        tuple(s * x - t * y for x, y in zip(entry[0], b0))
+                        [s * x - t * y for x, y in zip(entry[0], b0)]
                     )
                 entry[1] |= bit
             # the pivot itself survives on the strict side of the cut;
@@ -147,7 +147,7 @@ def double_description(
                         break
                 else:
                     vec = primitive(
-                        tuple(tp * x - tn * y for x, y in zip(ne[0], pe[0]))
+                        [tp * x - tn * y for x, y in zip(ne[0], pe[0])]
                     )
                     combos.append([vec, meet | bit])
         rays = [e for e, _ in pos] + zero + combos
@@ -362,7 +362,7 @@ class Cone:
         for c in coords:
             if not 0 <= c < self.dim:
                 raise ValueError("projection coordinate out of range")
-        take = lambda v: tuple(v[c] for c in coords)
+        take = lambda v: tuple([v[c] for c in coords])
         return Cone.from_vrep(
             len(coords), [take(r) for r in self.rays], [take(l) for l in self.lineality]
         )
@@ -466,7 +466,7 @@ def fourier_motzkin_project(cone: Cone, coords: Sequence[int]) -> Cone:
             ]
         ineqs = [list(v) for v in dict.fromkeys(primitive(a) for a in ineqs if any(a))]
         eqs = [list(v) for v in dict.fromkeys(primitive(e) for e in eqs if any(e))]
-    take = lambda v: tuple(v[c] for c in keep)
+    take = lambda v: tuple([v[c] for c in keep])
     return Cone.from_hrep(len(keep), [take(a) for a in ineqs], [take(e) for e in eqs])
 
 
@@ -492,7 +492,7 @@ def project_hrep(dim: int, ineqs: Iterable[Sequence[int]], coords: Sequence[int]
         if not 0 <= c < dim:
             raise ValueError("projection coordinate out of range")
     k = len(coords)
-    take = lambda v: tuple(v[c] for c in coords)
+    take = lambda v: tuple([v[c] for c in coords])
     if not rows:
         return Cone.full_space(k)
     if k == dim:
@@ -507,7 +507,7 @@ def project_hrep(dim: int, ineqs: Iterable[Sequence[int]], coords: Sequence[int]
         candidates = list(approx.ineqs)
         for e in approx.eqs:
             candidates.append(e)
-            candidates.append(tuple(-x for x in e))
+            candidates.append(tuple([-x for x in e]))
         grew = False
         for nu in candidates:
             if nu in certified:
@@ -519,7 +519,7 @@ def project_hrep(dim: int, ineqs: Iterable[Sequence[int]], coords: Sequence[int]
             if ok:
                 certified.add(nu)
                 continue
-            y = integerize(take(w))
+            y = primitive(take(w))
             if not any(y):
                 raise ArithmeticError("projection certificate vanished")
             if y in members:

@@ -209,23 +209,20 @@ def a_hat(cfg: PointConfig, order_cone: Cone) -> PointConfig:
     points a.  With W = (Z^n_{>=0} \\ K) union the configuration, the
     result is one completion step {2b - a : a, b in W} intersected with
     Z^n_{>=0}; it contains W itself (take a = b).  The step is not
-    iterated.
+    iterated.  Raises PreconditionError, naming the first basis vector
+    outside the interior of -C, when the stabilization hypothesis fails.
     """
     n = cfg.n
     if order_cone.dim != n:
         raise ValueError("order cone dimension does not match the configuration")
-    if order_cone.eqs or not order_cone.is_pointed():
-        raise PreconditionError(
-            "stabilization hypothesis fails: -C does not strictly contain "
-            "the nonnegative orthant"
-        )
     normals = order_cone.ineqs
+    flat = order_cone.eqs or not order_cone.is_pointed()
     for i in range(n):
         e = tuple(1 if j == i else 0 for j in range(n))
-        if any(dot(a, e) >= 0 for a in normals):
+        if flat or any(dot(a, e) >= 0 for a in normals):
             raise PreconditionError(
-                "stabilization hypothesis fails: -C does not strictly contain "
-                "the nonnegative orthant"
+                f"stabilization hypothesis fails: basis vector {e} is not "
+                "in the interior of the negated order cone"
             )
     bounds = [min(dot(a, p) for p in cfg) for a in normals]
     in_k = lambda x: all(dot(a, x) <= b for a, b in zip(normals, bounds))

@@ -1,9 +1,16 @@
 """Exact linear algebra over the rationals.
 
-Vectors are tuples (ints where possible, fractions.Fraction at boundaries);
-matrices are sequences of row vectors.  Nothing here ever rounds: every
-operation is exact, and integer vectors are kept in primitive form (content 1)
-wherever a scale-invariant object is represented.
+Vectors are tuples of ints (fractions.Fraction only where a result is
+genuinely rational, as in solve_linear); matrices are sequences of row
+vectors.  Nothing here ever rounds.  Elimination is fraction-free: one
+Gauss-Jordan routine scales rational rows to integer rows and keeps every
+row a primitive integer vector, so integer vectors stay in primitive
+form (content 1) wherever a scale-invariant object is represented.
+
+Vectors on the hot paths are built as tuple([...]) rather than from a
+generator: a tuple grown from a generator is resized, which bypasses
+CPython's per-length tuple free lists and leaves freed tuples piling up
+in them until a full garbage collection.
 """
 
 from __future__ import annotations
@@ -22,18 +29,15 @@ def dot(u: Sequence, v: Sequence):
 
 
 def vec_sub(u: Sequence, v: Sequence) -> tuple:
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple([a - b for a, b in zip(u, v)])
 
 
 def vec_scale(c, u: Sequence) -> tuple:
-    return tuple(c * a for a in u)
+    return tuple([c * a for a in u])
 
 
 def content(v: Sequence[int]) -> int:
-    g = 0
-    for a in v:
-        g = gcd(g, abs(a))
-    return g
+    return gcd(*v)
 
 
 def primitive(v: Sequence[int]) -> IntVec:
@@ -42,23 +46,32 @@ def primitive(v: Sequence[int]) -> IntVec:
     The zero vector is returned unchanged; callers that must not see it are
     expected to filter first.
     """
-    g = content(v)
+    g = gcd(*v)
     if g <= 1:
         return tuple(v)
-    return tuple(a // g for a in v)
+    return tuple([a // g for a in v])
 
 
 def integerize(v: Sequence[Fraction]) -> IntVec:
     """Scale a rational vector by a positive rational into primitive integer form."""
     lcm = 1
     for a in v:
-        d = Fraction(a).denominator
-        lcm = lcm // gcd(lcm, d) * d
-    return primitive(tuple(int(a * lcm) for a in v))
+        if type(a) is not int:
+            d = Fraction(a).denominator
+            lcm = lcm // gcd(lcm, d) * d
+    return primitive([int(a * lcm) for a in v])
 
 
-def _echelon(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """In-place forward elimination; returns the nonzero rows."""
+def _echelon(rows: Sequence[Sequence]) -> list[Sequence[int]]:
+    """Fraction-free Gauss-Jordan elimination.
+
+    Each rational row is first scaled to a primitive integer row.  Returns
+    the nonzero rows of the reduced row echelon form, each a primitive
+    integer vector with a positive pivot: every step replaces a row by a
+    positive multiple of its rational counterpart, so the result is the
+    canonical basis of the row span.
+    """
+    rows = [integerize(row) for row in rows]
     if not rows:
         return []
     m, n = len(rows), len(rows[0])
@@ -67,13 +80,20 @@ def _echelon(rows: list[list[Fraction]]) -> list[list[Fraction]]:
         pivot = next((i for i in range(r, m) if rows[i][col] != 0), None)
         if pivot is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [a * inv for a in rows[r]]
+        prow = rows[pivot]
+        rows[pivot] = rows[r]
+        if prow[col] < 0:
+            prow = [-a for a in prow]
+        rows[r] = prow
+        p = prow[col]
         for i in range(m):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+            f = rows[i][col]
+            if f and i != r:
+                row = [p * a - f * b for a, b in zip(rows[i], prow)]
+                g = gcd(*row)
+                if g > 1:
+                    row = [a // g for a in row]
+                rows[i] = row
         r += 1
         if r == m:
             break
@@ -81,14 +101,12 @@ def _echelon(rows: list[list[Fraction]]) -> list[list[Fraction]]:
 
 
 def rank(rows: Sequence[Sequence]) -> int:
-    work = [[Fraction(a) for a in row] for row in rows]
-    return len(_echelon(work))
+    return len(_echelon(rows))
 
 
 def rref_int(rows: Sequence[Sequence[int]]) -> list[IntVec]:
     """Canonical basis of the row span: reduced echelon rows, primitive, pivots positive."""
-    work = [[Fraction(a) for a in row] for row in rows]
-    return [integerize(row) for row in _echelon(work)]
+    return [tuple(row) for row in _echelon(rows)]
 
 
 def kernel_basis(rows: Sequence[Sequence[int]], n: Optional[int] = None) -> list[IntVec]:
@@ -98,17 +116,22 @@ def kernel_basis(rows: Sequence[Sequence[int]], n: Optional[int] = None) -> list
             raise ValueError("kernel_basis needs rows or an explicit dimension")
         n = len(rows[0])
     reduced = rref_int(rows)
-    pivots = []
-    for row in reduced:
-        pivots.append(next(j for j, a in enumerate(row) if a != 0))
-    free = [j for j in range(n) if j not in pivots]
+    pivots = [next(j for j, a in enumerate(row) if a != 0) for row in reduced]
+    # x_j = scale, x_pivot = -scale * row[j] / row[pivot]: integral once
+    # scale is a common multiple of the (positive) pivots
+    scale = 1
+    for row, pj in zip(reduced, pivots):
+        scale = scale // gcd(scale, row[pj]) * row[pj]
+    pivot_set = set(pivots)
     basis = []
-    for j in free:
-        x = [Fraction(0)] * n
-        x[j] = Fraction(1)
+    for j in range(n):
+        if j in pivot_set:
+            continue
+        x = [0] * n
+        x[j] = scale
         for row, pj in zip(reduced, pivots):
-            x[pj] = -Fraction(row[j], row[pj])
-        basis.append(integerize(x))
+            x[pj] = -(scale // row[pj]) * row[j]
+        basis.append(x)
     return rref_int(basis)
 
 
@@ -118,16 +141,12 @@ def solve_linear(matrix: Sequence[Sequence], rhs: Sequence) -> Optional[RatVec]:
     if m == 0:
         return ()
     n = len(matrix[0])
-    aug = [[Fraction(a) for a in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
-    reduced = _echelon(aug)
     x = [Fraction(0)] * n
-    for row in reduced:
-        pivot = next((j for j, a in enumerate(row) if a != 0), None)
-        if pivot is None:
-            continue
+    for row in _echelon([list(row) + [b] for row, b in zip(matrix, rhs)]):
+        pivot = next(j for j, a in enumerate(row) if a != 0)
         if pivot == n:
             return None
-        x[pivot] = row[n] / row[pivot]
+        x[pivot] = Fraction(row[n], row[pivot])
     return tuple(x)
 
 
@@ -145,10 +164,6 @@ def barycentric_coords(vertices: Sequence[Sequence[int]], point: Sequence) -> Op
     homog = [tuple(v) + (1,) for v in vertices]
     if rank(homog) < k:
         raise ValueError("vertices are affinely dependent")
-    matrix = [[Fraction(v[i]) for v in vertices] for i in range(n)]
-    matrix.append([Fraction(1)] * k)
-    rhs = [Fraction(a) for a in point] + [Fraction(1)]
-    lam = solve_linear(matrix, rhs)
-    if lam is None:
-        return None
-    return lam
+    matrix = [[v[i] for v in vertices] for i in range(n)]
+    matrix.append([1] * k)
+    return solve_linear(matrix, list(point) + [1])

@@ -174,14 +174,6 @@ def trop_pseudomoment_stable(
     if spec.n != a.n:
         raise ValueError("set specification dimension does not match the support")
     c = order_cone(spec)
-    for i in range(a.n):
-        ei = tuple(1 if j == i else 0 for j in range(a.n))
-        neg = tuple(-x for x in ei)
-        if c.eqs or not c.is_pointed() or not all(dot(nu, neg) > 0 for nu in c.ineqs):
-            raise PreconditionError(
-                f"stabilization hypothesis fails: basis vector {ei} is not "
-                "in the interior of the negated order cone"
-            )
     e = _guard_extension(a_hat(a, c), max_extension_points)
     cone = _projected(a, e, c)
     return PseudoMomentTrop(a, spec, None, True, cone, e)
