@@ -13,7 +13,9 @@ in conv(V) iff (p, 1) lies in the cone spanned by {(v, 1) : v in V}.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -179,16 +181,27 @@ def mediated_set(vertices: Sequence[Sequence[int]]) -> PointConfig:
         current = nxt
 
 
-def cubical_hull(cfg: PointConfig) -> PointConfig:
-    """Lattice points of the smallest coordinate box containing the configuration."""
+def _box_bounds(cfg: PointConfig) -> tuple[list[int], list[int]]:
     n = cfg.n
     lo = [min(p[i] for p in cfg) for i in range(n)]
     hi = [max(p[i] for p in cfg) for i in range(n)]
+    return lo, hi
+
+
+def cubical_hull(cfg: PointConfig) -> PointConfig:
+    """Lattice points of the smallest coordinate box containing the configuration."""
+    lo, hi = _box_bounds(cfg)
     return PointConfig(
         graded_lex_sorted(
             itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi)))
         )
     )
+
+
+def cubical_hull_size(cfg: PointConfig) -> int:
+    """len(cubical_hull(cfg)), without building it."""
+    lo, hi = _box_bounds(cfg)
+    return math.prod(h - l + 1 for l, h in zip(lo, hi))
 
 
 def delta_simplex(n: int, d: int) -> PointConfig:
@@ -201,6 +214,25 @@ def delta_simplex(n: int, d: int) -> PointConfig:
     return PointConfig(graded_lex_sorted(pts))
 
 
+def delta_simplex_size(n: int, d: int) -> int:
+    """len(delta_simplex(n, d)), without building it."""
+    if n < 1 or d < 0:
+        raise ValueError("need n >= 1 and d >= 0")
+    return math.comb(n + d, n)
+
+
+def _column_top(normals, bounds, prefix: Sequence[int]) -> int:
+    """Least t >= 0 with <a, (prefix, t)> <= b for every normal a and its
+    bound b, read in the first len(prefix) + 1 coordinates.  The normals
+    have negative coordinates, so the column prefix x [0, oo) leaves that
+    set exactly on [0, t)."""
+    k = len(prefix)
+    return max(
+        0,
+        max(-((dot(a[:k], prefix) - b) // a[k]) for a, b in zip(normals, bounds)),
+    )
+
+
 def a_hat(cfg: PointConfig, order_cone: Cone) -> PointConfig:
     """Finite extension support for configurations monotone against a cone
     whose negative strictly contains the nonnegative orthant.
@@ -211,6 +243,16 @@ def a_hat(cfg: PointConfig, order_cone: Cone) -> PointConfig:
     Z^n_{>=0}; it contains W itself (take a = b).  The step is not
     iterated.  Raises PreconditionError, naming the first basis vector
     outside the interior of -C, when the stabilization hypothesis fails.
+
+    Under that hypothesis every facet normal of C has negative
+    coordinates, so K is closed upwards and Z^n_{>=0} \\ K is a finite
+    down-set.  It is built column by column: for a point x' of the
+    down-set in the first k coordinates, the column x' x [0, oo) meets K
+    in one interval [t, oo), and t comes from the normals alone.  The
+    axis columns give the largest coordinate of the down-set, which
+    decides whether it closes up within the size bound before any column
+    is listed.  In the completion, 2b - a >= 0 needs a_1 <= 2 b_1, so for
+    each b only the a up to that first coordinate are tried.
     """
     n = cfg.n
     if order_cone.dim != n:
@@ -225,28 +267,27 @@ def a_hat(cfg: PointConfig, order_cone: Cone) -> PointConfig:
                 "in the interior of the negated order cone"
             )
     bounds = [min(dot(a, p) for p in cfg) for a in normals]
-    in_k = lambda x: all(dot(a, x) <= b for a, b in zip(normals, bounds))
+    # the shell max(x) == m lies in K iff m exceeds every coordinate of the
+    # down-set, whose largest i-th coordinate sits on the i-th axis
+    reach = max(_column_top(normals, bounds, (0,) * i) for i in range(n))
     m = max(1, max(c for p in cfg for c in p))
-    while True:
-        shell = [
-            p
-            for p in itertools.product(range(m + 1), repeat=n)
-            if max(p) == m
-        ]
-        if all(in_k(p) for p in shell):
-            break
+    while m < reach:
         m *= 2
         if m > 1 << 20:
             raise PreconditionError("extension support does not close up")
-    w = {
-        p
-        for p in itertools.product(range(m + 1), repeat=n)
-        if not in_k(p)
-    } | set(cfg.points)
-    hat = {
-        tuple(2 * bb - aa for aa, bb in zip(a, b))
-        for a in w
-        for b in w
-    }
-    hat = {p for p in hat if all(c >= 0 for c in p)}
+    cols: list[IntVec] = [()]
+    for i in range(n):
+        cols = [
+            p + (t,)
+            for p in cols
+            for t in range(_column_top(normals, bounds, p))
+        ]
+    w = sorted(set(cols) | set(cfg.points))
+    firsts = [a[0] for a in w]
+    hat = set()
+    for b in w:
+        for a in w[: bisect.bisect_right(firsts, 2 * b[0])]:
+            p = tuple([2 * y - x for x, y in zip(a, b)])
+            if min(p) >= 0:
+                hat.add(p)
     return PointConfig(graded_lex_sorted(hat))

@@ -15,6 +15,7 @@ in them until a full garbage collection.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
@@ -102,6 +103,33 @@ def _echelon(rows: Sequence[Sequence]) -> list[Sequence[int]]:
 
 def rank(rows: Sequence[Sequence]) -> int:
     return len(_echelon(rows))
+
+
+def _det(m: Sequence[Sequence[int]]) -> int:
+    # cofactor expansion along the first row; meant for orders up to 3
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * m[0][j] * _det([row[:j] + row[j + 1 :] for row in m[1:]])
+        for j in range(len(m))
+        if m[0][j]
+    )
+
+
+def lattice_index(rows: Sequence[Sequence[int]]) -> int:
+    """Index of the lattice the integer rows generate in the integer points
+    of their linear span: the gcd of the r x r minors, r the rank.  Every
+    minor is expanded, so this is meant for a few short rows."""
+    r = rank(rows)
+    if r == 0:
+        return 1
+    g = 0
+    for sub in itertools.combinations(rows, r):
+        for cols in itertools.combinations(range(len(sub[0])), r):
+            g = gcd(g, _det([[row[j] for j in cols] for row in sub]))
+            if g == 1:
+                return 1
+    return g
 
 
 def rref_int(rows: Sequence[Sequence[int]]) -> list[IntVec]:

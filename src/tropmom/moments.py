@@ -29,7 +29,7 @@ from .funcones import (
     cone_K_even,
 )
 from .lattice import AlmostEmptySimplex, PointConfig
-from .linalg import IntVec, dot, primitive
+from .linalg import IntVec, dot, lattice_index, primitive
 
 _KINDS = ("orthant", "cube", "toric_cube", "binomials", "full_space")
 
@@ -224,9 +224,12 @@ def semigroup_generation_check(s: SemialgSpec) -> bool:
     """Whether the exponent differences generate the full semigroup of
     lattice points of the order cone.
 
-    Brute force: enumerate the Hilbert basis inside a bounding box and test
-    each element for reachability.  Only ambient dimension <= 3 is
-    supported, and the order cone must be pointed.
+    Differences of lattice index above 1 generate a proper sublattice of
+    the integer points of their span, which their cone meets outside that
+    sublattice, so the answer is no without enumerating anything.  Index 1
+    goes to brute force: enumerate the Hilbert basis inside a bounding box
+    and test each element for reachability.  Only ambient dimension <= 3
+    is supported, and the order cone must be pointed.
     """
     if s.kind == "toric_cube":
         raise PreconditionError(
@@ -246,6 +249,8 @@ def semigroup_generation_check(s: SemialgSpec) -> bool:
         raise PreconditionError(
             "semigroup generation check requires a pointed order cone"
         )
+    if lattice_index(vs) > 1:
+        return False
     radius = n * max(abs(x) for v in tuple(vs) + c.rays for x in v)
     box = [
         p

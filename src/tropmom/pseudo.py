@@ -25,7 +25,16 @@ from typing import Optional, Sequence
 from .cones import Cone, cone_equal, project_hrep
 from .errors import PreconditionError, ResourceLimitError
 from .funcones import GeneralizedConvexityCone, _cover_pairs, cone_M
-from .lattice import PointConfig, a_hat, cubical_hull, delta_simplex, lattice_points, midpoint_triples
+from .lattice import (
+    PointConfig,
+    a_hat,
+    cubical_hull,
+    cubical_hull_size,
+    delta_simplex,
+    delta_simplex_size,
+    lattice_points,
+    midpoint_triples,
+)
 from .linalg import IntVec, dot
 from .moments import BinomialIneq, SemialgSpec, order_cone, render_binomial, trop_moment_cone
 
@@ -92,13 +101,14 @@ def _constraint_rows(e: PointConfig, c: Cone) -> list[IntVec]:
     return rows
 
 
-def _guard_extension(e: PointConfig, limit: int) -> PointConfig:
-    if len(e) > limit:
+def _guard_size(size: int, limit: int) -> None:
+    """Refuse an extension support of the given exact size.  Where the
+    size has a closed form it is checked before the support is built."""
+    if size > limit:
         raise ResourceLimitError(
-            f"extension support has {len(e)} points, exceeding the limit "
+            f"extension support has {size} points, exceeding the limit "
             f"of {limit}; raise max_extension_points to proceed"
         )
-    return e
 
 
 def _projected(a: PointConfig, e: PointConfig, c: Cone) -> Cone:
@@ -134,7 +144,8 @@ def trop_pseudomoment(
                 f"support point {p} has total degree {sum(p)}, above the "
                 f"truncation degree {d}"
             )
-    e = _guard_extension(delta_simplex(a.n, d), max_extension_points)
+    _guard_size(delta_simplex_size(a.n, d), max_extension_points)
+    e = delta_simplex(a.n, d)
     cone = _projected(a, e, order_cone(spec))
     return PseudoMomentTrop(a, spec, d, False, cone, e)
 
@@ -145,7 +156,8 @@ def trop_pseudomoment_cube_stable(
     """Stabilized pseudo-moment tropicalization over the unit cube: the
     truncated cones coincide with this one for every large enough degree,
     with the cubical hull of A as the extension support."""
-    e = _guard_extension(cubical_hull(a), max_extension_points)
+    _guard_size(cubical_hull_size(a), max_extension_points)
+    e = cubical_hull(a)
     cone = _projected(a, e, Cone.nonpos_orthant(a.n))
     return PseudoMomentTrop(a, SemialgSpec.cube(a.n), None, True, cone, e)
 
@@ -174,7 +186,8 @@ def trop_pseudomoment_stable(
     if spec.n != a.n:
         raise ValueError("set specification dimension does not match the support")
     c = order_cone(spec)
-    e = _guard_extension(a_hat(a, c), max_extension_points)
+    e = a_hat(a, c)
+    _guard_size(len(e), max_extension_points)
     cone = _projected(a, e, c)
     return PseudoMomentTrop(a, spec, None, True, cone, e)
 
@@ -185,7 +198,8 @@ def sigma_dual_trop(
     """Tropicalized dual of the sums-of-squares cone on A, for measures on
     all of R^n: midpoint inequalities between even points of the lattice
     hull of A, projected to the A-coordinates."""
-    e = _guard_extension(lattice_points(a.points), max_extension_points)
+    e = lattice_points(a.points)
+    _guard_size(len(e), max_extension_points)
     rows = []
     pts = e.points
     for i, v in enumerate(pts):
@@ -237,6 +251,13 @@ def stabilization_scan(
         raise PreconditionError(
             f"d_max = {d_max} is below the support degree {d_min}"
         )
+    if spec.kind in _TRUNCATED_KINDS and spec.n == a.n:
+        # the guards the degrees and the cube's closed form would trip,
+        # in the same order, before anything is projected
+        for d in range(d_min, d_max + 1):
+            _guard_size(delta_simplex_size(a.n, d), max_extension_points)
+        if spec.kind == "cube":
+            _guard_size(cubical_hull_size(a), max_extension_points)
     results = tuple(
         trop_pseudomoment(a, spec, d, max_extension_points)
         for d in range(d_min, d_max + 1)

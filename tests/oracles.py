@@ -1,16 +1,25 @@
-"""Reference oracles for the exact kernels, in plain Fraction arithmetic.
+"""Reference oracles for the exact kernels and the extension supports.
 
 These are the dense rational tableau simplex and the rational Gauss-Jordan
-elimination the library used before its kernels went fraction-free.  They
-are slow and obviously exact, and the property tests compare the library
-against them: same verdicts, same certificates, same canonical bases.
+elimination the library used before its kernels went fraction-free, and
+the box-filtering Â and brute-force semigroup check it used before they
+were sized from the inequalities and the lattice index.  They are slow
+and obviously exact, and the property tests compare the library against
+them: same verdicts, same certificates, same canonical bases, same sets.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
+
+from tropmom.cones import Cone
+from tropmom.errors import PreconditionError
+from tropmom.lattice import PointConfig, graded_lex_sorted
+from tropmom.linalg import dot
+from tropmom.moments import SemialgSpec, _positive_functional
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -153,3 +162,75 @@ def solve_linear(matrix, rhs):
             return None
         x[pivot] = row[n] / row[pivot]
     return tuple(x)
+
+
+def a_hat(cfg: PointConfig, order_cone: Cone) -> PointConfig:
+    """Â by filtering boxes: the shells max(p) == m of [0, m]^n are tested
+    point by point, doubling m until one lies in K, then W is read off the
+    whole box and every pair of W is completed."""
+    n = cfg.n
+    normals = order_cone.ineqs
+    flat = order_cone.eqs or not order_cone.is_pointed()
+    for i in range(n):
+        e = tuple(1 if j == i else 0 for j in range(n))
+        if flat or any(dot(a, e) >= 0 for a in normals):
+            raise PreconditionError("stabilization hypothesis fails")
+    bounds = [min(dot(a, p) for p in cfg) for a in normals]
+    in_k = lambda x: all(dot(a, x) <= b for a, b in zip(normals, bounds))
+    m = max(1, max(c for p in cfg for c in p))
+    while True:
+        shell = [
+            p for p in itertools.product(range(m + 1), repeat=n) if max(p) == m
+        ]
+        if all(in_k(p) for p in shell):
+            break
+        m *= 2
+        if m > 1 << 20:
+            raise PreconditionError("extension support does not close up")
+    w = {
+        p for p in itertools.product(range(m + 1), repeat=n) if not in_k(p)
+    } | set(cfg.points)
+    hat = {tuple(2 * bb - aa for aa, bb in zip(a, b)) for a in w for b in w}
+    return PointConfig(graded_lex_sorted(p for p in hat if min(p) >= 0))
+
+
+def semigroup_generation_check(s: SemialgSpec) -> bool:
+    """Brute force for a pointed order cone: the Hilbert basis of the
+    lattice points in a bounding box, each tested for reachability."""
+    n = s.n
+    vs = list(dict.fromkeys(s.exponent_differences()))
+    if not vs:
+        return True
+    c = Cone.from_vrep(n, vs)
+    radius = n * max(abs(x) for v in tuple(vs) + c.rays for x in v)
+    box = [
+        p
+        for p in itertools.product(range(-radius, radius + 1), repeat=n)
+        if any(p) and c.contains_point(p)
+    ]
+    members = set(box)
+    hilbert = [
+        z
+        for z in box
+        if not any(
+            u != z and tuple(x - y for x, y in zip(z, u)) in members for u in box
+        )
+    ]
+    phi = _positive_functional(c)
+
+    def reachable(t, seen):
+        if not any(t):
+            return True
+        if t in seen:
+            return seen[t]
+        seen[t] = False
+        for v in vs:
+            if dot(phi, v) <= dot(phi, t) and reachable(
+                tuple(x - y for x, y in zip(t, v)), seen
+            ):
+                seen[t] = True
+                break
+        return seen[t]
+
+    seen: dict = {}
+    return all(reachable(z, seen) for z in hilbert)

@@ -1,7 +1,9 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 
+from tropmom import moments, pseudo
 from tropmom.cli import main
 
 MOTZKIN_SUPPORT = [[0, 0], [1, 1], [1, 2], [2, 1]]
@@ -361,6 +363,72 @@ def test_resource_limit(capsys, motz_cube):
     )
     assert code == 4
     assert "error:" in err
+
+
+GUARD = (
+    "error: extension support has {} points, exceeding the limit of {}; "
+    "raise max_extension_points to proceed\n"
+)
+
+
+def _not_built(*args):
+    raise AssertionError("built before the guard")
+
+
+def test_cube_box_guard_trips_before_building(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(pseudo, "cubical_hull", _not_built)
+    path = problem_file(
+        tmp_path,
+        "box.json",
+        {"ambient_dim": 2, "support": [[0, 0], [3000, 3000]], "set": {"kind": "cube"}},
+    )
+    assert run(capsys, ["pseudomoment", path]) == (4, "", GUARD.format(3001**2, 40))
+
+
+def test_degree_guard_trips_before_building(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(pseudo, "delta_simplex", _not_built)
+    path = problem_file(
+        tmp_path,
+        "ball.json",
+        {"ambient_dim": 3, "support": [[0, 0, 0], [1, 1, 1]], "set": {"kind": "cube"}},
+    )
+    argv = ["pseudomoment", path, "--degree", "100000"]
+    # comb(100003, 3) points of total degree at most 100000
+    assert run(capsys, argv) == (4, "", GUARD.format(166676666850001, 40))
+    # the scan refuses at the first degree past the limit, comb(8, 3) = 56
+    # at degree 5, before projecting degrees 3 and 4
+    argv = ["scan", path, "--dmax", "100000"]
+    assert run(capsys, argv) == (4, "", GUARD.format(56, 40))
+    # degree 3 fits (10 points) but the closed form's 4 x 4 box does not
+    path = problem_file(
+        tmp_path,
+        "corners.json",
+        {"ambient_dim": 2, "support": [[3, 0], [0, 3]], "set": {"kind": "cube"}},
+    )
+    argv = ["scan", path, "--dmax", "3", "--max-extension-points", "12"]
+    assert run(capsys, argv) == (4, "", GUARD.format(16, 12))
+
+
+def test_semigroup_refusal_by_lattice_index(capsys, tmp_path, monkeypatch):
+    # the differences (-400, 1) and (1, -400) have lattice index 159999;
+    # the brute-force box would have 1601^2 points
+    monkeypatch.setattr(moments, "itertools", SimpleNamespace(product=_not_built))
+    gens = [
+        {"plus": [0, 1], "minus": [400, 0]},
+        {"plus": [1, 0], "minus": [0, 400]},
+    ]
+    path = problem_file(
+        tmp_path,
+        "s400.json",
+        {
+            "ambient_dim": 2,
+            "support": [[0, 0], [1, 0], [0, 1], [1, 1]],
+            "set": {"kind": "binomials", "gens": gens},
+        },
+    )
+    code, out, err = run(capsys, ["pseudomoment", path])
+    assert (code, out) == (3, "")
+    assert "--assume-semigroup-generated" in err
 
 
 def test_bad_max_extension_flag(capsys, motz_cube):

@@ -1,21 +1,34 @@
-"""The fraction-free kernels against the Fraction reference oracles.
+"""The fraction-free kernels and the sized supports against reference oracles.
 
 The integer simplex must reach the same verdict and the same primitive
 Farkas certificate as the dense rational tableau, and the integer
 Gauss-Jordan routine must give the same canonical bases, ranks and
-solutions as rational elimination.
+solutions as rational elimination.  Â built from column intervals must
+equal Â built by filtering boxes, the semigroup check with its lattice
+index shortcut must agree with brute force, and the closed-form support
+sizes the guards read must equal the sizes of the supports.
 """
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from tropmom import _simplex
+from tropmom import _simplex, lattice
 from tropmom.cones import Cone, project_hrep
+from tropmom.errors import PreconditionError
+from tropmom.lattice import (
+    PointConfig,
+    a_hat,
+    cubical_hull,
+    cubical_hull_size,
+    delta_simplex,
+    delta_simplex_size,
+)
 from tropmom.linalg import dot, kernel_basis, rank, rref_int, solve_linear
+from tropmom.moments import SemialgSpec, order_cone, semigroup_generation_check
 
 ENTRY = st.integers(-4, 4)
 
@@ -115,3 +128,88 @@ def test_valid_on_system_rejects_a_bad_certificate(monkeypatch, bad):
     monkeypatch.setattr(_simplex, "nonneg_combination", lambda r, t: (False, bad))
     with pytest.raises(ArithmeticError, match="certificate"):
         _simplex.valid_on_system(rows, (-1, 0, 0))
+
+
+@st.composite
+def stabilized_systems(draw, n, k_max, u_max, corner):
+    """(support, order cone) in n coordinates: binomials x^u >= x_i^k, one
+    per coordinate i, with k <= k_max, u_i = 0 and u_j <= u_max, kept when
+    the negated order cone has the basis vectors in its interior.  The
+    support lies in [0, corner]^n."""
+    gens = []
+    for i in range(n):
+        u = [draw(st.integers(0, u_max)) for _ in range(n)]
+        u[i] = 0
+        minus = [0] * n
+        minus[i] = draw(st.integers(1, k_max))
+        gens.append((u, minus))
+    c = order_cone(SemialgSpec.binomials(n, gens))
+    assume(c.is_pointed() and all(a < 0 for row in c.ineqs for a in row))
+    pts = st.tuples(*[st.integers(0, corner)] * n)
+    support = draw(st.lists(pts, min_size=1, max_size=4, unique=True))
+    return PointConfig(support), c
+
+
+@given(stabilized_systems(2, 8, 8, 3))
+def test_a_hat_matches_box_filter_2d(system):
+    support, c = system
+    assert a_hat(support, c) == oracles.a_hat(support, c)
+
+
+# 3-D extension supports run to thousands of points, which the box filter
+# completes pairwise in seconds, so these draws are smaller
+@settings(max_examples=40)
+@given(stabilized_systems(3, 4, 2, 2))
+def test_a_hat_matches_box_filter_3d(system):
+    support, c = system
+    assert a_hat(support, c) == oracles.a_hat(support, c)
+
+
+@st.composite
+def pointed_binomials(draw):
+    """Binomial systems in 2 variables, exponents up to 4, with a pointed
+    order cone."""
+    exps = st.tuples(st.integers(0, 4), st.integers(0, 4))
+    pair = st.tuples(exps, exps).filter(lambda ab: ab[0] != ab[1])
+    spec = SemialgSpec.binomials(2, draw(st.lists(pair, min_size=1, max_size=3)))
+    assume(order_cone(spec).is_pointed())
+    return spec
+
+
+@given(pointed_binomials())
+def test_semigroup_check_matches_brute_force(spec):
+    assert semigroup_generation_check(spec) == oracles.semigroup_generation_check(spec)
+
+
+@given(st.lists(st.tuples(*[st.integers(0, 5)] * 3), min_size=1, max_size=4, unique=True))
+def test_cubical_hull_size_is_its_length(points):
+    cfg = PointConfig(points)
+    assert cubical_hull_size(cfg) == len(cubical_hull(cfg))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", [0, 1, 2, 5, 7])
+def test_delta_simplex_size_is_its_length(n, d):
+    assert delta_simplex_size(n, d) == len(delta_simplex(n, d))
+
+
+def test_a_hat_refuses_before_listing_columns(monkeypatch):
+    """An extension support that closes up only beyond 2^20 is refused from
+    the axis columns alone, one per coordinate.  Over the unit square the
+    system y >= x^k, x >= y^k leaves K on the axes up to k, so k = 2^20 is
+    the first exponent refused."""
+    top = lattice._column_top
+    calls = []
+
+    def axis_only(*args):
+        calls.append(args)
+        assert len(calls) <= 2, "a column was listed"
+        return top(*args)
+
+    monkeypatch.setattr(lattice, "_column_top", axis_only)
+    k = 1 << 20
+    spec = SemialgSpec.binomials(2, [((0, 1), (k, 0)), ((1, 0), (0, k))])
+    square = PointConfig([(0, 0), (1, 0), (0, 1), (1, 1)])
+    with pytest.raises(PreconditionError, match="does not close up"):
+        a_hat(square, order_cone(spec))
+    assert [top(*args) for args in calls] == [k + 1, k + 1]

@@ -8,6 +8,7 @@ from tropmom.linalg import (
     dot,
     integerize,
     kernel_basis,
+    lattice_index,
     primitive,
     rank,
     rref_int,
@@ -80,3 +81,16 @@ def test_barycentric_outside_hull_weights():
     lam = barycentric_coords([(0,), (2,)], (3,))
     assert lam is not None and sum(lam) == 1
     assert any(w < 0 for w in lam)
+
+
+def test_lattice_index():
+    assert lattice_index([(1, 0), (0, 1)]) == 1
+    assert lattice_index([(2, 0), (0, 2)]) == 4
+    assert lattice_index([(-2, 1), (1, -2)]) == 3
+    # index in the integer points of the span, not in Z^n
+    assert lattice_index([(2, 4, 6)]) == 2
+    assert lattice_index([(2, 4, 6), (1, 2, 3)]) == 1
+    assert lattice_index([(1, 1, 0), (1, -1, 0)]) == 2
+    assert lattice_index([(1, 0), (1, 1), (1, 3)]) == 1
+    assert lattice_index([]) == 1
+    assert lattice_index([(0, 0)]) == 1
