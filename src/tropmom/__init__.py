@@ -12,17 +12,14 @@ from .cones import (
     Cone,
     cone_equal,
     double_description,
-    fourier_motzkin_project,
     project_hrep,
     tropical_hull,
-    tropical_hull_dual,
 )
 from .errors import PreconditionError, ResourceLimitError, SchemaError
 from .funcones import (
     GeneralizedConvexityCone,
     cone_K,
     cone_K_even,
-    cone_K_facets_via_simplices,
     cone_M,
     is_midpoint_facet,
     projection_equality_KM,
@@ -39,17 +36,6 @@ from .lattice import (
     lattice_points,
     mediated_set,
     midpoint_triples,
-)
-from .linalg import (
-    barycentric_coords,
-    content,
-    dot,
-    integerize,
-    kernel_basis,
-    primitive,
-    rank,
-    rref_int,
-    solve_linear,
 )
 from .moments import (
     BinomialIneq,
@@ -97,40 +83,29 @@ __all__ = [
     "a_hat",
     "almost_empty_simplices",
     "amgm_moment_cone",
-    "barycentric_coords",
     "binomial_facets",
     "clamp_extension",
     "cone_K",
     "cone_K_even",
-    "cone_K_facets_via_simplices",
     "cone_M",
     "cone_equal",
-    "content",
     "cubical_hull",
     "delta_simplex",
-    "dot",
     "double_description",
     "f_s_d",
-    "fourier_motzkin_project",
     "gap_report",
     "graded_lex_sorted",
-    "integerize",
     "is_midpoint_facet",
-    "kernel_basis",
     "lattice_points",
     "mediated_set",
     "midpoint_triples",
     "normal_valid_on",
     "order_cone",
-    "primitive",
     "project_hrep",
     "projection_equality_KM",
-    "rank",
     "render_binomial",
-    "rref_int",
     "semigroup_generation_check",
     "sigma_dual_trop",
-    "solve_linear",
     "stabilization_scan",
     "stabilized_pseudomoment",
     "trop_moment_cone",
@@ -139,5 +114,4 @@ __all__ = [
     "trop_pseudomoment_cube_stable",
     "trop_pseudomoment_stable",
     "tropical_hull",
-    "tropical_hull_dual",
 ]

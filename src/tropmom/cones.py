@@ -68,6 +68,25 @@ def _reduce_mod(basis: Sequence[IntVec], vec: Sequence[int]) -> IntVec:
     return primitive(v)
 
 
+def _lineality_step(lin: list[IntVec], a: IntVec) -> tuple:
+    """Cut the lineality basis by <a, x> = 0.  Returns (basis, b0, s): b0 is
+    the first basis vector off the hyperplane, signed so that <a, b0> = s > 0,
+    and the basis is the rest with b0 eliminated; (lin, None, 0) if none is."""
+    vals = [dot(a, b) for b in lin]
+    j = next((i for i, t in enumerate(vals) if t != 0), None)
+    if j is None:
+        return lin, None, 0
+    b0, s = lin[j], vals[j]
+    if s < 0:
+        b0, s = tuple([-x for x in b0]), -s
+    rest = [
+        primitive([s * x - t * y for x, y in zip(b, b0)])
+        for b, t in zip(lin, vals)
+        if b is not lin[j]
+    ]
+    return [b for b in rest if any(b)], b0, s
+
+
 def double_description(
     dim: int, ineqs: Sequence[IntVec], eqs: Sequence[IntVec]
 ) -> tuple[list[IntVec], list[IntVec]]:
@@ -83,36 +102,14 @@ def double_description(
     """
     lin: list[IntVec] = [_unit(dim, i) for i in range(dim)]
     for a in _clean_rows(eqs):
-        vals = [dot(a, b) for b in lin]
-        j = next((i for i, t in enumerate(vals) if t != 0), None)
-        if j is None:
-            continue
-        b0, s = lin[j], vals[j]
-        if s < 0:
-            b0, s = tuple([-x for x in b0]), -s
-        lin = [
-            primitive([s * x - t * y for x, y in zip(b, b0)])
-            for b, t in zip(lin, vals)
-            if b is not lin[j]
-        ]
-        lin = [b for b in lin if any(b)]
+        lin, _, _ = _lineality_step(lin, a)
 
     constraints = _clean_rows(ineqs)
     rays: list[list] = []  # [vector, tight-bitmask over constraint indices]
     for k, a in enumerate(constraints):
         bit = 1 << k
-        vals = [dot(a, b) for b in lin]
-        j = next((i for i, t in enumerate(vals) if t != 0), None)
-        if j is not None:
-            b0, s = lin[j], vals[j]
-            if s < 0:
-                b0, s = tuple([-x for x in b0]), -s
-            lin = [
-                primitive([s * x - t * y for x, y in zip(b, b0)])
-                for b, t in zip(lin, vals)
-                if b is not lin[j]
-            ]
-            lin = [b for b in lin if any(b)]
+        lin, b0, s = _lineality_step(lin, a)
+        if b0 is not None:
             for entry in rays:
                 t = dot(a, entry[0])
                 if t:
@@ -245,22 +242,17 @@ class Cone:
     def _minimal_v(self) -> None:
         if self._v_min:
             return
-        if self._rays is None:
-            self._compute_v()
-            return
-        # generators may be redundant: pass through the dual and back
-        self._minimal_h()
+        if self._rays is not None:
+            # generators may be redundant: pass through the dual and back
+            self._minimal_h()
         self._compute_v()
 
     def _minimal_h(self) -> None:
         if self._h_min:
             return
-        if self._ineqs is None:
-            self._compute_h()
-            return
-        if not self._v_min and self._rays is None:
+        if self._rays is None:
+            # facets may be redundant: pass through the generators and back
             self._compute_v()
-            self._v_min = True
         self._compute_h()
 
     @property
@@ -299,10 +291,6 @@ class Cone:
         return all(dot(a, vec) >= 0 for a in self.ineqs) and all(
             dot(e, vec) == 0 for e in self.eqs
         )
-
-    def contains_point_interior(self, vec: Sequence) -> bool:
-        """Strict membership: interior relative to the full ambient space."""
-        return not self.eqs and all(dot(a, vec) > 0 for a in self.ineqs)
 
     def contains_cone(self, other: "Cone") -> bool:
         if self.dim != other.dim:

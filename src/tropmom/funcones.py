@@ -31,7 +31,6 @@ from .lattice import (
     MidpointTriple,
     PointConfig,
     almost_empty_simplices,
-    graded_lex_sorted,
     mediated_set,
     midpoint_triples,
 )
@@ -120,23 +119,46 @@ def cone_K_even(a: PointConfig) -> GeneralizedConvexityCone:
     return GeneralizedConvexityCone("K_even", a, None, cone, tuple(normals))
 
 
-def _cover_pairs(points: Sequence[IntVec], c: Cone) -> list[tuple[int, int]]:
-    """Index pairs (i, j) with p_i - p_j in C and no configuration point
-    strictly between them in the C-order; transitivity recovers the rest."""
-    rel = {
+def constraint_rows(
+    a: PointConfig, triples: Sequence[MidpointTriple], pairs: Sequence[tuple[int, int]]
+) -> list[IntVec]:
+    """Inequality normals on R^A: h(a1) + h(a2) - 2h(b) >= 0 for each
+    midpoint triple, then h(p_i) - h(p_j) >= 0 for each index pair (i, j),
+    in the order given."""
+    index = {p: i for i, p in enumerate(a.points)}
+    rows = []
+    for t in triples:
+        row = [0] * len(a)
+        row[index[t.a1]] += 1
+        row[index[t.a2]] += 1
+        row[index[t.b]] -= 2
+        rows.append(tuple(row))
+    for i, j in pairs:
+        row = [0] * len(a)
+        row[i] += 1
+        row[j] -= 1
+        rows.append(tuple(row))
+    return rows
+
+
+def comparable_pairs(a: PointConfig, c: Cone) -> list[tuple[int, int]]:
+    """Index pairs (i, j), i != j, with p_i - p_j in C, sorted."""
+    return [
         (i, j)
-        for i, p in enumerate(points)
-        for j, q in enumerate(points)
+        for i, p in enumerate(a)
+        for j, q in enumerate(a)
         if i != j and c.contains_point(tuple(x - y for x, y in zip(p, q)))
-    }
-    return sorted(
-        (i, j)
-        for i, j in rel
-        if not any(
-            k != i and k != j and (i, k) in rel and (k, j) in rel
-            for k in range(len(points))
-        )
-    )
+    ]
+
+
+def cover_pairs(pairs: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The comparable pairs with no configuration point strictly between
+    their two points in the C-order; transitivity recovers the rest."""
+    rel = set(pairs)
+    above: dict[int, list[int]] = {}
+    for i, k in pairs:
+        above.setdefault(i, []).append(k)
+    return [(i, j) for i, j in pairs if not any((k, j) in rel for k in above[i])]
 
 
 def cone_M(a: PointConfig, c: Cone) -> GeneralizedConvexityCone:
@@ -149,30 +171,11 @@ def cone_M(a: PointConfig, c: Cone) -> GeneralizedConvexityCone:
     """
     if c.dim != a.n:
         raise ValueError("order cone dimension does not match the configuration")
-    m = len(a)
-    pts = a.points
-
-    def e(i: int, j: int, coeff_i: int, coeff_j: int, k: int = -1, coeff_k: int = 0):
-        v = [0] * m
-        v[i] += coeff_i
-        v[j] += coeff_j
-        if k >= 0:
-            v[k] += coeff_k
-        return tuple(v)
-
-    mids = [
-        e(a.index(t.a1), a.index(t.a2), 1, 1, a.index(t.b), -2)
-        for t in midpoint_triples(a)
-    ]
-    dec_all = [
-        e(i, j, 1, -1)
-        for i, p in enumerate(pts)
-        for j, q in enumerate(pts)
-        if i != j and c.contains_point(tuple(x - y for x, y in zip(p, q)))
-    ]
-    dec_cover = [e(i, j, 1, -1) for i, j in _cover_pairs(pts, c)]
-    cone = Cone.from_hrep(m, mids + dec_cover)
-    return GeneralizedConvexityCone("M", a, c, cone, tuple(mids + dec_all))
+    triples = midpoint_triples(a)
+    pairs = comparable_pairs(a, c)
+    cone = Cone.from_hrep(len(a), constraint_rows(a, triples, cover_pairs(pairs)))
+    defining = constraint_rows(a, triples, pairs)
+    return GeneralizedConvexityCone("M", a, c, cone, tuple(defining))
 
 
 def _segment_members(a: PointConfig, p: IntVec, q: IntVec) -> list[IntVec]:

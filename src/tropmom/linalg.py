@@ -29,14 +29,6 @@ def dot(u: Sequence, v: Sequence):
     return sum(a * b for a, b in zip(u, v))
 
 
-def vec_sub(u: Sequence, v: Sequence) -> tuple:
-    return tuple([a - b for a, b in zip(u, v)])
-
-
-def vec_scale(c, u: Sequence) -> tuple:
-    return tuple([c * a for a in u])
-
-
 def content(v: Sequence[int]) -> int:
     return gcd(*v)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .cones import Cone
@@ -29,7 +29,7 @@ from .funcones import (
     cone_K_even,
 )
 from .lattice import AlmostEmptySimplex, PointConfig
-from .linalg import IntVec, dot, lattice_index, primitive
+from .linalg import IntVec, dot, lattice_index, primitive, rank
 
 _KINDS = ("orthant", "cube", "toric_cube", "binomials", "full_space")
 
@@ -226,10 +226,12 @@ def semigroup_generation_check(s: SemialgSpec) -> bool:
 
     Differences of lattice index above 1 generate a proper sublattice of
     the integer points of their span, which their cone meets outside that
-    sublattice, so the answer is no without enumerating anything.  Index 1
-    goes to brute force: enumerate the Hilbert basis inside a bounding box
-    and test each element for reachability.  Only ambient dimension <= 3
-    is supported, and the order cone must be pointed.
+    sublattice, so the answer is no without enumerating anything.  If they
+    are independent and of index 1, their cone is unimodular simplicial and
+    the answer is yes.  Other sets go to brute force: enumerate the Hilbert
+    basis inside a bounding box and test each element for reachability.
+    Only ambient dimension <= 3 is supported, and the order cone must be
+    pointed.
     """
     if s.kind == "toric_cube":
         raise PreconditionError(
@@ -251,6 +253,8 @@ def semigroup_generation_check(s: SemialgSpec) -> bool:
         )
     if lattice_index(vs) > 1:
         return False
+    if rank(vs) == len(vs):
+        return True
     radius = n * max(abs(x) for v in tuple(vs) + c.rays for x in v)
     box = [
         p

@@ -24,7 +24,13 @@ from typing import Optional, Sequence
 
 from .cones import Cone, cone_equal, project_hrep
 from .errors import PreconditionError, ResourceLimitError
-from .funcones import GeneralizedConvexityCone, _cover_pairs, cone_M
+from .funcones import (
+    GeneralizedConvexityCone,
+    comparable_pairs,
+    cone_M,
+    constraint_rows,
+    cover_pairs,
+)
 from .lattice import (
     PointConfig,
     a_hat,
@@ -35,7 +41,7 @@ from .lattice import (
     lattice_points,
     midpoint_triples,
 )
-from .linalg import IntVec, dot
+from .linalg import dot
 from .moments import BinomialIneq, SemialgSpec, order_cone, render_binomial, trop_moment_cone
 
 _TRUNCATED_KINDS = ("orthant", "cube", "binomials")
@@ -80,27 +86,6 @@ class ScanReport:
     matches_closed_form: Optional[bool]
 
 
-def _constraint_rows(e: PointConfig, c: Cone) -> list[IntVec]:
-    """Midpoint and monotonicity inequality normals on R^E.
-
-    Monotone pairs enter through their covering relation; transitivity
-    makes the generated cone equal to the one from all comparable pairs.
-    """
-    rows = []
-    for t in midpoint_triples(e):
-        row = [0] * len(e)
-        row[e.index(t.a1)] += 1
-        row[e.index(t.a2)] += 1
-        row[e.index(t.b)] -= 2
-        rows.append(tuple(row))
-    for i, j in _cover_pairs(e.points, c):
-        row = [0] * len(e)
-        row[i] += 1
-        row[j] -= 1
-        rows.append(tuple(row))
-    return rows
-
-
 def _guard_size(size: int, limit: int) -> None:
     """Refuse an extension support of the given exact size.  Where the
     size has a closed form it is checked before the support is built."""
@@ -112,7 +97,10 @@ def _guard_size(size: int, limit: int) -> None:
 
 
 def _projected(a: PointConfig, e: PointConfig, c: Cone) -> Cone:
-    return project_hrep(len(e), _constraint_rows(e, c), [e.index(p) for p in a])
+    """Midpoint and cover-pair monotone rows on R^E, projected onto A;
+    by transitivity the cover pairs cut out what all comparable pairs do."""
+    rows = constraint_rows(e, midpoint_triples(e), cover_pairs(comparable_pairs(e, c)))
+    return project_hrep(len(e), rows, [e.index(p) for p in a])
 
 
 def f_s_d(spec: SemialgSpec, d: int) -> GeneralizedConvexityCone:
@@ -200,22 +188,9 @@ def sigma_dual_trop(
     hull of A, projected to the A-coordinates."""
     e = lattice_points(a.points)
     _guard_size(len(e), max_extension_points)
-    rows = []
-    pts = e.points
-    for i, v in enumerate(pts):
-        if any(x % 2 for x in v):
-            continue
-        for w in pts[i + 1 :]:
-            if any(x % 2 for x in w):
-                continue
-            mid = tuple((x + y) // 2 for x, y in zip(v, w))
-            if mid not in e:
-                continue
-            row = [0] * len(pts)
-            row[e.index(v)] += 1
-            row[e.index(w)] += 1
-            row[e.index(mid)] -= 2
-            rows.append(tuple(row))
+    even = lambda p: not any(x % 2 for x in p)
+    triples = [t for t in midpoint_triples(e) if even(t.a1) and even(t.a2)]
+    rows = constraint_rows(e, triples, ())
     cone = project_hrep(len(e), rows, [e.index(p) for p in a])
     return PseudoMomentTrop(
         a, SemialgSpec.full_space(a.n), None, True, cone, e

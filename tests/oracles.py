@@ -6,6 +6,11 @@ the box-filtering Â and brute-force semigroup check it used before they
 were sized from the inequalities and the lattice index.  They are slow
 and obviously exact, and the property tests compare the library against
 them: same verdicts, same certificates, same canonical bases, same sets.
+
+The midpoint and monotone row lists are the three separate loops that
+built them before one builder did: the projected system, the midpoint
+cone's defining system and the even-midpoint system of the sums of
+squares dual.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from typing import Optional, Sequence
 
 from tropmom.cones import Cone
 from tropmom.errors import PreconditionError
-from tropmom.lattice import PointConfig, graded_lex_sorted
+from tropmom.lattice import PointConfig, graded_lex_sorted, midpoint_triples
 from tropmom.linalg import dot
 from tropmom.moments import SemialgSpec, _positive_functional
 
@@ -234,3 +239,84 @@ def semigroup_generation_check(s: SemialgSpec) -> bool:
 
     seen: dict = {}
     return all(reachable(z, seen) for z in hilbert)
+
+
+def _cover_pairs(points, c):
+    rel = {
+        (i, j)
+        for i, p in enumerate(points)
+        for j, q in enumerate(points)
+        if i != j and c.contains_point(tuple(x - y for x, y in zip(p, q)))
+    }
+    return sorted(
+        (i, j)
+        for i, j in rel
+        if not any(
+            k != i and k != j and (i, k) in rel and (k, j) in rel
+            for k in range(len(points))
+        )
+    )
+
+
+def projected_rows(e: PointConfig, c: Cone) -> list[tuple[int, ...]]:
+    """Midpoint rows, then the covering relation's monotone rows."""
+    rows = []
+    for t in midpoint_triples(e):
+        row = [0] * len(e)
+        row[e.index(t.a1)] += 1
+        row[e.index(t.a2)] += 1
+        row[e.index(t.b)] -= 2
+        rows.append(tuple(row))
+    for i, j in _cover_pairs(e.points, c):
+        row = [0] * len(e)
+        row[i] += 1
+        row[j] -= 1
+        rows.append(tuple(row))
+    return rows
+
+
+def cone_m_defining_rows(a: PointConfig, c: Cone) -> list[tuple[int, ...]]:
+    """Midpoint rows, then the monotone rows of every comparable pair."""
+    m = len(a)
+    pts = a.points
+
+    def e(i, j, coeff_i, coeff_j, k=-1, coeff_k=0):
+        v = [0] * m
+        v[i] += coeff_i
+        v[j] += coeff_j
+        if k >= 0:
+            v[k] += coeff_k
+        return tuple(v)
+
+    mids = [
+        e(a.index(t.a1), a.index(t.a2), 1, 1, a.index(t.b), -2)
+        for t in midpoint_triples(a)
+    ]
+    dec_all = [
+        e(i, j, 1, -1)
+        for i, p in enumerate(pts)
+        for j, q in enumerate(pts)
+        if i != j and c.contains_point(tuple(x - y for x, y in zip(p, q)))
+    ]
+    return mids + dec_all
+
+
+def even_midpoint_rows(e: PointConfig) -> list[tuple[int, ...]]:
+    """Midpoint rows of the pairs of even points whose midpoint is in E."""
+    rows = []
+    pts = e.points
+    for i, v in enumerate(pts):
+        if any(x % 2 for x in v):
+            continue
+        for w in pts[i + 1 :]:
+            if any(x % 2 for x in w):
+                continue
+            mid = tuple((x + y) // 2 for x, y in zip(v, w))
+            if mid not in e:
+                continue
+            row = [0] * len(pts)
+            row[e.index(v)] += 1
+            row[e.index(w)] += 1
+            row[e.index(mid)] -= 2
+            rows.append(tuple(row))
+    return rows

@@ -2,6 +2,7 @@ import warnings
 
 import pytest
 
+from tropmom import moments
 from tropmom.cones import Cone, cone_equal
 from tropmom.errors import PreconditionError
 from tropmom.lattice import PointConfig, almost_empty_simplices
@@ -85,6 +86,28 @@ def test_semigroup_generation_check():
     assert semigroup_generation_check(gen) is True
     with pytest.raises(PreconditionError):
         semigroup_generation_check(SemialgSpec.cube(4))
+
+
+def test_semigroup_check_unimodular_without_the_box(monkeypatch):
+    """{y^200 >= x, x >= y^199}: the differences (-1, 200) and (1, -199)
+    are independent with determinant -1, so the answer needs no box."""
+
+    def no_box(*args, **kwargs):
+        raise AssertionError("the brute-force box was built")
+
+    monkeypatch.setattr(moments.itertools, "product", no_box)
+    k = 200
+    spec = SemialgSpec.binomials(2, [((0, k), (1, 0)), ((1, 0), (0, k - 1))])
+    assert semigroup_generation_check(spec) is True
+
+
+def test_semigroup_check_dependent_index_one_set_goes_to_the_box():
+    """(1, 0), (1, 1), (-1, 2) has index 1 through its first two, yet (0, 1)
+    lies in its cone and is no nonnegative integer combination of it."""
+    spec = SemialgSpec.binomials(
+        2, [((1, 0), (0, 0)), ((1, 1), (0, 0)), ((0, 2), (1, 0))]
+    )
+    assert semigroup_generation_check(spec) is False
 
 
 def test_moment_cone_orthant():
