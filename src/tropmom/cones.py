@@ -8,12 +8,15 @@ A cone is stored in up to two representations:
   lineality space) plus a lineality basis in integer reduced row echelon
   form.
 
-Either representation is computed from the other on demand by the double
-description method; all arithmetic is integer/rational and exact.  Both
-representations are minimal and canonically ordered once computed, so two
-equal cones built the same way print identically.  Equality of cones as
-sets is decided by mutual generator containment, never by string
-comparison.
+The first time either representation is asked for, one run of the double
+description method computes the other, minimal and canonical.  The given
+one, once asked for, is made minimal from the incidence of its rows with
+that result, not by a second run: rows tight on every generator are
+implicit equations, and the facets are the other rows with maximal tight
+sets.  All arithmetic is integer and exact.  Both representations are
+canonically ordered, so two equal cones built the same way print
+identically.  Equality of cones as sets is decided by mutual generator
+containment, never by string comparison.
 
 The tropical hull of a cone Y is computed from its definition as the
 intersection of the Minkowski sums Y + V_i, where V_i is the cone of
@@ -87,22 +90,62 @@ def _lineality_step(lin: list[IntVec], a: IntVec) -> tuple:
     return [b for b in rest if any(b)], b0, s
 
 
+def _by_incidence(
+    dim: int, normals: Sequence[IntVec], gens: Sequence[IntVec], lin: Sequence[IntVec]
+) -> tuple[Rows, Rows]:
+    """Minimal (facets, equations) of {x : <a, x> >= 0 for a in normals},
+    in double description's canonical form, from the cone's minimal
+    V-representation (gens, lin); with the roles swapped, the minimal
+    V-representation from the minimal H-representation.
+
+    The equations are the row-reduced kernel of gens and lin.  A normal
+    tight on every generator is an implicit equation.  The tight set of
+    any other is a face, and every face lies in a facet, so the facets are
+    the normals with maximal tight sets, one per set, each reduced modulo
+    the equations.
+    """
+    eqs = kernel_basis(list(gens) + list(lin), dim)
+    full = (1 << len(gens)) - 1
+    by_mask: dict[int, IntVec] = {}
+    for a in normals:
+        mask = 0
+        for i, g in enumerate(gens):
+            if not dot(a, g):
+                mask |= 1 << i
+        if mask != full:
+            by_mask.setdefault(mask, a)
+    facets = [
+        _reduce_mod(eqs, a)
+        for m, a in by_mask.items()
+        if not any(m != o and m & o == m for o in by_mask)
+    ]
+    return tuple(sorted(facets)), tuple(eqs)
+
+
 def double_description(
     dim: int, ineqs: Sequence[IntVec], eqs: Sequence[IntVec]
 ) -> tuple[list[IntVec], list[IntVec]]:
     """V-representation of {x : ineqs . x >= 0, eqs . x = 0}.
 
-    Returns (rays, lineality_basis), both primitive; rays are extreme and
-    pairwise distinct modulo lineality but not yet canonically reduced.
+    Returns (rays, lineality_basis).  The lineality basis is in integer
+    reduced row echelon form; the rays are extreme, reduced modulo it,
+    primitive, pairwise distinct and sorted.
 
     Inequalities are inserted in the order given (after deduplication);
     intermediate ray counts, and hence running time, can depend heavily on
     that order, so callers with structured systems should order them so
     successive partial cones stay close to the final one.
+
+    Two rays can be adjacent only if they share at least d - 2 tight
+    constraints, d the dimension of the current cone modulo its lineality,
+    so pairs with fewer skip the combinatorial test.  Only a cut with no
+    ray strictly on its positive side changes d: the cone collapses to a
+    face, whose dimension is then computed.
     """
     lin: list[IntVec] = [_unit(dim, i) for i in range(dim)]
     for a in _clean_rows(eqs):
         lin, _, _ = _lineality_step(lin, a)
+    cone_dim = len(lin)
 
     constraints = _clean_rows(ineqs)
     rays: list[list] = []  # [vector, tight-bitmask over constraint indices]
@@ -134,11 +177,18 @@ def double_description(
         if not neg:
             rays = [e for e, _ in pos] + zero
             continue
+        if not pos:
+            rays = zero
+            cone_dim = rank([e[0] for e in zero] + lin)
+            continue
+        need = cone_dim - len(lin) - 2
         current = rays
         combos = []
         for pe, tp in pos:
             for ne, tn in neg:
                 meet = pe[1] & ne[1]
+                if meet.bit_count() < need:
+                    continue
                 for other in current:
                     if other is not pe and other is not ne and meet & other[1] == meet:
                         break
@@ -227,33 +277,31 @@ class Cone:
 
     # -- representation completion ------------------------------------
 
-    def _compute_v(self) -> None:
-        rays, lin = double_description(self.dim, self._ineqs, self._eqs)
-        self._rays = tuple(rays)
-        self._lin = tuple(lin)
-        self._v_min = True
-
-    def _compute_h(self) -> None:
-        normals, eq_basis = double_description(self.dim, self._rays, self._lin)
-        self._ineqs = tuple(normals)
-        self._eqs = tuple(eq_basis)
-        self._h_min = True
-
     def _minimal_v(self) -> None:
         if self._v_min:
             return
-        if self._rays is not None:
-            # generators may be redundant: pass through the dual and back
+        if self._rays is None:
+            rays, lin = double_description(self.dim, self._ineqs, self._eqs)
+            self._rays, self._lin = tuple(rays), tuple(lin)
+        else:
             self._minimal_h()
-        self._compute_v()
+            self._rays, self._lin = _by_incidence(
+                self.dim, self._rays, self._ineqs, self._eqs
+            )
+        self._v_min = True
 
     def _minimal_h(self) -> None:
         if self._h_min:
             return
-        if self._rays is None:
-            # facets may be redundant: pass through the generators and back
-            self._compute_v()
-        self._compute_h()
+        if self._ineqs is None:
+            normals, eqs = double_description(self.dim, self._rays, self._lin)
+            self._ineqs, self._eqs = tuple(normals), tuple(eqs)
+        else:
+            self._minimal_v()
+            self._ineqs, self._eqs = _by_incidence(
+                self.dim, self._ineqs, self._rays, self._lin
+            )
+        self._h_min = True
 
     @property
     def rays(self) -> Rows:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Optional, Sequence
 
 IntVec = tuple[int, ...]
@@ -26,7 +27,7 @@ RatVec = tuple[Fraction, ...]
 
 def dot(u: Sequence, v: Sequence):
     assert len(u) == len(v)
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def content(v: Sequence[int]) -> int:

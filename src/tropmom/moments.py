@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .cones import Cone
@@ -295,8 +295,8 @@ def trop_moment_cone(a: PointConfig, s: SemialgSpec) -> GeneralizedConvexityCone
     """The tropicalized moment cone of the support over the specified set.
 
     Measures on all of R^n only certify through even powers, so the full
-    space routes through the even-simplex cone; a toric cube pulls the
-    support back through its exponent matrix and relabels the cube answer;
+    space routes through the even-simplex cone; a toric cube maps the
+    support through its exponent matrix and takes the cube answer there;
     every other kind is the order-cone convexity cone on the support.
     """
     if s.kind != "toric_cube" and s.n != a.n:
@@ -311,18 +311,8 @@ def trop_moment_cone(a: PointConfig, s: SemialgSpec) -> GeneralizedConvexityCone
             raise PreconditionError(
                 "exponent matrix maps two support points to the same monomial"
             )
-        pulled = PointConfig(image)
-        inner = cone_K(pulled, Cone.nonpos_orthant(d))
-        perm = [pulled.index(v) for v in image]
-        relabel = lambda vec: tuple(vec[j] for j in perm)
-        cone = Cone.from_hrep(
-            len(a),
-            [relabel(v) for v in inner.cone.ineqs],
-            [relabel(v) for v in inner.cone.eqs],
-        )
-        return GeneralizedConvexityCone(
-            "K", a, Cone.nonpos_orthant(d), cone, cone.ineqs
-        )
+        # the image keeps the support's order, so its cone is the answer
+        return replace(cone_K(PointConfig(image), Cone.nonpos_orthant(d)), support=a)
     return cone_K(a, order_cone(s))
 
 

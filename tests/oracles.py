@@ -11,6 +11,11 @@ The midpoint and monotone row lists are the three separate loops that
 built them before one builder did: the projected system, the midpoint
 cone's defining system and the even-midpoint system of the sums of
 squares dual.
+
+The double description here is the library's before it skipped pairs of
+rays too far apart to be adjacent, and the minimal forms are the round
+trip through a second double description it made before it read them
+off the incidence of rows and generators.
 """
 
 from __future__ import annotations
@@ -20,10 +25,10 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-from tropmom.cones import Cone
+from tropmom.cones import Cone, _clean_rows, _lineality_step, _reduce_mod, _unit
 from tropmom.errors import PreconditionError
 from tropmom.lattice import PointConfig, graded_lex_sorted, midpoint_triples
-from tropmom.linalg import dot
+from tropmom.linalg import dot, primitive
 from tropmom.moments import SemialgSpec, _positive_functional
 
 _ZERO = Fraction(0)
@@ -320,3 +325,69 @@ def even_midpoint_rows(e: PointConfig) -> list[tuple[int, ...]]:
             row[e.index(mid)] -= 2
             rows.append(tuple(row))
     return rows
+
+
+def double_description(dim, ineqs, eqs):
+    """(rays, lineality basis) of {x : ineqs . x >= 0, eqs . x = 0}: every
+    positive-negative pair of rays goes through the combinatorial
+    adjacency test."""
+    lin = [_unit(dim, i) for i in range(dim)]
+    for a in _clean_rows(eqs):
+        lin, _, _ = _lineality_step(lin, a)
+    rays = []  # [vector, tight-bitmask over constraint indices]
+    for k, a in enumerate(_clean_rows(ineqs)):
+        bit = 1 << k
+        lin, b0, s = _lineality_step(lin, a)
+        if b0 is not None:
+            for entry in rays:
+                t = dot(a, entry[0])
+                if t:
+                    entry[0] = primitive([s * x - t * y for x, y in zip(entry[0], b0)])
+                entry[1] |= bit
+            rays.append([b0, bit - 1])
+            continue
+        pos, zero, neg = [], [], []
+        for entry in rays:
+            t = dot(a, entry[0])
+            if t > 0:
+                pos.append((entry, t))
+            elif t < 0:
+                neg.append((entry, t))
+            else:
+                entry[1] |= bit
+                zero.append(entry)
+        combos = []
+        for pe, tp in pos:
+            for ne, tn in neg:
+                meet = pe[1] & ne[1]
+                if not any(
+                    o is not pe and o is not ne and meet & o[1] == meet for o in rays
+                ):
+                    vec = primitive([tp * x - tn * y for x, y in zip(ne[0], pe[0])])
+                    combos.append([vec, meet | bit])
+        rays = [e for e, _ in pos] + zero + combos
+    lin = rref_int(lin)
+    by_vec = {}
+    for vec, mask in rays:
+        red = _reduce_mod(lin, vec)
+        if any(red):
+            by_vec.setdefault(red, mask)
+    items = list(by_vec.items())
+    out = [
+        v
+        for i, (v, m) in enumerate(items)
+        if not any(i != j and m & mj == m for j, (_, mj) in enumerate(items))
+    ]
+    return sorted(out), lin
+
+
+def minimal_forms(dim, rows, lin_rows, given="h"):
+    """(ineqs, eqs, rays, lineality) of the cone given by rows and lin_rows
+    as its H-representation (given="h": inequalities and equations) or its
+    V-representation (given="v": generators and lineality generators),
+    each side computed by a double description of the other side's output,
+    so the given side makes the round trip through two of them."""
+    out, out_lin = double_description(dim, rows, lin_rows)
+    back, back_lin = double_description(dim, out, out_lin)
+    forms = tuple(back), tuple(back_lin), tuple(out), tuple(out_lin)
+    return forms if given == "h" else forms[2:] + forms[:2]

@@ -1,10 +1,16 @@
+import contextlib
 import json
+import signal
 from types import SimpleNamespace
 
 import pytest
 
 from tropmom import moments, pseudo
 from tropmom.cli import main
+from tropmom.cones import Cone, tropical_hull_dual
+from tropmom.funcones import cone_K
+from tropmom.lattice import PointConfig
+from tropmom.linalg import dot
 
 MOTZKIN_SUPPORT = [[0, 0], [1, 1], [1, 2], [2, 1]]
 S2_GENS = [
@@ -107,6 +113,37 @@ def run_json(capsys, argv):
 
 AMGM = "m(0,0)*m(1,2)*m(2,1) >= m(1,1)^3"
 
+# over the cube, the moment cone of this support has 54 facets and that of
+# its first 10 points 43; read through a second double description from the
+# hull's rays they take seconds and minutes, so each runs under an alarm
+HARD_SUPPORT = [
+    (0, 0), (0, 2), (0, 5), (1, 0), (1, 2), (1, 4), (2, 0), (2, 1), (3, 3), (3, 4), (4, 2)
+]
+
+
+@contextlib.contextmanager
+def within_30_s():
+    """Fail the test, instead of hanging the suite, after 30 seconds."""
+
+    def expire(signum, frame):
+        raise TimeoutError
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(30)
+    try:
+        yield
+    except TimeoutError:
+        raise pytest.fail.Exception("no answer within 30 s", pytrace=False) from None
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def cube_image(a: PointConfig) -> list:
+    """Generators of the image of the cube's dual cone (the nonpositive
+    orthant) under u -> (<p, u>) for p in the support."""
+    return [tuple([-p[i] for p in a.points]) for i in range(a.n)]
+
 
 def test_moment_cube(capsys, motz_cube):
     doc, out = run_json(capsys, ["moment", motz_cube])
@@ -127,6 +164,25 @@ def test_moment_cube(capsys, motz_cube):
     }
     # canonical form: parsing and re-serializing reproduces the bytes
     assert json.dumps(doc, indent=2) + "\n" == out
+
+
+def test_ten_point_cube_moment_cone_matches_dual_route():
+    a = PointConfig(HARD_SUPPORT[:10])
+    with within_30_s():
+        hull = cone_K(a, Cone.nonpos_orthant(2)).cone
+        assert len(hull.ineqs) == 43
+        dual = tropical_hull_dual(Cone.from_vrep(len(a), cube_image(a)))
+        assert hull.ineqs == dual.rays
+        assert hull.eqs == dual.lineality
+
+
+def test_moment_eleven_point_cube(capsys, tmp_path):
+    doc = {"ambient_dim": 2, "support": HARD_SUPPORT, "set": {"kind": "cube"}}
+    with within_30_s():
+        out, _ = run_json(capsys, ["moment", problem_file(tmp_path, "eleven.json", doc)])
+    assert len(out["facets"]) == 54
+    for y in cube_image(PointConfig(HARD_SUPPORT)):
+        assert all(dot(f["normal"], y) >= 0 for f in out["facets"])
 
 
 def test_moment_is_deterministic(capsys, motz_cube):
