@@ -38,6 +38,7 @@ from .pseudo import (
 
 _SET_KINDS = ("orthant", "cube", "full_space", "toric_cube", "binomials")
 _DEFAULT_EXTENSION_LIMIT = 40
+_EXIT_CODES = {SchemaError: 2, PreconditionError: 3, ResourceLimitError: 4}
 
 
 class Problem(NamedTuple):
@@ -197,133 +198,103 @@ def reduced_rays(cone: Cone) -> list[IntVec]:
     return list(cone.rays)
 
 
-def _facet_entries(support: PointConfig, normals: Sequence[IntVec]) -> list:
-    return [
-        {
-            "normal": list(nu),
-            "binomial": str(render_binomial(support, nu)),
-        }
-        for nu in sorted(normals)
-    ]
-
-
 def _result(
     support: PointConfig,
-    cone: Cone,
+    normals: Sequence[IntVec],
+    cone: Optional[Cone],
     notes: Sequence[str],
-    stabilized_at: Optional[int],
+    stabilized_at: Optional[int] = None,
 ) -> dict:
+    """The output document of the given facet normals and, when there is
+    one, of the cone's rays."""
     return {
-        "facets": _facet_entries(support, cone.ineqs),
-        "extreme_rays_mod_lineality": [list(r) for r in reduced_rays(cone)],
-        "lineality_dim": len(cone.lineality),
+        "facets": [
+            {"normal": list(nu), "binomial": str(render_binomial(support, nu))}
+            for nu in sorted(normals)
+        ],
+        "extreme_rays_mod_lineality": (
+            [] if cone is None else [list(r) for r in reduced_rays(cone)]
+        ),
+        "lineality_dim": 0 if cone is None else len(cone.lineality),
         "warnings": list(notes),
         "stabilized_at": stabilized_at,
     }
 
 
-def _collect(record) -> list[str]:
-    return [str(w.message) for w in record]
+def _problem(args) -> Problem:
+    """The problem file with the command's flags applied over it."""
+    prob = parse_problem(_load(args.file))
+    for field in ("degree", "max_extension_points"):  # checked in this order
+        value = getattr(args, field, None)
+        if value is not None:
+            if value < 1:
+                flag = field.replace("_", "-")
+                raise SchemaError(f"--{flag}: expected a positive integer")
+            prob = prob._replace(**{field: value})
+    if getattr(args, "assume_semigroup_generated", False):
+        prob = prob._replace(assume_generated=True)
+    return prob
 
 
-def _require_generated(spec: SemialgSpec, assume: bool, notes: list) -> None:
-    """Gate the stabilized route for binomial sets on the semigroup
-    hypothesis, unless the caller asserts it."""
-    if spec.kind != "binomials":
-        return
-    if assume:
-        notes.append("semigroup generation assumed, not checked")
-        return
-    if not semigroup_generation_check(spec):
-        raise PreconditionError(
-            "the exponent differences do not generate the lattice points of "
-            "their cone as a semigroup; pass --assume-semigroup-generated to "
-            "proceed anyway"
-        )
-
-
-def _resolve_limit(args, prob: Problem) -> int:
-    if args.max_extension_points is None:
-        return prob.max_extension_points
-    if args.max_extension_points < 1:
-        raise SchemaError("--max-extension-points: expected a positive integer")
-    return args.max_extension_points
+def _stabilized(prob: Problem) -> tuple[Cone, list[str]]:
+    """The stabilized pseudo-moment cone, with binomial sets gated on the
+    semigroup hypothesis unless the problem asserts it."""
+    notes = []
+    if prob.spec.kind == "binomials":
+        if prob.assume_generated:
+            notes.append("semigroup generation assumed, not checked")
+        elif not semigroup_generation_check(prob.spec):
+            raise PreconditionError(
+                "the exponent differences do not generate the lattice points of "
+                "their cone as a semigroup; pass --assume-semigroup-generated to "
+                "proceed anyway"
+            )
+    pm = stabilized_pseudomoment(prob.support, prob.spec, prob.max_extension_points)
+    return pm.cone, notes
 
 
 def _cmd_moment(args) -> dict:
-    prob = parse_problem(_load(args.file))
-    with warnings.catch_warnings(record=True) as rec:
-        warnings.simplefilter("always")
-        gc = trop_moment_cone(prob.support, prob.spec)
-    return _result(prob.support, gc.cone, _collect(rec), None)
+    prob = _problem(args)
+    cone = trop_moment_cone(prob.support, prob.spec).cone
+    return _result(prob.support, cone.ineqs, cone, [])
 
 
 def _cmd_pseudomoment(args) -> dict:
-    prob = parse_problem(_load(args.file))
-    degree = args.degree if args.degree is not None else prob.degree
-    if degree is not None and degree < 1:
-        raise SchemaError("--degree: expected a positive integer")
-    limit = _resolve_limit(args, prob)
-    assume = args.assume_semigroup_generated or prob.assume_generated
-    notes: list[str] = []
-    with warnings.catch_warnings(record=True) as rec:
-        warnings.simplefilter("always")
-        if degree is not None:
-            pm = trop_pseudomoment(prob.support, prob.spec, degree, limit)
-        else:
-            _require_generated(prob.spec, assume, notes)
-            pm = stabilized_pseudomoment(prob.support, prob.spec, limit)
-            notes.append("stable (closed form)")
-    return _result(prob.support, pm.cone, _collect(rec) + notes, None)
+    prob = _problem(args)
+    if prob.degree is None:
+        cone, notes = _stabilized(prob)
+        notes.append("stable (closed form)")
+    else:
+        pm = trop_pseudomoment(
+            prob.support, prob.spec, prob.degree, prob.max_extension_points
+        )
+        cone, notes = pm.cone, []
+    return _result(prob.support, cone.ineqs, cone, notes)
 
 
 def _cmd_gap(args) -> dict:
-    prob = parse_problem(_load(args.file))
-    limit = _resolve_limit(args, prob)
-    assume = args.assume_semigroup_generated or prob.assume_generated
-    notes: list[str] = []
-    with warnings.catch_warnings(record=True) as rec:
-        warnings.simplefilter("always")
-        moment = trop_moment_cone(prob.support, prob.spec)
-        facets = moment.cone.ineqs
-        pseudo = None
-        bad: list[IntVec] = []
-        if facets:
-            _require_generated(prob.spec, assume, notes)
-            pseudo = stabilized_pseudomoment(prob.support, prob.spec, limit)
-            bad = [
-                nu for nu in facets if not normal_valid_on(pseudo.cone, nu)
-            ]
-        else:
-            notes.append(
-                "moment cone has no facets; pseudo-moment side not computed"
-            )
-    return {
-        "facets": _facet_entries(prob.support, bad),
-        "extreme_rays_mod_lineality": (
-            [list(r) for r in reduced_rays(pseudo.cone)] if pseudo else []
-        ),
-        "lineality_dim": len(pseudo.cone.lineality) if pseudo else 0,
-        "warnings": _collect(rec) + notes,
-        "stabilized_at": None,
-    }
+    prob = _problem(args)
+    facets = trop_moment_cone(prob.support, prob.spec).cone.ineqs
+    if not facets:
+        notes = ["moment cone has no facets; pseudo-moment side not computed"]
+        return _result(prob.support, [], None, notes)
+    # the semigroup gate runs only once the moment side has facets
+    cone, notes = _stabilized(prob)
+    bad = [nu for nu in facets if not normal_valid_on(cone, nu)]
+    return _result(prob.support, bad, cone, notes)
 
 
 def _cmd_scan(args) -> dict:
-    prob = parse_problem(_load(args.file))
-    limit = _resolve_limit(args, prob)
-    with warnings.catch_warnings(record=True) as rec:
-        warnings.simplefilter("always")
-        report = stabilization_scan(prob.support, prob.spec, args.dmax, limit)
+    prob = _problem(args)
+    report = stabilization_scan(
+        prob.support, prob.spec, args.dmax, prob.max_extension_points
+    )
     notes = []
     if report.closed_form is not None:
-        notes.append(
-            "stabilized formula matches the scan result"
-            if report.matches_closed_form
-            else "stabilized formula does not match the scan result"
-        )
+        verdict = "matches" if report.matches_closed_form else "does not match"
+        notes.append(f"stabilized formula {verdict} the scan result")
     stable = report.results[-1].cone
-    return _result(prob.support, stable, _collect(rec) + notes, report.first_stable)
+    return _result(prob.support, stable.ineqs, stable, notes, report.first_stable)
 
 
 def _parse_vertices(text: str) -> list[tuple[int, ...]]:
@@ -348,11 +319,9 @@ def _parse_vertices(text: str) -> list[tuple[int, ...]]:
 def _cmd_mediated(args) -> dict:
     verts = _parse_vertices(args.vertices)
     med = mediated_set(verts)
-    hull = lattice_points(verts)
-    discarded = [p for p in hull if p not in med]
     return {
         "mediated": [list(p) for p in med],
-        "discarded": [list(p) for p in discarded],
+        "discarded": [list(p) for p in lattice_points(verts) if p not in med],
     }
 
 
@@ -391,11 +360,15 @@ def _configure_threads() -> None:
     # All kernels run sequentially; any positive cap is honored as 1.
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
+def _format_flag(p: argparse.ArgumentParser, unit: str) -> None:
     p.add_argument(
         "--format", choices=("json", "text"), default="json",
-        help="output as canonical JSON or one inequality per line",
+        help=f"output as canonical JSON or one {unit} per line",
     )
+
+
+def _common_flags(p: argparse.ArgumentParser) -> None:
+    _format_flag(p, "inequality")
     p.add_argument(
         "--assume-semigroup-generated", action="store_true",
         help="skip the semigroup generation check for binomial sets",
@@ -420,7 +393,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "moment", help="facets of the tropicalized moment cone"
     )
     moment.add_argument("file", help="problem file (JSON)")
-    _common_flags(moment)
+    _format_flag(moment, "inequality")
     moment.set_defaults(handler=_cmd_moment)
 
     pseudo = sub.add_parser(
@@ -450,10 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--vertices", required=True, metavar="PTS",
         help='affinely independent lattice points, e.g. "0,0;2,4;4,2"',
     )
-    mediated.add_argument(
-        "--format", choices=("json", "text"), default="json",
-        help="output as canonical JSON or one point per line",
-    )
+    _format_flag(mediated, "point")
     mediated.set_defaults(handler=_cmd_mediated)
 
     scan = sub.add_parser(
@@ -474,16 +444,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _configure_threads()
-        doc = args.handler(args)
-    except SchemaError as exc:
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            doc = args.handler(args)
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return _EXIT_CODES[type(exc)]
+    if "warnings" in doc:
+        doc["warnings"][:0] = [str(w.message) for w in rec]
     _emit(doc, args.format)
     return 0
 

@@ -32,6 +32,7 @@ from .lattice import (
     PointConfig,
     almost_empty_simplices,
     mediated_set,
+    midpoint_fixpoint,
     midpoint_triples,
 )
 from .linalg import IntVec, dot, primitive
@@ -206,23 +207,7 @@ def is_midpoint_facet(a: PointConfig, t: MidpointTriple) -> bool:
     if t not in set(midpoint_triples(a)):
         raise PreconditionError("triple is not a midpoint triple of the configuration")
     ends = {t.a1, t.a2}
-    s = set(_segment_members(a, t.a1, t.a2))
-    while True:
-        drop = []
-        for x in s:
-            if x in ends:
-                continue
-            for y in s:
-                if y == x:
-                    continue
-                z = tuple(2 * u - v for u, v in zip(x, y))
-                if z in s and {y, z} != ends:
-                    break
-            else:
-                drop.append(x)
-        if not drop:
-            return t.b not in s
-        s.difference_update(drop)
+    return t.b not in midpoint_fixpoint(_segment_members(a, t.a1, t.a2), ends, ends)
 
 
 def projection_equality_KM(a: PointConfig) -> bool:

@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 from .cones import Cone
 from .errors import PreconditionError
@@ -49,9 +49,12 @@ class PointConfig:
                 raise ValueError("points of mixed dimension")
             if any(a < 0 for a in p):
                 raise ValueError(f"negative coordinate in point {p}")
-        if len(set(pts)) != len(pts):
+        members = frozenset(pts)
+        if len(members) != len(pts):
             raise ValueError("points must be distinct")
         object.__setattr__(self, "points", pts)
+        # not a field, so equality, hashing and repr ignore it
+        object.__setattr__(self, "_members", members)
 
     @property
     def n(self) -> int:
@@ -64,7 +67,7 @@ class PointConfig:
         return iter(self.points)
 
     def __contains__(self, p) -> bool:
-        return tuple(p) in set(self.points)
+        return tuple(p) in self._members
 
     def index(self, p) -> int:
         return self.points.index(tuple(p))
@@ -157,6 +160,31 @@ def almost_empty_simplices(
     return tuple(out)
 
 
+def midpoint_fixpoint(
+    points: Iterable[IntVec], fixed: Collection, barred: Collection = frozenset()
+) -> set[IntVec]:
+    """Greatest subset S of the points, containing the fixed ones, whose
+    other members are each the midpoint of two distinct members of S that
+    are not the barred pair.  Each pass drops every member without such a
+    pair, searching per point and stopping at the first pair found;
+    dropping only takes pairs away, so the passes reach the greatest S."""
+    s = set(points)
+    while True:
+        drop = []
+        for x in s:
+            if x in fixed:
+                continue
+            for y in s:
+                z = tuple([2 * u - v for u, v in zip(x, y)])
+                if y != x and z in s and {y, z} != barred:
+                    break
+            else:
+                drop.append(x)
+        if not drop:
+            return s
+        s.difference_update(drop)
+
+
 def mediated_set(vertices: Sequence[Sequence[int]]) -> PointConfig:
     """Largest subset S of conv(vertices) cap Z^n with every non-vertex
     point of S a midpoint of two distinct points of S.
@@ -167,18 +195,8 @@ def mediated_set(vertices: Sequence[Sequence[int]]) -> PointConfig:
     verts = [tuple(int(a) for a in v) for v in vertices]
     if rank([v + (1,) for v in verts]) < len(verts):
         raise PreconditionError("mediated_set requires affinely independent vertices")
-    vset = set(verts)
-    current = set(lattice_points(verts).points)
-    while True:
-        mids = set()
-        for s, t in itertools.combinations(current, 2):
-            tot = tuple(x + y for x, y in zip(s, t))
-            if not any(c % 2 for c in tot):
-                mids.add(tuple(c // 2 for c in tot))
-        nxt = vset | (current & mids)
-        if nxt == current:
-            return PointConfig(graded_lex_sorted(current))
-        current = nxt
+    core = midpoint_fixpoint(lattice_points(verts).points, set(verts))
+    return PointConfig(graded_lex_sorted(core))
 
 
 def _box_bounds(cfg: PointConfig) -> tuple[list[int], list[int]]:

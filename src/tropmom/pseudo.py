@@ -103,13 +103,17 @@ def _projected(a: PointConfig, e: PointConfig, c: Cone) -> Cone:
     return project_hrep(len(e), rows, [e.index(p) for p in a])
 
 
-def f_s_d(spec: SemialgSpec, d: int) -> GeneralizedConvexityCone:
-    """The degree-d pseudo-moment constraint cone on all monomials of
-    degree at most d: midpoint-convexity plus order-cone monotonicity."""
+def _require_truncated(spec: SemialgSpec) -> None:
     if spec.kind not in _TRUNCATED_KINDS:
         raise PreconditionError(
             f"no degree-truncated pseudo-moment cone for set kind {spec.kind!r}"
         )
+
+
+def f_s_d(spec: SemialgSpec, d: int) -> GeneralizedConvexityCone:
+    """The degree-d pseudo-moment constraint cone on all monomials of
+    degree at most d: midpoint-convexity plus order-cone monotonicity."""
+    _require_truncated(spec)
     return cone_M(delta_simplex(spec.n, d), order_cone(spec))
 
 
@@ -120,10 +124,7 @@ def trop_pseudomoment(
     max_extension_points: int = 40,
 ) -> PseudoMomentTrop:
     """Projection of the degree-d constraint cone onto the A-coordinates."""
-    if spec.kind not in _TRUNCATED_KINDS:
-        raise PreconditionError(
-            f"no degree-truncated pseudo-moment cone for set kind {spec.kind!r}"
-        )
+    _require_truncated(spec)
     if spec.n != a.n:
         raise ValueError("set specification dimension does not match the support")
     for p in a:
@@ -200,7 +201,10 @@ def sigma_dual_trop(
 def stabilized_pseudomoment(
     a: PointConfig, spec: SemialgSpec, max_extension_points: int = 40
 ) -> PseudoMomentTrop:
-    """The stabilized construction appropriate to the set kind."""
+    """The stabilized construction appropriate to the set kind.  For a
+    ``binomials`` set it assumes, without checking, that the exponent
+    differences generate the lattice points of their cone as a semigroup;
+    only the command-line tool runs semigroup_generation_check."""
     if spec.kind == "cube":
         return trop_pseudomoment_cube_stable(a, max_extension_points)
     if spec.kind == "binomials":
@@ -226,7 +230,8 @@ def stabilization_scan(
         raise PreconditionError(
             f"d_max = {d_max} is below the support degree {d_min}"
         )
-    if spec.kind in _TRUNCATED_KINDS and spec.n == a.n:
+    _require_truncated(spec)
+    if spec.n == a.n:
         # the guards the degrees and the cube's closed form would trip,
         # in the same order, before anything is projected
         for d in range(d_min, d_max + 1):
@@ -243,14 +248,10 @@ def stabilization_scan(
             first = d_min + k
         else:
             break
-    closed: Optional[PseudoMomentTrop] = None
-    if spec.kind == "cube":
-        closed = trop_pseudomoment_cube_stable(a, max_extension_points)
-    elif spec.kind == "binomials":
-        try:
-            closed = trop_pseudomoment_stable(a, spec, max_extension_points)
-        except PreconditionError:
-            closed = None
+    try:
+        closed = stabilized_pseudomoment(a, spec, max_extension_points)
+    except PreconditionError:
+        closed = None
     matches = (
         None if closed is None else cone_equal(results[-1].cone, closed.cone)
     )
@@ -269,7 +270,8 @@ def gap_report(
 ) -> tuple[BinomialIneq, ...]:
     """Facets of the tropicalized moment cone that fail on the stabilized
     pseudo-moment cone: binomial moment inequalities with no
-    sum-of-squares certificate at any degree."""
+    sum-of-squares certificate at any degree.  Like stabilized_pseudomoment
+    it assumes the semigroup hypothesis of a ``binomials`` set unchecked."""
     moment = trop_moment_cone(a, spec)
     facets = moment.cone.ineqs
     if not facets:

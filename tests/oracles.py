@@ -16,6 +16,11 @@ The double description here is the library's before it skipped pairs of
 rays too far apart to be adjacent, and the minimal forms are the round
 trip through a second double description it made before it read them
 off the incidence of rows and generators.
+
+The mediated set and the midpoint facet test are the two fixpoint loops
+the library ran before one helper served both: the first rebuilt the
+midpoint of every pair of surviving points on each pass, the second
+searched point by point.
 """
 
 from __future__ import annotations
@@ -27,8 +32,15 @@ from typing import Optional, Sequence
 
 from tropmom.cones import Cone, _clean_rows, _lineality_step, _reduce_mod, _unit
 from tropmom.errors import PreconditionError
-from tropmom.lattice import PointConfig, graded_lex_sorted, midpoint_triples
-from tropmom.linalg import dot, primitive
+from tropmom.funcones import _segment_members
+from tropmom.lattice import (
+    MidpointTriple,
+    PointConfig,
+    graded_lex_sorted,
+    lattice_points,
+    midpoint_triples,
+)
+from tropmom.linalg import dot, primitive, rank
 from tropmom.moments import SemialgSpec, _positive_functional
 
 _ZERO = Fraction(0)
@@ -391,3 +403,49 @@ def minimal_forms(dim, rows, lin_rows, given="h"):
     back, back_lin = double_description(dim, out, out_lin)
     forms = tuple(back), tuple(back_lin), tuple(out), tuple(out_lin)
     return forms if given == "h" else forms[2:] + forms[:2]
+
+
+def mediated_set(vertices: Sequence[Sequence[int]]) -> PointConfig:
+    """Discard non-vertex hull points that are no midpoint of two distinct
+    surviving points, rebuilding every pair's midpoint on each pass."""
+    verts = [tuple(int(a) for a in v) for v in vertices]
+    if rank([v + (1,) for v in verts]) < len(verts):
+        raise PreconditionError("mediated_set requires affinely independent vertices")
+    vset = set(verts)
+    current = set(lattice_points(verts).points)
+    while True:
+        mids = set()
+        for s, t in itertools.combinations(current, 2):
+            tot = tuple(x + y for x, y in zip(s, t))
+            if not any(c % 2 for c in tot):
+                mids.add(tuple(c // 2 for c in tot))
+        nxt = vset | (current & mids)
+        if nxt == current:
+            return PointConfig(graded_lex_sorted(current))
+        current = nxt
+
+
+def is_midpoint_facet(a: PointConfig, t: MidpointTriple) -> bool:
+    """Drop, on the segment [a1, a2], every non-endpoint point that is no
+    midpoint of two distinct members other than {a1, a2}; the triple is a
+    facet iff b drops out."""
+    if t not in set(midpoint_triples(a)):
+        raise PreconditionError("triple is not a midpoint triple of the configuration")
+    ends = {t.a1, t.a2}
+    s = set(_segment_members(a, t.a1, t.a2))
+    while True:
+        drop = []
+        for x in s:
+            if x in ends:
+                continue
+            for y in s:
+                if y == x:
+                    continue
+                z = tuple(2 * u - v for u, v in zip(x, y))
+                if z in s and {y, z} != ends:
+                    break
+            else:
+                drop.append(x)
+        if not drop:
+            return t.b not in s
+        s.difference_update(drop)

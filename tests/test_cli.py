@@ -1,11 +1,12 @@
 import contextlib
 import json
 import signal
+import warnings
 from types import SimpleNamespace
 
 import pytest
 
-from tropmom import moments, pseudo
+from tropmom import cli, moments, pseudo
 from tropmom.cli import main
 from tropmom.cones import Cone, tropical_hull_dual
 from tropmom.funcones import cone_K
@@ -122,18 +123,18 @@ HARD_SUPPORT = [
 
 
 @contextlib.contextmanager
-def within_30_s():
-    """Fail the test, instead of hanging the suite, after 30 seconds."""
+def within_seconds(limit: int):
+    """Fail the test, instead of hanging the suite, after limit seconds."""
 
     def expire(signum, frame):
         raise TimeoutError
 
     previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(30)
+    signal.alarm(limit)
     try:
         yield
     except TimeoutError:
-        raise pytest.fail.Exception("no answer within 30 s", pytrace=False) from None
+        raise pytest.fail.Exception(f"no answer within {limit} s", pytrace=False) from None
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -168,7 +169,7 @@ def test_moment_cube(capsys, motz_cube):
 
 def test_ten_point_cube_moment_cone_matches_dual_route():
     a = PointConfig(HARD_SUPPORT[:10])
-    with within_30_s():
+    with within_seconds(30):
         hull = cone_K(a, Cone.nonpos_orthant(2)).cone
         assert len(hull.ineqs) == 43
         dual = tropical_hull_dual(Cone.from_vrep(len(a), cube_image(a)))
@@ -178,7 +179,7 @@ def test_ten_point_cube_moment_cone_matches_dual_route():
 
 def test_moment_eleven_point_cube(capsys, tmp_path):
     doc = {"ambient_dim": 2, "support": HARD_SUPPORT, "set": {"kind": "cube"}}
-    with within_30_s():
+    with within_seconds(30):
         out, _ = run_json(capsys, ["moment", problem_file(tmp_path, "eleven.json", doc)])
     assert len(out["facets"]) == 54
     for y in cube_image(PointConfig(HARD_SUPPORT)):
@@ -223,6 +224,20 @@ def test_pseudomoment_stabilized_cube(capsys, motz_cube):
     assert doc["lineality_dim"] == 1
     assert doc["warnings"] == ["stable (closed form)"]
     assert doc["stabilized_at"] is None
+
+
+def test_library_warnings_precede_notes(capsys, monkeypatch, motz_cube):
+    original = cli.stabilized_pseudomoment
+
+    def warned(*args):
+        warnings.warn("probe")
+        return original(*args)
+
+    monkeypatch.setattr(cli, "stabilized_pseudomoment", warned)
+    doc, _ = run_json(capsys, ["pseudomoment", motz_cube])
+    assert doc["warnings"] == ["probe", "stable (closed form)"]
+    code, _, err = run(capsys, ["pseudomoment", motz_cube, "--format", "text"])
+    assert (code, err.splitlines()) == (0, ["warning: probe", "warning: stable (closed form)"])
 
 
 def test_pseudomoment_degree_flag(capsys, motz_cube):
@@ -396,6 +411,14 @@ def test_mediated(capsys):
     }
 
 
+def test_mediated_large_triangle(capsys):
+    # every pair's midpoint, rebuilt on each pass, took about 30 s here
+    with within_seconds(10):
+        doc, _ = run_json(capsys, ["mediated", "--vertices", "0,0;100,0;0,100"])
+    assert len(doc["mediated"]) == 101 * 102 // 2
+    assert doc["discarded"] == []
+
+
 def test_mediated_text(capsys):
     code, out, _ = run(
         capsys, ["mediated", "--vertices", "0,0;1,2;2,1", "--format", "text"]
@@ -490,6 +513,16 @@ def test_semigroup_refusal_by_lattice_index(capsys, tmp_path, monkeypatch):
 def test_bad_max_extension_flag(capsys, motz_cube):
     code, _, _ = run(capsys, ["pseudomoment", motz_cube, "--max-extension-points", "0"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "flag", [["--assume-semigroup-generated"], ["--max-extension-points", "5"]]
+)
+def test_moment_takes_no_extension_flags(capsys, motz_cube, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["moment", motz_cube] + flag)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_bad_degree_flag(capsys, motz_cube):
