@@ -21,7 +21,7 @@ from typing import Any, NamedTuple, Optional, Sequence
 
 from .cones import Cone
 from .errors import PreconditionError, ResourceLimitError, SchemaError
-from .lattice import PointConfig, lattice_points, mediated_set
+from .lattice import PointConfig, mediated_split
 from .linalg import IntVec
 from .moments import (
     SemialgSpec,
@@ -317,11 +317,10 @@ def _parse_vertices(text: str) -> list[tuple[int, ...]]:
 
 
 def _cmd_mediated(args) -> dict:
-    verts = _parse_vertices(args.vertices)
-    med = mediated_set(verts)
+    med, discarded = mediated_split(_parse_vertices(args.vertices))
     return {
         "mediated": [list(p) for p in med],
-        "discarded": [list(p) for p in lattice_points(verts) if p not in med],
+        "discarded": [list(p) for p in discarded],
     }
 
 

@@ -202,12 +202,21 @@ def is_midpoint_facet(a: PointConfig, t: MidpointTriple) -> bool:
     the midpoint of two distinct members forming a pair other than
     {a1, a2}; deleting all violators of the current set each pass reaches
     the greatest such S regardless of order.  The triple is a facet iff b
-    drops out.
+    drops out.  The triple is checked as midpoint_triples would list it:
+    three configuration points with a1 + a2 = 2b and a1 strictly before
+    a2 in graded-lex order.
     """
-    if t not in set(midpoint_triples(a)):
+    a1, a2, b = t.a1, t.a2, t.b
+    if not (
+        a1 in a
+        and a2 in a
+        and b in a
+        and all(x + y == 2 * z for x, y, z in zip(a1, a2, b))
+        and (sum(a1), a1) < (sum(a2), a2)
+    ):
         raise PreconditionError("triple is not a midpoint triple of the configuration")
-    ends = {t.a1, t.a2}
-    return t.b not in midpoint_fixpoint(_segment_members(a, t.a1, t.a2), ends, ends)
+    ends = {a1, a2}
+    return b not in midpoint_fixpoint(_segment_members(a, a1, a2), ends, ends)
 
 
 def projection_equality_KM(a: PointConfig) -> bool:

@@ -13,7 +13,6 @@ in conv(V) iff (p, 1) lies in the cone spanned by {(v, 1) : v in V}.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -185,6 +184,22 @@ def midpoint_fixpoint(
         s.difference_update(drop)
 
 
+def mediated_split(
+    vertices: Sequence[Sequence[int]],
+) -> tuple[PointConfig, tuple[IntVec, ...]]:
+    """The mediated set of the vertices and the lattice points of their
+    hull it discards, both graded-lex, from one listing of the hull."""
+    verts = [tuple(int(a) for a in v) for v in vertices]
+    if rank([v + (1,) for v in verts]) < len(verts):
+        raise PreconditionError("mediated_set requires affinely independent vertices")
+    hull = lattice_points(verts).points
+    core = midpoint_fixpoint(hull, set(verts))
+    return (
+        PointConfig(graded_lex_sorted(core)),
+        tuple(p for p in hull if p not in core),
+    )
+
+
 def mediated_set(vertices: Sequence[Sequence[int]]) -> PointConfig:
     """Largest subset S of conv(vertices) cap Z^n with every non-vertex
     point of S a midpoint of two distinct points of S.
@@ -192,11 +207,7 @@ def mediated_set(vertices: Sequence[Sequence[int]]) -> PointConfig:
     Computed by discarding, from all lattice points of the hull, the
     non-vertex points that are not midpoints, until nothing changes.
     """
-    verts = [tuple(int(a) for a in v) for v in vertices]
-    if rank([v + (1,) for v in verts]) < len(verts):
-        raise PreconditionError("mediated_set requires affinely independent vertices")
-    core = midpoint_fixpoint(lattice_points(verts).points, set(verts))
-    return PointConfig(graded_lex_sorted(core))
+    return mediated_split(vertices)[0]
 
 
 def _box_bounds(cfg: PointConfig) -> tuple[list[int], list[int]]:
@@ -251,27 +262,13 @@ def _column_top(normals, bounds, prefix: Sequence[int]) -> int:
     )
 
 
-def a_hat(cfg: PointConfig, order_cone: Cone) -> PointConfig:
-    """Finite extension support for configurations monotone against a cone
-    whose negative strictly contains the nonnegative orthant.
+def _in_down(tops: dict, x: IntVec) -> bool:
+    return x[-1] < tops.get(x[:-1], 0)
 
-    K is the intersection of the translates a - C over configuration
-    points a.  With W = (Z^n_{>=0} \\ K) union the configuration, the
-    result is one completion step {2b - a : a, b in W} intersected with
-    Z^n_{>=0}; it contains W itself (take a = b).  The step is not
-    iterated.  Raises PreconditionError, naming the first basis vector
-    outside the interior of -C, when the stabilization hypothesis fails.
 
-    Under that hypothesis every facet normal of C has negative
-    coordinates, so K is closed upwards and Z^n_{>=0} \\ K is a finite
-    down-set.  It is built column by column: for a point x' of the
-    down-set in the first k coordinates, the column x' x [0, oo) meets K
-    in one interval [t, oo), and t comes from the normals alone.  The
-    axis columns give the largest coordinate of the down-set, which
-    decides whether it closes up within the size bound before any column
-    is listed.  In the completion, 2b - a >= 0 needs a_1 <= 2 b_1, so for
-    each b only the a up to that first coordinate are tried.
-    """
+def _a_hat_parts(cfg: PointConfig, order_cone: Cone):
+    """The column tops of the down-set D, its parity vectors D cap {0,1}^n,
+    and the points of A-hat outside P = {2b - a >= 0 : a, b in D}."""
     n = cfg.n
     if order_cone.dim != n:
         raise ValueError("order cone dimension does not match the configuration")
@@ -294,18 +291,88 @@ def a_hat(cfg: PointConfig, order_cone: Cone) -> PointConfig:
         if m > 1 << 20:
             raise PreconditionError("extension support does not close up")
     cols: list[IntVec] = [()]
-    for i in range(n):
+    for i in range(n - 1):
         cols = [
             p + (t,)
             for p in cols
             for t in range(_column_top(normals, bounds, p))
         ]
-    w = sorted(set(cols) | set(cfg.points))
-    firsts = [a[0] for a in w]
-    hat = set()
-    for b in w:
-        for a in w[: bisect.bisect_right(firsts, 2 * b[0])]:
-            p = tuple([2 * y - x for x, y in zip(a, b)])
-            if min(p) >= 0:
-                hat.add(p)
-    return PointConfig(graded_lex_sorted(hat))
+    tops = {p: _column_top(normals, bounds, p) for p in cols}
+    parities = [
+        p + (t,)
+        for p, top in tops.items()
+        if max(p, default=0) <= 1
+        for t in range(min(top, 2))
+    ]
+    down = [p + (t,) for p, top in tops.items() for t in range(top)]
+    extra = set()
+    for u in cfg:
+        if _in_down(tops, u):
+            continue
+        for v in itertools.chain(cfg, down):
+            for c in (
+                tuple([2 * y - x for x, y in zip(u, v)]),
+                tuple([2 * x - y for x, y in zip(u, v)]),
+            ):
+                # c lies in P iff ceil(c/2) lies in D (see a_hat)
+                if min(c) >= 0 and not _in_down(tops, tuple([(x + 1) // 2 for x in c])):
+                    extra.add(c)
+    return tops, parities, extra
+
+
+def _above(p: IntVec, e: IntVec) -> bool:
+    return all(x >= y for x, y in zip(p, e))
+
+
+def a_hat_size(cfg: PointConfig, order_cone: Cone) -> int:
+    """len(a_hat(cfg, order_cone)), without listing it: column by column,
+    |{2b - e : b in D, b >= e}| for each parity vector e, plus the points
+    the configuration adds."""
+    tops, parities, extra = _a_hat_parts(cfg, order_cone)
+    return len(extra) + sum(
+        max(0, top - e[-1])
+        for e in parities
+        for p, top in tops.items()
+        if _above(p, e)
+    )
+
+
+def a_hat(cfg: PointConfig, order_cone: Cone) -> PointConfig:
+    """Finite extension support for configurations monotone against a cone
+    whose negative strictly contains the nonnegative orthant.
+
+    K is the intersection of the translates a - C over configuration
+    points a.  With W = (Z^n_{>=0} \\ K) union the configuration, the
+    result is one completion step {2b - a : a, b in W} intersected with
+    Z^n_{>=0}; it contains W itself (take a = b).  The step is not
+    iterated.  Raises PreconditionError, naming the first basis vector
+    outside the interior of -C, when the stabilization hypothesis fails.
+
+    Under that hypothesis every facet normal of C has negative
+    coordinates, so K is closed upwards and D = Z^n_{>=0} \\ K is a finite
+    down-set.  It is read column by column: for a point x' of D in the
+    first k coordinates, the column x' x [0, oo) meets K in one interval
+    [t, oo), and t comes from the normals alone.  The axis columns give
+    the largest coordinate of D, which decides whether it closes up within
+    the size bound before any column is listed.
+
+    The completion of D alone is read off parity vectors: c = 2b - a with
+    a, b in D and c >= 0 holds iff ceil(c/2) and c mod 2 both lie in D.
+    For if c = 2b' - a' then ceil(c/2) <= b', and a' = c mod 2 (mod 2)
+    with a' >= 0 gives c mod 2 <= a'; D is a down-set.  Conversely
+    c = 2 ceil(c/2) - (c mod 2).  As c mod 2 <= ceil(c/2) for c >= 0, the
+    test reduces to ceil(c/2) in D.  So that part is the disjoint union,
+    over e in D cap {0,1}^n, of {2b - e : b in D, b >= e}, and a_hat_size
+    counts it per column.  Only the pairs with a configuration point
+    outside D are completed one by one, each point tested against the
+    identity.
+    """
+    tops, parities, extra = _a_hat_parts(cfg, order_cone)
+    hat = [
+        tuple([2 * y - x for x, y in zip(e, p + (t,))])
+        for e in parities
+        for p, top in tops.items()
+        if _above(p, e)
+        for t in range(e[-1], top)
+    ]
+    return PointConfig(graded_lex_sorted(itertools.chain(hat, extra)))

@@ -34,6 +34,7 @@ from .funcones import (
 from .lattice import (
     PointConfig,
     a_hat,
+    a_hat_size,
     cubical_hull,
     cubical_hull_size,
     delta_simplex,
@@ -175,8 +176,8 @@ def trop_pseudomoment_stable(
     if spec.n != a.n:
         raise ValueError("set specification dimension does not match the support")
     c = order_cone(spec)
+    _guard_size(a_hat_size(a, c), max_extension_points)
     e = a_hat(a, c)
-    _guard_size(len(e), max_extension_points)
     cone = _projected(a, e, c)
     return PseudoMomentTrop(a, spec, None, True, cone, e)
 

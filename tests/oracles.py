@@ -3,9 +3,11 @@
 These are the dense rational tableau simplex and the rational Gauss-Jordan
 elimination the library used before its kernels went fraction-free, and
 the box-filtering Â and brute-force semigroup check it used before they
-were sized from the inequalities and the lattice index.  They are slow
-and obviously exact, and the property tests compare the library against
-them: same verdicts, same certificates, same canonical bases, same sets.
+were sized from the inequalities and the lattice index.  The pairwise
+completion of W built Â before it was read off parity vectors.  They are
+slow and obviously exact, and the property tests compare the library
+against them: same verdicts, same certificates, same canonical bases,
+same sets.
 
 The midpoint and monotone row lists are the three separate loops that
 built them before one builder did: the projected system, the midpoint
@@ -25,6 +27,7 @@ searched point by point.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from fractions import Fraction
 from math import gcd, lcm
@@ -36,6 +39,7 @@ from tropmom.funcones import _segment_members
 from tropmom.lattice import (
     MidpointTriple,
     PointConfig,
+    _column_top,
     graded_lex_sorted,
     lattice_points,
     midpoint_triples,
@@ -214,6 +218,33 @@ def a_hat(cfg: PointConfig, order_cone: Cone) -> PointConfig:
     } | set(cfg.points)
     hat = {tuple(2 * bb - aa for aa, bb in zip(a, b)) for a in w for b in w}
     return PointConfig(graded_lex_sorted(p for p in hat if min(p) >= 0))
+
+
+def a_hat_pairwise(cfg: PointConfig, order_cone: Cone) -> PointConfig:
+    """Â by completing W pair by pair: W is read off the column intervals,
+    and for each b only the a with a_1 <= 2 b_1 are tried."""
+    n = cfg.n
+    normals = order_cone.ineqs
+    flat = order_cone.eqs or not order_cone.is_pointed()
+    for i in range(n):
+        e = tuple(1 if j == i else 0 for j in range(n))
+        if flat or any(dot(a, e) >= 0 for a in normals):
+            raise PreconditionError("stabilization hypothesis fails")
+    bounds = [min(dot(a, p) for p in cfg) for a in normals]
+    cols: list = [()]
+    for i in range(n):
+        cols = [
+            p + (t,) for p in cols for t in range(_column_top(normals, bounds, p))
+        ]
+    w = sorted(set(cols) | set(cfg.points))
+    firsts = [a[0] for a in w]
+    hat = set()
+    for b in w:
+        for a in w[: bisect.bisect_right(firsts, 2 * b[0])]:
+            p = tuple(2 * y - x for x, y in zip(a, b))
+            if min(p) >= 0:
+                hat.add(p)
+    return PointConfig(graded_lex_sorted(hat))
 
 
 def semigroup_generation_check(s: SemialgSpec) -> bool:

@@ -488,6 +488,27 @@ def test_degree_guard_trips_before_building(capsys, tmp_path, monkeypatch):
     assert run(capsys, argv) == (4, "", GUARD.format(16, 12))
 
 
+def test_a_hat_guard_trips_before_building(capsys, tmp_path, monkeypatch):
+    # y >= x^2000, x >= y^2000 over the square: Â is counted, not listed
+    monkeypatch.setattr(pseudo, "a_hat", _not_built)
+    gens = [
+        {"plus": [0, 1], "minus": [2000, 0]},
+        {"plus": [1, 0], "minus": [0, 2000]},
+    ]
+    path = problem_file(
+        tmp_path,
+        "s1_2000.json",
+        {
+            "ambient_dim": 2,
+            "support": [[0, 0], [1, 0], [0, 1], [1, 1]],
+            "set": {"kind": "binomials", "gens": gens},
+        },
+    )
+    argv = ["pseudomoment", path, "--assume-semigroup-generated"]
+    with within_seconds(5):
+        assert run(capsys, argv) == (4, "", GUARD.format(8005, 40))
+
+
 def test_semigroup_refusal_by_lattice_index(capsys, tmp_path, monkeypatch):
     # the differences (-400, 1) and (1, -400) have lattice index 159999;
     # the brute-force box would have 1601^2 points

@@ -3,10 +3,11 @@
 The integer simplex must reach the same verdict and the same primitive
 Farkas certificate as the dense rational tableau, and the integer
 Gauss-Jordan routine must give the same canonical bases, ranks and
-solutions as rational elimination.  Â built from column intervals must
-equal Â built by filtering boxes, the semigroup check with its lattice
-index shortcut must agree with brute force, and the closed-form support
-sizes the guards read must equal the sizes of the supports.
+solutions as rational elimination.  Â read off parity vectors must equal
+Â built by filtering boxes and by completing W pair by pair, the
+semigroup check with its lattice index shortcut must agree with brute
+force, and the closed-form support sizes the guards read must equal the
+sizes of the supports.
 """
 
 from fractions import Fraction
@@ -22,6 +23,7 @@ from tropmom.errors import PreconditionError
 from tropmom.lattice import (
     PointConfig,
     a_hat,
+    a_hat_size,
     cubical_hull,
     cubical_hull_size,
     delta_simplex,
@@ -150,19 +152,61 @@ def stabilized_systems(draw, n, k_max, u_max, corner):
     return PointConfig(support), c
 
 
-@given(stabilized_systems(2, 8, 8, 3))
+def _check_a_hat(support, c):
+    built = a_hat(support, c)
+    assert built == oracles.a_hat_pairwise(support, c)
+    assert a_hat_size(support, c) == len(built)
+
+
+# 3-D extension supports run to thousands of points, which the oracles
+# complete pairwise in seconds, so these draws are smaller
+SYSTEMS = {2: stabilized_systems(2, 8, 8, 3), 3: stabilized_systems(3, 4, 2, 2)}
+SMALL = settings(max_examples=40)
+
+
+@given(SYSTEMS[2])
 def test_a_hat_matches_box_filter_2d(system):
     support, c = system
     assert a_hat(support, c) == oracles.a_hat(support, c)
+    _check_a_hat(support, c)
 
 
-# 3-D extension supports run to thousands of points, which the box filter
-# completes pairwise in seconds, so these draws are smaller
-@settings(max_examples=40)
-@given(stabilized_systems(3, 4, 2, 2))
+@SMALL
+@given(SYSTEMS[3])
 def test_a_hat_matches_box_filter_3d(system):
     support, c = system
     assert a_hat(support, c) == oracles.a_hat(support, c)
+    _check_a_hat(support, c)
+
+
+def _with_point_above(system, step):
+    # a support point above all the others minimizes every facet functional
+    # of the (negative) normals, so it lies in K, outside D
+    support, c = system
+    top = tuple(max(p[i] for p in support) + s for i, s in enumerate(step))
+    return PointConfig(dict.fromkeys(support.points + (top,))), c
+
+
+@given(SYSTEMS[2], st.tuples(*[st.integers(0, 3)] * 2))
+def test_a_hat_with_a_support_point_outside_the_down_set_2d(system, step):
+    _check_a_hat(*_with_point_above(system, step))
+
+
+@SMALL
+@given(SYSTEMS[3], st.tuples(*[st.integers(0, 1)] * 3))
+def test_a_hat_with_a_support_point_outside_the_down_set_3d(system, step):
+    _check_a_hat(*_with_point_above(system, step))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@SMALL
+@given(data=st.data())
+def test_a_hat_of_the_origin_is_the_origin(n, data):
+    # A = {0} gives K = Z^n_{>=0}, so D is empty and Â = {0}
+    _, c = data.draw(SYSTEMS[n])
+    origin = PointConfig([(0,) * n])
+    assert a_hat_size(origin, c) == 1
+    _check_a_hat(origin, c)
 
 
 @st.composite

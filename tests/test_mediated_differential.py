@@ -5,14 +5,19 @@ points on each pass, and is_midpoint_facet searched point by point with
 its own loop.  Both now call lattice.midpoint_fixpoint; on small
 triangles, segments and configurations they must give the same sets and
 the same verdicts as the old loops kept in tests/oracles.py.
+
+is_midpoint_facet used to validate its triple by listing every midpoint
+triple of the configuration; it now checks the one triple directly and
+must accept and refuse the same triples.
 """
 
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import oracles
+from tropmom.errors import PreconditionError
 from tropmom.funcones import is_midpoint_facet
-from tropmom.lattice import PointConfig, mediated_set, midpoint_triples
+from tropmom.lattice import MidpointTriple, PointConfig, mediated_set, midpoint_triples
 from tropmom.linalg import rank
 
 COORD = st.integers(0, 8)
@@ -56,3 +61,36 @@ def test_midpoint_facet_on_collinear_points_in_the_plane(ts, step, base):
 @given(st.lists(st.tuples(COORD, COORD), min_size=3, max_size=9, unique=True))
 def test_midpoint_facet_on_plane_configurations(points):
     _same_verdicts(PointConfig(points))
+
+
+def _verdict(facet_test, cfg, t):
+    try:
+        return facet_test(cfg, t)
+    except PreconditionError:
+        return "refused"
+
+
+def _rounded_mid(p, q):
+    return tuple((x + y) // 2 for x, y in zip(p, q))
+
+
+@given(
+    st.lists(st.tuples(COORD, COORD), min_size=2, max_size=6, unique=True),
+    st.data(),
+)
+def test_midpoint_facet_refuses_the_triples_the_listing_refused(points, data):
+    # the configuration holds the rounded midpoints of most pairs, so many
+    # pairs make triples; the rest are near-triples: either order of the
+    # ends, an odd sum, a missing or drawn middle, equal ends and points
+    # outside the configuration
+    mids = sorted({_rounded_mid(p, q) for p in points for q in points})
+    dropped = data.draw(st.sets(st.sampled_from(mids)))
+    cfg = PointConfig(dict.fromkeys(points + [m for m in mids if m not in dropped]))
+    pick = st.sampled_from(points + sorted(dropped) + [(9, 9), (0, 9)])
+    for _ in range(6):
+        a1, a2 = data.draw(pick), data.draw(pick)
+        for b in (_rounded_mid(a1, a2), data.draw(pick)):
+            for t in (MidpointTriple(a1, a2, b), MidpointTriple(a2, a1, b)):
+                assert _verdict(is_midpoint_facet, cfg, t) == _verdict(
+                    oracles.is_midpoint_facet, cfg, t
+                )
