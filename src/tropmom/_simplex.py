@@ -6,21 +6,43 @@ nonnegative against every row but negative against the target.  Dantzig
 pricing with a switch to Bland's rule after an iteration budget keeps the
 method fast in practice and immune to cycling.
 
-The tableau is fraction-free.  Each constraint row is kept as a primitive
-integer vector, a positive multiple of the rational row: sign tests, the
-ratio test (by cross-multiplication) and elimination are all invariant
-under positive scaling, so a row needs no denominator.  The objective row
-is kept as integers over one positive common denominator, so that pricing
-compares its entries exactly.  The pivot sequence is the one a rational
-tableau would take.
+The method is the revised simplex on the phase-one problem: one
+equation per coordinate of the target, one column per input row and one
+artificial column per coordinate, with coordinate i multiplied by the
+sign of the target's i-th entry.  Each input row is stored once, as a
+sparse column of its nonzero entries; the midpoint and monotone rows of
+the projections have at most 3.  What changes from pivot to pivot is
+kept in integers:
+
+- [B^-1 | rhs], m rows over the artificial columns and the right-hand
+  side, each a primitive positive multiple of the rational row;
+- the objective row over the artificial columns and the right-hand side,
+  as integers over one positive common denominator ``den``.
+
+Column j's reduced cost times ``den`` is the sum of (obj[i] - den) * a over
+its entries (i, a), and its tableau column is B^-1 times those entries.
+Both are computed on demand: every cost at a Dantzig step, the costs in
+column order up to the first negative one under Bland's rule, and the
+tableau column of the entering column alone.
+
+The pivot sequence is that of a rational tableau.  The dense
+fraction-free tableau's entries outside the stored columns are integer
+combinations of the stored ones, so each stored row has the gcd, and
+hence the values, of the dense primitive row; and pricing, the ratio test
+(by cross-multiplication) and its tie-break are invariant under positive
+scaling of a row in any case.  The verdict and the primitive certificate
+are therefore those of the rational tableau too.
 """
 
 from __future__ import annotations
 
+from itertools import chain, compress
 from math import gcd
 from typing import Optional, Sequence
 
 from .linalg import IntVec, dot, primitive
+
+_PAD = [(0, 0)] * 3
 
 
 def nonneg_combination(
@@ -36,43 +58,63 @@ def nonneg_combination(
     if m == 0:
         raise ValueError("empty ambient dimension")
     n = len(rows)
-    width = n + m + 1
     sign = [1 if t >= 0 else -1 for t in target]
-    # tableau over the basis of artificial variables; row i is scaled so
-    # that the i-th artificial column is the i-th unit vector
-    tab = [
-        [sign[i] * row[i] for row in rows]
-        + [1 if k == i else 0 for k in range(m)]
-        + [sign[i] * target[i]]
-        for i in range(m)
+    # the nonzeros (i, sign[i] * a) of each column; the first three of them
+    # are also kept flat in cols, padded with zero entries, and the rest,
+    # which the projection systems never have, in more
+    entries = [
+        [(i, sign[i] * row[i]) for i in compress(range(m), row)] for row in rows
     ]
-    # reduced costs obj / den: objective is the sum of the artificials,
-    # all basic
-    obj = [-sum(t[j] for t in tab) for j in range(width)]
-    for j in range(n, n + m):
-        obj[j] += 1
+    cols = [(*e0, *e1, *e2) for e0, e1, e2, *_ in (col + _PAD for col in entries)]
+    more = {j: col[3:] for j, col in enumerate(entries) if len(col) > 3}
+    # [B^-1 | rhs] over the basis of artificial variables
+    tab = [
+        [1 if k == i else 0 for k in range(m)] + [abs(target[i])] for i in range(m)
+    ]
+    # the objective (the sum of the artificials) over the artificial
+    # columns and the rhs, times den
+    obj = [0] * m + [-sum(abs(t) for t in target)]
     den = 1
     basis = list(range(n, n + m))
     budget = 8 * (n + m)
     it = 0
     while True:
         it += 1
+        # reduced costs times den: column j's is _dot(dual, entries[j]),
+        # the i-th artificial column's obj[i]
+        dual = [c - den for c in obj[:m]]
         if it <= budget:
-            enter, best = -1, 0
-            for j in range(n + m):
-                if obj[j] < best:
-                    enter, best = j, obj[j]
+            cost = [
+                dual[i0] * a0 + dual[i1] * a1 + dual[i2] * a2
+                for i0, a0, i1, a1, i2, a2 in cols
+            ]
+            for j, rest in more.items():
+                cost[j] += _dot(dual, rest)
+            cost += obj[:m]
+            best = min(cost)
+            enter = cost.index(best) if best < 0 else -1
         else:
-            enter = next((j for j in range(n + m) if obj[j] < 0), -1)
+            costs = (_dot(dual, col) for col in entries)
+            enter, best = next(
+                ((j, c) for j, c in enumerate(chain(costs, obj[:m])) if c < 0),
+                (-1, 0),
+            )
         if enter < 0:
             break
+        # the entering column of the tableau, B^-1 times column enter
+        if enter < n:
+            i0, a0, i1, a1, i2, a2 = cols[enter]
+            d = [r[i0] * a0 + r[i1] * a1 + r[i2] * a2 for r in tab]
+            if enter in more:
+                d = [x + _dot(r, more[enter]) for x, r in zip(d, tab)]
+        else:
+            d = [r[enter - n] for r in tab]
         # ratio test: the smallest rhs / a over rows with a > 0, compared
         # by cross-multiplication; ties go to the smaller basis index
         leave, num, dnm = -1, 0, 1
-        for i in range(m):
-            a = tab[i][enter]
+        for i, a in enumerate(d):
             if a > 0:
-                b = tab[i][-1]
+                b = tab[i][m]
                 if leave < 0:
                     leave, num, dnm = i, b, a
                     continue
@@ -82,30 +124,30 @@ def nonneg_combination(
         if leave < 0:
             raise ArithmeticError("phase-one objective unbounded below")
         prow = tab[leave]
-        piv = prow[enter]
-        for i in range(m):
-            if i == leave:
-                continue
-            row = tab[i]
-            f = row[enter]
-            if f:
-                new = [piv * x - f * y for x, y in zip(row, prow)]
+        piv = d[leave]
+        for i, f in enumerate(d):
+            if f and i != leave:
+                new = [piv * x - f * y for x, y in zip(tab[i], prow)]
                 g = gcd(*new)
                 if g > 1:
                     new = [x // g for x in new]
                 tab[i] = new
-        f = obj[enter]
-        obj = [piv * x - f * y for x, y in zip(obj, prow)]
+        obj = [piv * x - best * y for x, y in zip(obj, prow)]
         den *= piv
         g = gcd(den, *obj)
         if g > 1:
             obj = [x // g for x in obj]
             den //= g
         basis[leave] = enter
-    if obj[-1] == 0:
+    if obj[m] == 0:
         return True, None
-    w = [sign[i] * (obj[n + i] - den) for i in range(m)]
+    w = [sign[i] * (obj[i] - den) for i in range(m)]
     return False, primitive(w)
+
+
+def _dot(vec, entries) -> int:
+    """Sum of vec[i] * a over the sparse entries (i, a)."""
+    return sum([vec[i] * a for i, a in entries])
 
 
 def valid_on_system(rows: Sequence[IntVec], normal: Sequence[int]):

@@ -13,6 +13,7 @@ precondition failure, 4 resource guard tripped.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -378,7 +379,10 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then reused: parsing
+    leaves it unchanged, and each call gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="tropmom",
         description=(

@@ -551,6 +551,31 @@ def test_bad_degree_flag(capsys, motz_cube):
     assert code == 2
 
 
+def test_repeated_calls_in_one_process(capsys, motz_cube):
+    # the parser is built once per process; no call may leave state in it
+    # that a later call sees
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    calls = [
+        ["moment", motz_cube],
+        ["pseudomoment", motz_cube, "--degree", "0"],
+        ["pseudomoment", motz_cube, "--degree", "x"],
+        ["mediated", "--vertices", "0,0;1,2;2,1", "--format", "text"],
+        ["moment", motz_cube],
+    ]
+    first = [outcome(argv) for argv in calls]
+    assert [code for code, _, _ in first] == [0, 2, 2, 0, 0]
+    assert first[-1] == first[0]
+    assert "--degree" in first[2][2]
+    assert [outcome(argv) for argv in calls] == first
+
+
 def test_schema_errors(capsys, tmp_path):
     cases = [
         {"ambient_dim": 2, "support": [], "set": {"kind": "cube"}},

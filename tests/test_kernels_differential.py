@@ -63,9 +63,38 @@ def matrices(draw, rational=False):
     return n, draw(st.permutations(rows))
 
 
+@st.composite
+def projection_systems(draw):
+    """(rows, target) shaped like the systems project_hrep certifies on:
+    midpoint rows h(a1) + h(a2) - 2h(b) and monotone rows h(p) - h(q) in
+    at most 12 coordinates, and a target that vanishes on some of them, so
+    that phase one starts degenerate."""
+    m = draw(st.integers(3, 12))
+    coords = st.lists(st.integers(0, m - 1), min_size=3, max_size=3, unique=True)
+
+    def row(weights):
+        return tuple(weights.get(i, 0) for i in range(m))
+
+    midpoint = coords.map(lambda t: row({t[0]: 1, t[1]: 1, t[2]: -2}))
+    monotone = coords.map(lambda t: row({t[0]: 1, t[1]: -1}))
+    size = draw(st.integers(0, 3 * m))
+    rows = draw(st.lists(st.one_of(midpoint, monotone), min_size=size, max_size=size))
+    zero = draw(st.sets(st.integers(0, m - 1), min_size=1, max_size=m - 1))
+    target = tuple(0 if i in zero else draw(ENTRY) for i in range(m))
+    return rows, target
+
+
 @given(systems())
 def test_simplex_matches_rational_tableau(system):
-    rows, target = system
+    _check_simplex(*system)
+
+
+@given(projection_systems())
+def test_simplex_matches_rational_tableau_on_projection_rows(system):
+    _check_simplex(*system)
+
+
+def _check_simplex(rows, target):
     ok, w = _simplex.nonneg_combination(rows, target)
     ref_ok, ref_w = oracles.nonneg_combination(rows, target)
     assert ok == ref_ok
