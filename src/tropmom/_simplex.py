@@ -21,9 +21,10 @@ kept in integers:
 
 Column j's reduced cost times ``den`` is the sum of (obj[i] - den) * a over
 its entries (i, a), and its tableau column is B^-1 times those entries.
-Both are computed on demand: every cost at a Dantzig step, the costs in
-column order up to the first negative one under Bland's rule, and the
-tableau column of the entering column alone.
+Every cost is computed at every step, and the tableau column of the
+entering column alone; Dantzig's rule takes the least cost, Bland's rule
+after ``_BLAND_AFTER * (n + m)`` iterations the first negative one in
+column order.
 
 The pivot sequence is that of a rational tableau.  The dense
 fraction-free tableau's entries outside the stored columns are integer
@@ -36,13 +37,15 @@ are therefore those of the rational tableau too.
 
 from __future__ import annotations
 
-from itertools import chain, compress
+from itertools import compress
 from math import gcd
 from typing import Optional, Sequence
 
 from .linalg import IntVec, dot, primitive
 
 _PAD = [(0, 0)] * 3
+# Dantzig pricing for this many iterations per column, then Bland's rule
+_BLAND_AFTER = 8
 
 
 def nonneg_combination(
@@ -76,29 +79,26 @@ def nonneg_combination(
     obj = [0] * m + [-sum(abs(t) for t in target)]
     den = 1
     basis = list(range(n, n + m))
-    budget = 8 * (n + m)
+    budget = _BLAND_AFTER * (n + m)
     it = 0
     while True:
         it += 1
         # reduced costs times den: column j's is _dot(dual, entries[j]),
         # the i-th artificial column's obj[i]
         dual = [c - den for c in obj[:m]]
-        if it <= budget:
-            cost = [
-                dual[i0] * a0 + dual[i1] * a1 + dual[i2] * a2
-                for i0, a0, i1, a1, i2, a2 in cols
-            ]
-            for j, rest in more.items():
-                cost[j] += _dot(dual, rest)
-            cost += obj[:m]
+        cost = [
+            dual[i0] * a0 + dual[i1] * a1 + dual[i2] * a2
+            for i0, a0, i1, a1, i2, a2 in cols
+        ]
+        for j, rest in more.items():
+            cost[j] += _dot(dual, rest)
+        cost += obj[:m]
+        if it <= budget:  # Dantzig: the least cost
             best = min(cost)
             enter = cost.index(best) if best < 0 else -1
-        else:
-            costs = (_dot(dual, col) for col in entries)
-            enter, best = next(
-                ((j, c) for j, c in enumerate(chain(costs, obj[:m])) if c < 0),
-                (-1, 0),
-            )
+        else:  # Bland: the first negative cost
+            enter = next((j for j, c in enumerate(cost) if c < 0), -1)
+            best = cost[enter]
         if enter < 0:
             break
         # the entering column of the tableau, B^-1 times column enter

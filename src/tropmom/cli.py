@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import warnings
 from typing import Any, NamedTuple, Optional, Sequence
@@ -25,6 +24,7 @@ from .errors import PreconditionError, ResourceLimitError, SchemaError
 from .lattice import PointConfig, mediated_split
 from .linalg import IntVec
 from .moments import (
+    SET_KINDS,
     SemialgSpec,
     render_binomial,
     semigroup_generation_check,
@@ -37,7 +37,6 @@ from .pseudo import (
     trop_pseudomoment,
 )
 
-_SET_KINDS = ("orthant", "cube", "full_space", "toric_cube", "binomials")
 _DEFAULT_EXTENSION_LIMIT = 40
 _EXIT_CODES = {SchemaError: 2, PreconditionError: 3, ResourceLimitError: 4}
 
@@ -86,44 +85,33 @@ def _parse_set(doc: Any, n: int) -> SemialgSpec:
     if not isinstance(doc, dict):
         raise _bad("problem.set", "an object")
     kind = doc.get("kind")
-    if kind not in _SET_KINDS:
+    if kind not in SET_KINDS:
         raise SchemaError(
-            "problem.set.kind: expected one of " + ", ".join(_SET_KINDS)
+            "problem.set.kind: expected one of " + ", ".join(SET_KINDS)
         )
     extra = {"toric_cube": {"Q"}, "binomials": {"gens"}}.get(kind, set())
     _check_keys(doc, "problem.set", {"kind"} | extra, {"kind"} | extra)
-    try:
-        if kind == "orthant":
-            return SemialgSpec.orthant(n)
-        if kind == "cube":
-            return SemialgSpec.cube(n)
-        if kind == "full_space":
-            return SemialgSpec.full_space(n)
-        if kind == "toric_cube":
-            q = doc["Q"]
-            if not isinstance(q, list) or not q:
-                raise _bad("problem.set.Q", "a non-empty list of rows")
-            rows = [
-                _as_vector(r, f"problem.set.Q[{i}]", n) for i, r in enumerate(q)
-            ]
-            return SemialgSpec.toric_cube(rows)
-        gens = doc["gens"]
-        if not isinstance(gens, list) or not gens:
+    gens, q = [], None
+    if kind == "toric_cube":
+        q = doc["Q"]
+        if not isinstance(q, list) or not q:
+            raise _bad("problem.set.Q", "a non-empty list of rows")
+        q = [_as_vector(r, f"problem.set.Q[{i}]", n) for i, r in enumerate(q)]
+    if kind == "binomials":
+        raw = doc["gens"]
+        if not isinstance(raw, list) or not raw:
             raise _bad("problem.set.gens", "a non-empty list of generators")
-        pairs = []
-        for i, g in enumerate(gens):
-            _check_keys(
-                g, f"problem.set.gens[{i}]", {"plus", "minus"}, {"plus", "minus"}
-            )
-            pairs.append(
+        for i, g in enumerate(raw):
+            path = f"problem.set.gens[{i}]"
+            _check_keys(g, path, {"plus", "minus"}, {"plus", "minus"})
+            gens.append(
                 (
-                    _as_vector(g["plus"], f"problem.set.gens[{i}].plus", n),
-                    _as_vector(g["minus"], f"problem.set.gens[{i}].minus", n),
+                    _as_vector(g["plus"], f"{path}.plus", n),
+                    _as_vector(g["minus"], f"{path}.minus", n),
                 )
             )
-        return SemialgSpec.binomials(n, pairs)
-    except SchemaError:
-        raise
+    try:
+        return SemialgSpec(n, kind, tuple(gens), q)
     except ValueError as exc:
         raise SchemaError(f"problem.set: {exc}") from None
 
@@ -345,21 +333,6 @@ def _emit(doc: dict, fmt: str) -> None:
         sys.stdout.write(line + "\n")
 
 
-def _configure_threads() -> None:
-    raw = os.environ.get("TROPMOM_THREADS")
-    if raw is None:
-        return
-    try:
-        k = int(raw)
-    except ValueError:
-        k = 0
-    if k < 1:
-        raise SchemaError(
-            f"TROPMOM_THREADS: expected a positive integer, got {raw!r}"
-        )
-    # All kernels run sequentially; any positive cap is honored as 1.
-
-
 def _format_flag(p: argparse.ArgumentParser, unit: str) -> None:
     p.add_argument(
         "--format", choices=("json", "text"), default="json",
@@ -367,12 +340,13 @@ def _format_flag(p: argparse.ArgumentParser, unit: str) -> None:
     )
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
+def _common_flags(p: argparse.ArgumentParser, semigroup: bool = True) -> None:
     _format_flag(p, "inequality")
-    p.add_argument(
-        "--assume-semigroup-generated", action="store_true",
-        help="skip the semigroup generation check for binomial sets",
-    )
+    if semigroup:  # scan runs no semigroup check, so it takes no flag for it
+        p.add_argument(
+            "--assume-semigroup-generated", action="store_true",
+            help="skip the semigroup generation check for binomial sets",
+        )
     p.add_argument(
         "--max-extension-points", type=int, default=None, metavar="N",
         help="resource guard on the pre-projection support size",
@@ -437,7 +411,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--dmax", type=int, required=True, metavar="D",
         help="largest truncation degree to scan",
     )
-    _common_flags(scan)
+    _common_flags(scan, semigroup=False)
     scan.set_defaults(handler=_cmd_scan)
 
     return parser
@@ -446,7 +420,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        _configure_threads()
         with warnings.catch_warnings(record=True) as rec:
             warnings.simplefilter("always")
             doc = args.handler(args)

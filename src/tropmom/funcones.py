@@ -19,7 +19,6 @@ order of the configuration points.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -35,7 +34,7 @@ from .lattice import (
     midpoint_fixpoint,
     midpoint_triples,
 )
-from .linalg import IntVec, dot, primitive
+from .linalg import IntVec, dot, integerize, primitive
 
 
 @dataclass(frozen=True)
@@ -58,24 +57,13 @@ class GeneralizedConvexityCone:
         return self.cone.ineqs
 
 
-def _cleared_weights(s: AlmostEmptySimplex) -> tuple[tuple[int, ...], int]:
-    """Barycentric weights of the interior point as integers (c_1..c_k, L)
-    with c_i / L = weight_i; gcd(c_1, .., c_k, L) = 1."""
-    lcm = 1
-    for w in s.weights:
-        lcm = lcm * w.denominator // math.gcd(lcm, w.denominator)
-    c = [int(w * lcm) for w in s.weights]
-    g = math.gcd(lcm, *c)
-    return tuple(x // g for x in c), lcm // g
-
-
 def _simplex_normals(
     a: PointConfig, simplices: Sequence[AlmostEmptySimplex]
 ) -> list[IntVec]:
     out = []
     for s in simplices:
         normal = [0] * len(a)
-        c, total = _cleared_weights(s)
+        *c, total = integerize(s.weights + (1,))
         for v, ci in zip(s.vertices, c):
             normal[a.index(v)] = ci
         normal[a.index(s.interior)] = -total

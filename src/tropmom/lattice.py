@@ -92,19 +92,43 @@ def _in_hull(hull: Cone, p: Sequence[int]) -> bool:
     return hull.contains_point(tuple(p) + (1,))
 
 
-def lattice_points(vertices: Sequence[Sequence[int]]) -> PointConfig:
-    """All integer points of conv(vertices), graded-lex."""
+def _hull_columns(vertices: Sequence[Sequence[int]]):
+    """(prefix, lo, hi) for each prefix in the bounding box of the first
+    n - 1 coordinates: the integer points of conv(vertices) over it are
+    (prefix, t) for lo <= t <= hi, the range read off the hull's facets,
+    each equation taken as two opposite inequalities."""
     verts = [tuple(int(a) for a in v) for v in vertices]
     hull = _hull_cone(verts)
     n = len(verts[0])
-    lo = [min(v[i] for v in verts) for i in range(n)]
-    hi = [max(v[i] for v in verts) for i in range(n)]
-    found = [
-        p
-        for p in itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi)))
-        if _in_hull(hull, p)
-    ]
-    return PointConfig(graded_lex_sorted(found))
+    rows = hull.ineqs + hull.eqs + tuple(tuple(-x for x in e) for e in hull.eqs)
+    box = [(min(v[i] for v in verts), max(v[i] for v in verts)) for i in range(n)]
+    for p in itertools.product(*(range(l, h + 1) for l, h in box[:-1])):
+        lo, hi = box[-1]
+        for a in rows:
+            # a[:n-1].p + a[n-1] t + a[n] >= 0
+            c, k = dot(a[: n - 1], p) + a[n], a[n - 1]
+            if k > 0:
+                lo = max(lo, -(c // k))
+            elif k < 0:
+                hi = min(hi, c // -k)
+            elif c < 0:
+                hi = lo - 1
+        yield p, lo, hi
+
+
+def lattice_points(vertices: Sequence[Sequence[int]]) -> PointConfig:
+    """All integer points of conv(vertices), graded-lex, listed column by
+    column along the last coordinate."""
+    return PointConfig(
+        graded_lex_sorted(
+            p + (t,) for p, lo, hi in _hull_columns(vertices) for t in range(lo, hi + 1)
+        )
+    )
+
+
+def lattice_points_size(vertices: Sequence[Sequence[int]]) -> int:
+    """len(lattice_points(vertices)), without listing them."""
+    return sum(max(0, hi - lo + 1) for _, lo, hi in _hull_columns(vertices))
 
 
 def midpoint_triples(cfg: PointConfig) -> tuple[MidpointTriple, ...]:

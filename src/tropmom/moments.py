@@ -22,16 +22,12 @@ from typing import Optional, Sequence
 
 from .cones import Cone
 from .errors import PreconditionError
-from .funcones import (
-    GeneralizedConvexityCone,
-    _cleared_weights,
-    cone_K,
-    cone_K_even,
-)
+from .funcones import GeneralizedConvexityCone, cone_K, cone_K_even
 from .lattice import AlmostEmptySimplex, PointConfig
-from .linalg import IntVec, dot, lattice_index, primitive, rank
+from .linalg import IntVec, dot, integerize, lattice_index, primitive, rank, solve_linear
 
-_KINDS = ("orthant", "cube", "toric_cube", "binomials", "full_space")
+# in the order the command line's schema error lists them
+SET_KINDS = ("orthant", "cube", "full_space", "toric_cube", "binomials")
 
 
 class RegularSupportWarning(UserWarning):
@@ -63,7 +59,7 @@ class SemialgSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("ambient dimension must be positive")
-        if self.kind not in _KINDS:
+        if self.kind not in SET_KINDS:
             raise ValueError(f"unknown set kind {self.kind!r}")
         gens = tuple(
             (_intvec(a), _intvec(b)) for a, b in self.generators
@@ -228,8 +224,12 @@ def semigroup_generation_check(s: SemialgSpec) -> bool:
     the integer points of their span, which their cone meets outside that
     sublattice, so the answer is no without enumerating anything.  If they
     are independent and of index 1, their cone is unimodular simplicial and
-    the answer is yes.  Other sets go to brute force: enumerate the Hilbert
-    basis inside a bounding box and test each element for reachability.
+    the answer is yes.  Otherwise each lattice point of the cone lies in
+    the cone of a rank-sized independent subset B (Caratheodory), where it
+    is a lattice point of B's half-open parallelepiped
+    {sum l_i b_i : 0 <= l_i < 1} plus a nonnegative integer combination of
+    B.  So the answer is yes iff every such parallelepiped point is
+    reachable, which a search ordered by a positive functional decides.
     Only ambient dimension <= 3 is supported, and the order cone must be
     pointed.
     """
@@ -253,22 +253,9 @@ def semigroup_generation_check(s: SemialgSpec) -> bool:
         )
     if lattice_index(vs) > 1:
         return False
-    if rank(vs) == len(vs):
+    r = rank(vs)
+    if r == len(vs):
         return True
-    radius = n * max(abs(x) for v in tuple(vs) + c.rays for x in v)
-    box = [
-        p
-        for p in itertools.product(range(-radius, radius + 1), repeat=n)
-        if any(p) and c.contains_point(p)
-    ]
-    members = set(box)
-    hilbert = [
-        z
-        for z in box
-        if not any(
-            u != z and tuple(x - y for x, y in zip(z, u)) in members for u in box
-        )
-    ]
     phi = _positive_functional(c)
     vals = {v: dot(phi, v) for v in vs}
 
@@ -288,7 +275,19 @@ def semigroup_generation_check(s: SemialgSpec) -> bool:
         return seen[t]
 
     seen: dict = {}
-    return all(reachable(z, seen) for z in hilbert)
+    for base in itertools.combinations(vs, r):
+        if rank(base) < r:
+            continue
+        rows = list(zip(*base))  # the matrix with columns b_i
+        box = [
+            range(sum(min(x, 0) for x in row), sum(max(x, 0) for x in row) + 1)
+            for row in rows
+        ]
+        for z in itertools.product(*box):
+            lam = solve_linear(rows, z)
+            if lam is not None and all(0 <= x < 1 for x in lam) and not reachable(z, seen):
+                return False
+    return True
 
 
 def trop_moment_cone(a: PointConfig, s: SemialgSpec) -> GeneralizedConvexityCone:
@@ -325,7 +324,7 @@ def amgm_moment_cone(t: AlmostEmptySimplex) -> BinomialIneq:
     """The binomial inequality describing the moment cone of an
     almost-empty simplex exactly: the weighted arithmetic-geometric mean
     inequality with cleared denominators."""
-    c, total = _cleared_weights(t)
+    *c, total = integerize(t.weights + (1,))
     plus = tuple(zip(t.vertices, c))
     minus = ((t.interior, total),)
     return BinomialIneq(plus, minus)

@@ -40,6 +40,7 @@ from .lattice import (
     delta_simplex,
     delta_simplex_size,
     lattice_points,
+    lattice_points_size,
     midpoint_triples,
 )
 from .linalg import dot
@@ -188,8 +189,8 @@ def sigma_dual_trop(
     """Tropicalized dual of the sums-of-squares cone on A, for measures on
     all of R^n: midpoint inequalities between even points of the lattice
     hull of A, projected to the A-coordinates."""
+    _guard_size(lattice_points_size(a.points), max_extension_points)
     e = lattice_points(a.points)
-    _guard_size(len(e), max_extension_points)
     even = lambda p: not any(x % 2 for x in p)
     triples = [t for t in midpoint_triples(e) if even(t.a1) and even(t.a2)]
     rows = constraint_rows(e, triples, ())
@@ -233,12 +234,17 @@ def stabilization_scan(
         )
     _require_truncated(spec)
     if spec.n == a.n:
-        # the guards the degrees and the cube's closed form would trip,
-        # in the same order, before anything is projected
+        # the guards the degrees and the closed form would trip, in the
+        # same order, before anything is projected
         for d in range(d_min, d_max + 1):
             _guard_size(delta_simplex_size(a.n, d), max_extension_points)
         if spec.kind == "cube":
             _guard_size(cubical_hull_size(a), max_extension_points)
+        if spec.kind == "binomials":
+            try:
+                _guard_size(a_hat_size(a, order_cone(spec)), max_extension_points)
+            except PreconditionError:
+                pass  # no closed form, so no guard for it
     results = tuple(
         trop_pseudomoment(a, spec, d, max_extension_points)
         for d in range(d_min, d_max + 1)

@@ -2,8 +2,10 @@
 
 These are the dense rational tableau simplex and the rational Gauss-Jordan
 elimination the library used before its kernels went fraction-free, and
-the box-filtering Â and brute-force semigroup check it used before they
-were sized from the inequalities and the lattice index.  The pairwise
+the box-filtering Â, lattice points of a hull and brute-force semigroup
+check it used before they were sized from the inequalities, read off the
+hull's facets column by column, and decided by the lattice index and the
+parallelepipeds of the differences.  The pairwise
 completion of W built Â before it was read off parity vectors.  They are
 slow and obviously exact, and the property tests compare the library
 against them: same verdicts, same certificates, same canonical bases,
@@ -40,8 +42,9 @@ from tropmom.lattice import (
     MidpointTriple,
     PointConfig,
     _column_top,
+    _hull_cone,
+    _in_hull,
     graded_lex_sorted,
-    lattice_points,
     midpoint_triples,
 )
 from tropmom.linalg import dot, primitive, rank
@@ -49,6 +52,8 @@ from tropmom.moments import SemialgSpec, _positive_functional
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+# Dantzig pricing for this many iterations per column, then Bland's rule
+_BLAND_AFTER = 8
 
 
 def integerize(v: Sequence[Fraction]) -> tuple[int, ...]:
@@ -65,8 +70,9 @@ def nonneg_combination(
     """Membership of target in cone(rows) on a dense Fraction tableau.
 
     Returns (True, None) or (False, w) with <w, row> >= 0 for every row
-    and <w, target> < 0.  Dantzig pricing, Bland's rule after 8 * (n + m)
-    iterations, ratio ties broken by the smaller basis index.
+    and <w, target> < 0.  Dantzig pricing, Bland's rule after
+    _BLAND_AFTER * (n + m) iterations, ratio ties broken by the smaller
+    basis index.
     """
     m = len(target)
     if m == 0:
@@ -85,7 +91,7 @@ def nonneg_combination(
     ]
     obj.append(-sum(tab[i][-1] for i in range(m)))
     basis = list(range(n, n + m))
-    budget = 8 * (n + m)
+    budget = _BLAND_AFTER * (n + m)
     it = 0
     while True:
         it += 1
@@ -188,6 +194,22 @@ def solve_linear(matrix, rhs):
             return None
         x[pivot] = row[n] / row[pivot]
     return tuple(x)
+
+
+def lattice_points(vertices: Sequence[Sequence[int]]) -> PointConfig:
+    """The integer points of conv(vertices), graded-lex, by testing every
+    point of the bounding box for hull membership."""
+    verts = [tuple(int(a) for a in v) for v in vertices]
+    hull = _hull_cone(verts)
+    n = len(verts[0])
+    lo = [min(v[i] for v in verts) for i in range(n)]
+    hi = [max(v[i] for v in verts) for i in range(n)]
+    found = [
+        p
+        for p in itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi)))
+        if _in_hull(hull, p)
+    ]
+    return PointConfig(graded_lex_sorted(found))
 
 
 def a_hat(cfg: PointConfig, order_cone: Cone) -> PointConfig:

@@ -488,6 +488,37 @@ def test_degree_guard_trips_before_building(capsys, tmp_path, monkeypatch):
     assert run(capsys, argv) == (4, "", GUARD.format(16, 12))
 
 
+def test_lattice_guard_trips_before_listing(capsys, tmp_path, monkeypatch):
+    # the side-3000 triangle holds 3001 * 3002 / 2 lattice points, counted
+    # column by column without listing them
+    monkeypatch.setattr(pseudo, "lattice_points", _not_built)
+    path = problem_file(
+        tmp_path,
+        "triangle.json",
+        {
+            "ambient_dim": 2,
+            "support": [[0, 0], [3000, 0], [0, 3000]],
+            "set": {"kind": "full_space"},
+        },
+    )
+    with within_seconds(5):
+        assert run(capsys, ["pseudomoment", path]) == (4, "", GUARD.format(4504501, 40))
+
+
+def test_scan_a_hat_guard_trips_before_projecting(capsys, square_s1, monkeypatch):
+    # degrees 2 and 3 fit (6 and 10 points) but the closed form's Â has 13
+    monkeypatch.setattr(pseudo, "project_hrep", _not_built)
+    argv = ["scan", square_s1, "--dmax", "3", "--max-extension-points", "12"]
+    assert run(capsys, argv) == (4, "", GUARD.format(13, 12))
+
+
+def test_scan_takes_no_semigroup_flag(capsys, square_s1):
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", square_s1, "--dmax", "3", "--assume-semigroup-generated"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_a_hat_guard_trips_before_building(capsys, tmp_path, monkeypatch):
     # y >= x^2000, x >= y^2000 over the square: Â is counted, not listed
     monkeypatch.setattr(pseudo, "a_hat", _not_built)
@@ -637,17 +668,6 @@ def test_missing_and_invalid_files(capsys, tmp_path):
     code, _, err = run(capsys, ["moment", str(broken)])
     assert code == 2
     assert "invalid JSON" in err
-
-
-def test_threads_env(capsys, monkeypatch, motz_cube):
-    monkeypatch.setenv("TROPMOM_THREADS", "0")
-    code, _, err = run(capsys, ["moment", motz_cube])
-    assert code == 2
-    assert "TROPMOM_THREADS" in err
-    monkeypatch.setenv("TROPMOM_THREADS", "abc")
-    assert run(capsys, ["moment", motz_cube])[0] == 2
-    monkeypatch.setenv("TROPMOM_THREADS", "4")
-    assert run(capsys, ["moment", motz_cube])[0] == 0
 
 
 def test_missing_required_argument(capsys):

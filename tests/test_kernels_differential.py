@@ -1,13 +1,14 @@
 """The fraction-free kernels and the sized supports against reference oracles.
 
 The integer simplex must reach the same verdict and the same primitive
-Farkas certificate as the dense rational tableau, and the integer
-Gauss-Jordan routine must give the same canonical bases, ranks and
-solutions as rational elimination.  Â read off parity vectors must equal
-Â built by filtering boxes and by completing W pair by pair, the
-semigroup check with its lattice index shortcut must agree with brute
-force, and the closed-form support sizes the guards read must equal the
-sizes of the supports.
+Farkas certificate as the dense rational tableau, also when every pivot
+follows Bland's rule, and the integer Gauss-Jordan routine must give the
+same canonical bases, ranks and solutions as rational elimination.  Â read off parity vectors must equal Â built by filtering boxes
+and by completing W pair by pair, the lattice points of a hull listed
+column by column must equal those found by filtering its bounding box,
+the semigroup check by lattice index and parallelepipeds must agree with
+brute force, and the closed-form support sizes the guards read must
+equal the sizes of the supports.
 """
 
 from fractions import Fraction
@@ -28,6 +29,8 @@ from tropmom.lattice import (
     cubical_hull_size,
     delta_simplex,
     delta_simplex_size,
+    lattice_points,
+    lattice_points_size,
 )
 from tropmom.linalg import dot, kernel_basis, rank, rref_int, solve_linear
 from tropmom.moments import SemialgSpec, order_cone, semigroup_generation_check
@@ -104,6 +107,16 @@ def _check_simplex(rows, target):
         assert w == oracles.integerize(ref_w)
         assert dot(w, target) < 0
         assert all(dot(w, row) >= 0 for row in rows)
+
+
+@settings(max_examples=100)
+@given(st.one_of(systems(), projection_systems()))
+def test_simplex_matches_rational_tableau_under_blands_rule(system):
+    # with no Dantzig budget, every pivot is chosen by Bland's rule
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_simplex, "_BLAND_AFTER", 0)
+        mp.setattr(oracles, "_BLAND_AFTER", 0)
+        _check_simplex(*system)
 
 
 @given(systems(max_rows=6))
@@ -239,19 +252,69 @@ def test_a_hat_of_the_origin_is_the_origin(n, data):
 
 
 @st.composite
-def pointed_binomials(draw):
-    """Binomial systems in 2 variables, exponents up to 4, with a pointed
+def pointed_binomials(draw, n, top):
+    """Binomial systems in n variables, exponents up to top, with a pointed
     order cone."""
-    exps = st.tuples(st.integers(0, 4), st.integers(0, 4))
+    exps = st.tuples(*[st.integers(0, top)] * n)
     pair = st.tuples(exps, exps).filter(lambda ab: ab[0] != ab[1])
-    spec = SemialgSpec.binomials(2, draw(st.lists(pair, min_size=1, max_size=3)))
+    spec = SemialgSpec.binomials(n, draw(st.lists(pair, min_size=1, max_size=n + 1)))
     assume(order_cone(spec).is_pointed())
     return spec
 
 
-@given(pointed_binomials())
+@given(pointed_binomials(2, 4))
 def test_semigroup_check_matches_brute_force(spec):
     assert semigroup_generation_check(spec) == oracles.semigroup_generation_check(spec)
+
+
+@SMALL
+@given(pointed_binomials(3, 2))
+def test_semigroup_check_matches_brute_force_3d(spec):
+    assert semigroup_generation_check(spec) == oracles.semigroup_generation_check(spec)
+
+
+@st.composite
+def dependent_binomials(draw, n, top):
+    """Binomial systems in n variables with a pointed order cone and more
+    distinct differences than variables, entries up to top, so that every
+    draw of lattice index 1 passes both shortcuts and reaches the
+    parallelepipeds."""
+    vec = st.tuples(*[st.integers(-top, top)] * n).filter(any)
+    vs = draw(st.lists(vec, min_size=n + 1, max_size=n + 2, unique=True))
+    gens = [(tuple(max(x, 0) for x in v), tuple(max(-x, 0) for x in v)) for v in vs]
+    spec = SemialgSpec.binomials(n, gens)
+    assume(order_cone(spec).is_pointed())
+    return spec
+
+
+@settings(max_examples=100)
+@given(dependent_binomials(2, 3))
+def test_semigroup_check_matches_brute_force_on_dependent_differences(spec):
+    assert semigroup_generation_check(spec) == oracles.semigroup_generation_check(spec)
+
+
+@st.composite
+def hull_vertices(draw):
+    """Vertex lists in at most 3 coordinates, often collinear or coplanar:
+    nonnegative combinations of k <= n direction vectors, shifted into the
+    nonnegative orthant."""
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(0, n))
+    dirs = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n), min_size=k, max_size=k))
+    coef = st.tuples(*[st.integers(0, 2)] * k)
+    pts = [
+        tuple(sum(c * d[i] for c, d in zip(cs, dirs)) for i in range(n))
+        for cs in draw(st.lists(coef, min_size=1, max_size=5))
+    ]
+    lo = [min(p[i] for p in pts) for i in range(n)]
+    return [tuple(x - m for x, m in zip(p, lo)) for p in pts]
+
+
+@given(hull_vertices())
+def test_lattice_points_match_box_filter(vertices):
+    listed = lattice_points(vertices)
+    assert listed == oracles.lattice_points(vertices)
+    assert lattice_points_size(vertices) == len(listed)
 
 
 @given(st.lists(st.tuples(*[st.integers(0, 5)] * 3), min_size=1, max_size=4, unique=True))
