@@ -31,13 +31,13 @@ from .moments import (
     trop_moment_cone,
 )
 from .pseudo import (
+    DEFAULT_EXTENSION_LIMIT,
     normal_valid_on,
     stabilization_scan,
     stabilized_pseudomoment,
     trop_pseudomoment,
 )
 
-_DEFAULT_EXTENSION_LIMIT = 40
 _EXIT_CODES = {SchemaError: 2, PreconditionError: 3, ResourceLimitError: 4}
 
 
@@ -144,7 +144,7 @@ def parse_problem(doc: Any) -> Problem:
     if "degree" in doc:
         degree = _as_int(doc["degree"], "problem.degree", positive=True)
     assume = False
-    limit = _DEFAULT_EXTENSION_LIMIT
+    limit = DEFAULT_EXTENSION_LIMIT
     if "options" in doc:
         opts = doc["options"]
         _check_keys(

@@ -1,6 +1,8 @@
 """Rational polyhedral cones with exact dual representations.
 
-A cone is stored in up to two representations:
+A cone is stored in up to two representations, and the two are one dual
+pair: the H-rep of a cone is the V-rep of its dual and the other way
+round, so one routine completes either from the other.
 
 * H-rep: facet inequalities ``<a, x> >= 0`` and equations ``<e, x> = 0``,
   with primitive integer normals;
@@ -8,15 +10,15 @@ A cone is stored in up to two representations:
   lineality space) plus a lineality basis in integer reduced row echelon
   form.
 
-The first time either representation is asked for, one run of the double
-description method computes the other, minimal and canonical.  The given
-one, once asked for, is made minimal from the incidence of its rows with
-that result, not by a second run: rows tight on every generator are
-implicit equations, and the facets are the other rows with maximal tight
-sets.  All arithmetic is integer and exact.  Both representations are
-canonically ordered, so two equal cones built the same way print
-identically.  Equality of cones as sets is decided by mutual generator
-containment, never by string comparison.
+A side that was not given is one run of the double description method
+on the other, minimal and canonical.  A given side, once asked for, is
+made minimal from the incidence of its rows with the other's minimal form,
+not by a second run: rows tight on every generator are implicit
+equations, and the facets are the other rows with maximal tight sets.
+All arithmetic is integer and exact.  Both representations are canonically
+ordered, so two equal cones built the same way print identically.
+Equality of cones as sets is decided by mutual generator containment,
+never by string comparison.
 
 The tropical hull of a cone Y is computed from its definition as the
 intersection of the Minkowski sums Y + V_i, where V_i is the cone of
@@ -50,24 +52,20 @@ def _clean_rows(rows: Iterable[Sequence[int]]) -> list[IntVec]:
     return out
 
 
-def _pivot_col(row: Sequence[int]) -> int:
-    return next(j for j, a in enumerate(row) if a != 0)
-
-
 def _reduce_mod(basis: Sequence[IntVec], vec: Sequence[int]) -> IntVec:
-    """Canonical representative of vec modulo the span of RREF basis rows.
+    """Canonical representative of vec modulo the span of RREF basis rows,
+    whose pivots must be positive (as ``rref_int`` and ``kernel_basis``
+    give them).
 
     Every elimination step rescales by a positive integer, so for rays the
     direction is preserved.
     """
     v = list(vec)
     for row in basis:
-        p = _pivot_col(row)
-        if v[p] != 0:
-            a, c = row[p], v[p]
-            if a < 0:
-                a, row = -a, [-x for x in row]
-            v = [a * x - c * y for x, y in zip(v, row)]
+        p = next(j for j, a in enumerate(row) if a)
+        c = v[p]
+        if c:
+            v = [row[p] * x - c * y for x, y in zip(v, row)]
     return primitive(v)
 
 
@@ -216,46 +214,44 @@ def double_description(
 
 
 class Cone:
-    """An exact rational polyhedral cone in R^dim."""
+    """An exact rational polyhedral cone in R^dim.  ``_sides`` holds the
+    H-rep (normals, equations) and the V-rep (rays, lineality basis), each
+    None until given or computed; ``_minimal[k]`` marks side k minimal."""
 
-    __slots__ = ("dim", "_ineqs", "_eqs", "_rays", "_lin", "_h_min", "_v_min")
+    __slots__ = ("dim", "_sides", "_minimal")
 
     def __init__(self, dim: int):
         if dim < 0:
             raise ValueError("dimension must be nonnegative")
         self.dim = dim
-        self._ineqs: Optional[Rows] = None
-        self._eqs: Optional[Rows] = None
-        self._rays: Optional[Rows] = None
-        self._lin: Optional[Rows] = None
-        self._h_min = False
-        self._v_min = False
+        self._sides: list[Optional[tuple[Rows, Rows]]] = [None, None]
+        self._minimal = [False, False]
 
     # -- construction -------------------------------------------------
+
+    @classmethod
+    def _given(
+        cls, dim: int, k: int, rows: Iterable, basis: Iterable, what: str
+    ) -> "Cone":
+        c = cls(dim)
+        side = (tuple(_clean_rows(rows)), tuple(_clean_rows(basis)))
+        for row in side[0] + side[1]:
+            if len(row) != dim:
+                raise ValueError(f"{what} of wrong length")
+        c._sides[k] = side
+        return c
 
     @classmethod
     def from_hrep(
         cls, dim: int, ineqs: Iterable[Sequence[int]], eqs: Iterable[Sequence[int]] = ()
     ) -> "Cone":
-        c = cls(dim)
-        c._ineqs = tuple(_clean_rows(ineqs))
-        c._eqs = tuple(_clean_rows(eqs))
-        for row in c._ineqs + c._eqs:
-            if len(row) != dim:
-                raise ValueError("normal vector of wrong length")
-        return c
+        return cls._given(dim, 0, ineqs, eqs, "normal vector")
 
     @classmethod
     def from_vrep(
         cls, dim: int, rays: Iterable[Sequence[int]], lineality: Iterable[Sequence[int]] = ()
     ) -> "Cone":
-        c = cls(dim)
-        c._rays = tuple(_clean_rows(rays))
-        c._lin = tuple(_clean_rows(lineality))
-        for row in c._rays + c._lin:
-            if len(row) != dim:
-                raise ValueError("generator of wrong length")
-        return c
+        return cls._given(dim, 1, rays, lineality, "generator")
 
     @classmethod
     def full_space(cls, dim: int) -> "Cone":
@@ -277,51 +273,35 @@ class Cone:
 
     # -- representation completion ------------------------------------
 
-    def _minimal_v(self) -> None:
-        if self._v_min:
-            return
-        if self._rays is None:
-            rays, lin = double_description(self.dim, self._ineqs, self._eqs)
-            self._rays, self._lin = tuple(rays), tuple(lin)
-        else:
-            self._minimal_h()
-            self._rays, self._lin = _by_incidence(
-                self.dim, self._rays, self._ineqs, self._eqs
-            )
-        self._v_min = True
-
-    def _minimal_h(self) -> None:
-        if self._h_min:
-            return
-        if self._ineqs is None:
-            normals, eqs = double_description(self.dim, self._rays, self._lin)
-            self._ineqs, self._eqs = tuple(normals), tuple(eqs)
-        else:
-            self._minimal_v()
-            self._ineqs, self._eqs = _by_incidence(
-                self.dim, self._ineqs, self._rays, self._lin
-            )
-        self._h_min = True
+    def _side(self, k: int) -> tuple[Rows, Rows]:
+        """Side k (0: H, 1: V), minimal and canonical.  A side not given
+        is one double description of the other; a given side is made
+        minimal by its incidence with the other's minimal form."""
+        if not self._minimal[k]:
+            given = self._sides[k]
+            if given is None:
+                rows, basis = double_description(self.dim, *self._sides[1 - k])
+            else:
+                rows, basis = _by_incidence(self.dim, given[0], *self._side(1 - k))
+            self._sides[k] = (tuple(rows), tuple(basis))
+            self._minimal[k] = True
+        return self._sides[k]
 
     @property
     def rays(self) -> Rows:
-        self._minimal_v()
-        return self._rays
+        return self._side(1)[0]
 
     @property
     def lineality(self) -> Rows:
-        self._minimal_v()
-        return self._lin
+        return self._side(1)[1]
 
     @property
     def ineqs(self) -> Rows:
-        self._minimal_h()
-        return self._ineqs
+        return self._side(0)[0]
 
     @property
     def eqs(self) -> Rows:
-        self._minimal_h()
-        return self._eqs
+        return self._side(0)[1]
 
     # -- basic queries -------------------------------------------------
 
@@ -343,15 +323,10 @@ class Cone:
     def contains_cone(self, other: "Cone") -> bool:
         if self.dim != other.dim:
             raise ValueError("ambient dimension mismatch")
-        for r in other.rays:
-            if not self.contains_point(r):
-                return False
-        for l in other.lineality:
-            if any(dot(a, l) != 0 for a in self.ineqs):
-                return False
-            if any(dot(e, l) != 0 for e in self.eqs):
-                return False
-        return True
+        if not all(self.contains_point(r) for r in other.rays):
+            return False
+        normals = self.ineqs + self.eqs
+        return not any(dot(a, l) for l in other.lineality for a in normals)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Cone):
@@ -371,12 +346,9 @@ class Cone:
 
     def dual(self) -> "Cone":
         """The cone of linear functionals nonnegative on this cone."""
-        self._minimal_v()
-        self._minimal_h()
         c = Cone(self.dim)
-        c._ineqs, c._eqs = self._rays, self._lin
-        c._rays, c._lin = self._ineqs, self._eqs
-        c._h_min = c._v_min = True
+        c._sides = [self._side(1), self._side(0)]
+        c._minimal = [True, True]
         return c
 
     def intersect(self, other: "Cone") -> "Cone":
@@ -457,7 +429,7 @@ def tropical_hull_dual(y: Cone) -> Cone:
         )
         piece = ydual.intersect(sector)
         total = piece if total is None else total.minkowski_sum(piece)
-    total._minimal_v()
+    total.rays  # the sum's minimal V-rep is this route's work, done here
     return total
 
 

@@ -47,6 +47,8 @@ from .linalg import dot
 from .moments import BinomialIneq, SemialgSpec, order_cone, render_binomial, trop_moment_cone
 
 _TRUNCATED_KINDS = ("orthant", "cube", "binomials")
+# the largest extension support built unless the caller allows more
+DEFAULT_EXTENSION_LIMIT = 40
 
 
 @dataclass(frozen=True)
@@ -123,7 +125,7 @@ def trop_pseudomoment(
     a: PointConfig,
     spec: SemialgSpec,
     d: int,
-    max_extension_points: int = 40,
+    max_extension_points: int = DEFAULT_EXTENSION_LIMIT,
 ) -> PseudoMomentTrop:
     """Projection of the degree-d constraint cone onto the A-coordinates."""
     _require_truncated(spec)
@@ -142,7 +144,7 @@ def trop_pseudomoment(
 
 
 def trop_pseudomoment_cube_stable(
-    a: PointConfig, max_extension_points: int = 40
+    a: PointConfig, max_extension_points: int = DEFAULT_EXTENSION_LIMIT
 ) -> PseudoMomentTrop:
     """Stabilized pseudo-moment tropicalization over the unit cube: the
     truncated cones coincide with this one for every large enough degree,
@@ -165,7 +167,7 @@ def clamp_extension(box: PointConfig, values: Sequence, alpha: Sequence[int]):
 
 
 def trop_pseudomoment_stable(
-    a: PointConfig, spec: SemialgSpec, max_extension_points: int = 40
+    a: PointConfig, spec: SemialgSpec, max_extension_points: int = DEFAULT_EXTENSION_LIMIT
 ) -> PseudoMomentTrop:
     """Stabilized pseudo-moment tropicalization for sets whose negated
     order cone strictly surrounds the nonnegative orthant; the extension
@@ -184,7 +186,7 @@ def trop_pseudomoment_stable(
 
 
 def sigma_dual_trop(
-    a: PointConfig, max_extension_points: int = 40
+    a: PointConfig, max_extension_points: int = DEFAULT_EXTENSION_LIMIT
 ) -> PseudoMomentTrop:
     """Tropicalized dual of the sums-of-squares cone on A, for measures on
     all of R^n: midpoint inequalities between even points of the lattice
@@ -201,7 +203,7 @@ def sigma_dual_trop(
 
 
 def stabilized_pseudomoment(
-    a: PointConfig, spec: SemialgSpec, max_extension_points: int = 40
+    a: PointConfig, spec: SemialgSpec, max_extension_points: int = DEFAULT_EXTENSION_LIMIT
 ) -> PseudoMomentTrop:
     """The stabilized construction appropriate to the set kind.  For a
     ``binomials`` set it assumes, without checking, that the exponent
@@ -222,7 +224,7 @@ def stabilization_scan(
     a: PointConfig,
     spec: SemialgSpec,
     d_max: int,
-    max_extension_points: int = 40,
+    max_extension_points: int = DEFAULT_EXTENSION_LIMIT,
 ) -> ScanReport:
     """Truncated cones from the support degree up to d_max, the first
     degree whose cone persists through the end of the scan, and agreement
@@ -273,7 +275,7 @@ def normal_valid_on(cone: Cone, normal: Sequence[int]) -> bool:
 
 
 def gap_report(
-    a: PointConfig, spec: SemialgSpec, max_extension_points: int = 40
+    a: PointConfig, spec: SemialgSpec, max_extension_points: int = DEFAULT_EXTENSION_LIMIT
 ) -> tuple[BinomialIneq, ...]:
     """Facets of the tropicalized moment cone that fail on the stabilized
     pseudo-moment cone: binomial moment inequalities with no

@@ -33,6 +33,7 @@ import bisect
 import itertools
 from fractions import Fraction
 from math import gcd, lcm
+from operator import sub
 from typing import Optional, Sequence
 
 from tropmom.cones import Cone, _clean_rows, _lineality_step, _reduce_mod, _unit
@@ -213,9 +214,10 @@ def lattice_points(vertices: Sequence[Sequence[int]]) -> PointConfig:
 
 
 def a_hat(cfg: PointConfig, order_cone: Cone) -> PointConfig:
-    """Â by filtering boxes: the shells max(p) == m of [0, m]^n are tested
-    point by point, doubling m until one lies in K, then W is read off the
-    whole box and every pair of W is completed."""
+    """Â by filtering boxes: the points of [0, m]^n outside K are read off
+    the values of each normal over the whole box, doubling m until none of
+    them lies on the shell max(p) == m; W is those points and the support,
+    and every pair of W is completed."""
     n = cfg.n
     normals = order_cone.ineqs
     flat = order_cone.eqs or not order_cone.is_pointed()
@@ -224,21 +226,23 @@ def a_hat(cfg: PointConfig, order_cone: Cone) -> PointConfig:
         if flat or any(dot(a, e) >= 0 for a in normals):
             raise PreconditionError("stabilization hypothesis fails")
     bounds = [min(dot(a, p) for p in cfg) for a in normals]
-    in_k = lambda x: all(dot(a, x) <= b for a, b in zip(normals, bounds))
     m = max(1, max(c for p in cfg for c in p))
     while True:
-        shell = [
-            p for p in itertools.product(range(m + 1), repeat=n) if max(p) == m
-        ]
-        if all(in_k(p) for p in shell):
+        box = list(itertools.product(range(m + 1), repeat=n))
+        outside = set()
+        for a, b in zip(normals, bounds):
+            vals = [0]  # <a, p> for p in box, in the same order
+            for ai in a:
+                vals = [v + ai * t for v in vals for t in range(m + 1)]
+            outside.update(itertools.compress(box, map(b.__lt__, vals)))
+        if all(max(p) < m for p in outside):
             break
         m *= 2
         if m > 1 << 20:
             raise PreconditionError("extension support does not close up")
-    w = {
-        p for p in itertools.product(range(m + 1), repeat=n) if not in_k(p)
-    } | set(cfg.points)
-    hat = {tuple(2 * bb - aa for aa, bb in zip(a, b)) for a in w for b in w}
+    w = outside | set(cfg.points)
+    doubled = [tuple([2 * x for x in b]) for b in w]
+    hat = {tuple(map(sub, b2, a)) for a in w for b2 in doubled}
     return PointConfig(graded_lex_sorted(p for p in hat if min(p) >= 0))
 
 
@@ -262,8 +266,9 @@ def a_hat_pairwise(cfg: PointConfig, order_cone: Cone) -> PointConfig:
     firsts = [a[0] for a in w]
     hat = set()
     for b in w:
-        for a in w[: bisect.bisect_right(firsts, 2 * b[0])]:
-            p = tuple(2 * y - x for x, y in zip(a, b))
+        b2 = tuple([2 * y for y in b])
+        for a in w[: bisect.bisect_right(firsts, b2[0])]:
+            p = tuple(map(sub, b2, a))
             if min(p) >= 0:
                 hat.add(p)
     return PointConfig(graded_lex_sorted(hat))
@@ -288,7 +293,7 @@ def semigroup_generation_check(s: SemialgSpec) -> bool:
         z
         for z in box
         if not any(
-            u != z and tuple(x - y for x, y in zip(z, u)) in members for u in box
+            u != z and tuple(map(sub, z, u)) in members for u in box
         )
     ]
     phi = _positive_functional(c)

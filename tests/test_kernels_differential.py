@@ -119,6 +119,28 @@ def test_simplex_matches_rational_tableau_under_blands_rule(system):
         _check_simplex(*system)
 
 
+# a system whose certificate depends on the pivot rule: Bland's rule from
+# the first pivot gives (-1, 2, 1, 1), Dantzig's rule (0, 1, 1, 1), and
+# taking the last negative cost in place of the first (10, 7, 2, 2)
+PIVOT_RULE_ROWS = [(-1, 2, 0, -2), (0, 1, -2, 2), (2, 2, -1, -1), (-2, 2, 2, 1)]
+PIVOT_RULE_TARGET = (0, 0, -2, -2)
+
+
+@pytest.mark.parametrize(
+    "bland_after, certificate",
+    [(0, (-1, 2, 1, 1)), (_simplex._BLAND_AFTER, (0, 1, 1, 1))],
+    ids=["bland", "dantzig"],
+)
+def test_pivot_rule_decides_the_certificate(bland_after, certificate):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_simplex, "_BLAND_AFTER", bland_after)
+        mp.setattr(oracles, "_BLAND_AFTER", bland_after)
+        ok, w = _simplex.nonneg_combination(PIVOT_RULE_ROWS, PIVOT_RULE_TARGET)
+        _, ref_w = oracles.nonneg_combination(PIVOT_RULE_ROWS, PIVOT_RULE_TARGET)
+    assert not ok
+    assert w == oracles.integerize(ref_w) == certificate
+
+
 @given(systems(max_rows=6))
 def test_projection_matches_double_description(system):
     rows, _ = system
@@ -198,6 +220,7 @@ def _check_a_hat(support, c):
     built = a_hat(support, c)
     assert built == oracles.a_hat_pairwise(support, c)
     assert a_hat_size(support, c) == len(built)
+    return built
 
 
 # 3-D extension supports run to thousands of points, which the oracles
@@ -208,17 +231,13 @@ SMALL = settings(max_examples=40)
 
 @given(SYSTEMS[2])
 def test_a_hat_matches_box_filter_2d(system):
-    support, c = system
-    assert a_hat(support, c) == oracles.a_hat(support, c)
-    _check_a_hat(support, c)
+    assert _check_a_hat(*system) == oracles.a_hat(*system)
 
 
 @SMALL
 @given(SYSTEMS[3])
 def test_a_hat_matches_box_filter_3d(system):
-    support, c = system
-    assert a_hat(support, c) == oracles.a_hat(support, c)
-    _check_a_hat(support, c)
+    assert _check_a_hat(*system) == oracles.a_hat(*system)
 
 
 def _with_point_above(system, step):
