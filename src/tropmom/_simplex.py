@@ -9,18 +9,22 @@ method fast in practice and immune to cycling.
 The method is the revised simplex on the phase-one problem: one
 equation per coordinate of the target, one column per input row and one
 artificial column per coordinate, with coordinate i multiplied by the
-sign of the target's i-th entry.  Each input row is stored once, as a
-sparse column of its nonzero entries; the midpoint and monotone rows of
-the projections have at most 3.  What changes from pivot to pivot is
-kept in integers:
+sign of the target's i-th entry.  Each input row is stored once, as an
+unsigned sparse column of its nonzero entries; the midpoint and monotone
+rows of the projections have at most 3.  A ``RowSystem`` builds these
+columns once for every LP on its rows, and plain row sequences build them
+per call; the target's signs are folded into the duals, and only the
+entering column is signed.  What changes from pivot to pivot is kept in
+integers:
 
 - [B^-1 | rhs], m rows over the artificial columns and the right-hand
   side, each a primitive positive multiple of the rational row;
 - the objective row over the artificial columns and the right-hand side,
   as integers over one positive common denominator ``den``.
 
-Column j's reduced cost times ``den`` is the sum of (obj[i] - den) * a over
-its entries (i, a), and its tableau column is B^-1 times those entries.
+Column j's reduced cost times ``den`` is the sum of (obj[i] - den) * sign[i]
+* a over its unsigned entries (i, a), and its tableau column is B^-1 times
+the signed entries (i, sign[i] * a).
 Every cost is computed at every step, and the tableau column of the
 entering column alone; Dantzig's rule takes the least cost, Bland's rule
 after ``_BLAND_AFTER * (n + m)`` iterations the first negative one in
@@ -37,7 +41,7 @@ are therefore those of the rational tableau too.
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import compress, count
 from math import gcd
 from typing import Optional, Sequence
 
@@ -48,6 +52,26 @@ _PAD = [(0, 0)] * 3
 _BLAND_AFTER = 8
 
 
+def _columns(rows: Sequence[Sequence[int]]) -> tuple[list, dict]:
+    """The unsigned sparse columns of the rows: the first three nonzeros
+    (i, a) of each row flat in one tuple, padded with zero entries, and
+    the rest, which the projection systems never have, by row index."""
+    entries = [[(i, row[i]) for i in compress(count(), row)] for row in rows]
+    cols = [(*e0, *e1, *e2) for e0, e1, e2, *_ in (col + _PAD for col in entries)]
+    more = {j: col[3:] for j, col in enumerate(entries) if len(col) > 3}
+    return cols, more
+
+
+class RowSystem(tuple):
+    """A tuple of integer rows that carries their sparse columns, built
+    once for every LP on the system."""
+
+    def __new__(cls, rows: Sequence[Sequence[int]]):
+        system = super().__new__(cls, rows)
+        system.columns = _columns(system)
+        return system
+
+
 def nonneg_combination(
     rows: Sequence[Sequence[int]], target: Sequence[int]
 ) -> tuple[bool, Optional[IntVec]]:
@@ -55,21 +79,15 @@ def nonneg_combination(
 
     Returns (True, None) when some nonnegative rational combination of the
     rows equals the target, else (False, w) with w primitive,
-    <w, row> >= 0 for every row and <w, target> < 0.
+    <w, row> >= 0 for every row and <w, target> < 0.  The rows may be a
+    RowSystem, whose columns are then not rebuilt.
     """
     m = len(target)
     if m == 0:
         raise ValueError("empty ambient dimension")
     n = len(rows)
     sign = [1 if t >= 0 else -1 for t in target]
-    # the nonzeros (i, sign[i] * a) of each column; the first three of them
-    # are also kept flat in cols, padded with zero entries, and the rest,
-    # which the projection systems never have, in more
-    entries = [
-        [(i, sign[i] * row[i]) for i in compress(range(m), row)] for row in rows
-    ]
-    cols = [(*e0, *e1, *e2) for e0, e1, e2, *_ in (col + _PAD for col in entries)]
-    more = {j: col[3:] for j, col in enumerate(entries) if len(col) > 3}
+    cols, more = rows.columns if isinstance(rows, RowSystem) else _columns(rows)
     # [B^-1 | rhs] over the basis of artificial variables
     tab = [
         [1 if k == i else 0 for k in range(m)] + [abs(target[i])] for i in range(m)
@@ -83,9 +101,9 @@ def nonneg_combination(
     it = 0
     while True:
         it += 1
-        # reduced costs times den: column j's is _dot(dual, entries[j]),
-        # the i-th artificial column's obj[i]
-        dual = [c - den for c in obj[:m]]
+        # reduced costs times den: column j's is the signed duals against
+        # its unsigned entries, the i-th artificial column's obj[i]
+        dual = [(c - den) * s for c, s in zip(obj, sign)]
         cost = [
             dual[i0] * a0 + dual[i1] * a1 + dual[i2] * a2
             for i0, a0, i1, a1, i2, a2 in cols
@@ -104,9 +122,11 @@ def nonneg_combination(
         # the entering column of the tableau, B^-1 times column enter
         if enter < n:
             i0, a0, i1, a1, i2, a2 = cols[enter]
+            a0, a1, a2 = sign[i0] * a0, sign[i1] * a1, sign[i2] * a2
             d = [r[i0] * a0 + r[i1] * a1 + r[i2] * a2 for r in tab]
             if enter in more:
-                d = [x + _dot(r, more[enter]) for x, r in zip(d, tab)]
+                rest = [(i, sign[i] * a) for i, a in more[enter]]
+                d = [x + _dot(r, rest) for x, r in zip(d, tab)]
         else:
             d = [r[enter - n] for r in tab]
         # ratio test: the smallest rhs / a over rows with a > 0, compared

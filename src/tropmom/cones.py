@@ -278,9 +278,13 @@ class Cone:
         is one double description of the other; a given side is made
         minimal by its incidence with the other's minimal form."""
         if not self._minimal[k]:
-            given = self._sides[k]
+            given, other = self._sides[k], self._sides[1 - k]
+            if given is None and other is None:
+                raise ValueError(
+                    "cone has no representation; build it with from_hrep or from_vrep"
+                )
             if given is None:
-                rows, basis = double_description(self.dim, *self._sides[1 - k])
+                rows, basis = double_description(self.dim, *other)
             else:
                 rows, basis = _by_incidence(self.dim, given[0], *self._side(1 - k))
             self._sides[k] = (tuple(rows), tuple(basis))
@@ -478,7 +482,12 @@ def fourier_motzkin_project(cone: Cone, coords: Sequence[int]) -> Cone:
     return Cone.from_hrep(len(keep), [take(a) for a in ineqs], [take(e) for e in eqs])
 
 
-def project_hrep(dim: int, ineqs: Iterable[Sequence[int]], coords: Sequence[int]) -> Cone:
+def project_hrep(
+    dim: int,
+    ineqs: Iterable[Sequence[int]],
+    coords: Sequence[int],
+    outer: Optional[Cone] = None,
+) -> Cone:
     """Exact coordinate projection of {h : <row, h> >= 0 for every row},
     computed without enumerating the rays of the source cone.
 
@@ -489,8 +498,15 @@ def project_hrep(dim: int, ineqs: Iterable[Sequence[int]], coords: Sequence[int]
     approximation, and when every candidate passes, the approximation and
     the image coincide.  Suited to sources of high ambient dimension whose
     image is small, where double description on the source is infeasible.
+    The system's sparse columns are built once for all of its LPs.
+
+    Precondition: ``outer``, if given, is a cone in R^len(coords) that
+    contains the image.  A candidate valid on it (checked exactly against
+    its rays and lineality) is valid on the image and needs no LP.  A
+    member found by an LP outside ``outer`` raises ValueError; an
+    ``outer`` that misses only members never found goes undetected.
     """
-    from ._simplex import valid_on_system
+    from ._simplex import RowSystem, valid_on_system
 
     rows = tuple(_clean_rows(ineqs))
     coords = list(coords)
@@ -500,12 +516,17 @@ def project_hrep(dim: int, ineqs: Iterable[Sequence[int]], coords: Sequence[int]
         if not 0 <= c < dim:
             raise ValueError("projection coordinate out of range")
     k = len(coords)
+    if outer is not None and outer.dim != k:
+        raise ValueError("outer cone dimension does not match the projection")
     take = lambda v: tuple([v[c] for c in coords])
     if not rows:
         return Cone.full_space(k)
     if k == dim:
         # a permutation of coordinates transports the H-rep directly
         return Cone.from_hrep(k, [take(a) for a in rows])
+    system = RowSystem(rows)
+    # the normals valid on outer are the members of its dual
+    outer_dual = None if outer is None else outer.dual()
     lins = [take(v) for v in kernel_basis(rows, dim)]
     rays: list[IntVec] = []
     certified: set[IntVec] = set()
@@ -520,16 +541,21 @@ def project_hrep(dim: int, ineqs: Iterable[Sequence[int]], coords: Sequence[int]
         for nu in candidates:
             if nu in certified:
                 continue
+            if outer_dual is not None and outer_dual.contains_point(nu):
+                certified.add(nu)
+                continue
             lift = [0] * dim
             for j, c in enumerate(coords):
                 lift[c] = nu[j]
-            ok, w = valid_on_system(rows, tuple(lift))
+            ok, w = valid_on_system(system, tuple(lift))
             if ok:
                 certified.add(nu)
                 continue
             y = primitive(take(w))
             if not any(y):
                 raise ArithmeticError("projection certificate vanished")
+            if outer is not None and not outer.contains_point(y):
+                raise ValueError("outer cone does not contain the projection")
             if y in members:
                 # a certificate can repeat within a round once the cone
                 # has already grown past the stale candidate

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import ge
 from typing import Optional, Sequence
 
 from .cones import Cone, tropical_hull
@@ -131,12 +132,21 @@ def constraint_rows(
 
 
 def comparable_pairs(a: PointConfig, c: Cone) -> list[tuple[int, int]]:
-    """Index pairs (i, j), i != j, with p_i - p_j in C, sorted."""
+    """Index pairs (i, j), i != j, with p_i - p_j in C, sorted.
+
+    p - q lies in C when <a, p> >= <a, q> for each facet normal a of C and
+    <e, p> = <e, q> for each equation e, so each point's values on C's
+    H-representation are computed once and the pairs compare those.
+    """
+    ineqs, eqs = c.ineqs, c.eqs
+    values = [
+        ([dot(n, p) for n in ineqs], [dot(e, p) for e in eqs]) for p in a
+    ]
     return [
         (i, j)
-        for i, p in enumerate(a)
-        for j, q in enumerate(a)
-        if i != j and c.contains_point(tuple(x - y for x, y in zip(p, q)))
+        for i, (u, x) in enumerate(values)
+        for j, (v, y) in enumerate(values)
+        if i != j and x == y and all(map(ge, u, v))
     ]
 
 

@@ -100,11 +100,14 @@ def _guard_size(size: int, limit: int) -> None:
         )
 
 
-def _projected(a: PointConfig, e: PointConfig, c: Cone) -> Cone:
+def _projected(
+    a: PointConfig, e: PointConfig, c: Cone, outer: Optional[Cone] = None
+) -> Cone:
     """Midpoint and cover-pair monotone rows on R^E, projected onto A;
-    by transitivity the cover pairs cut out what all comparable pairs do."""
+    by transitivity the cover pairs cut out what all comparable pairs do.
+    ``outer`` is a cone known to contain the projection (project_hrep)."""
     rows = constraint_rows(e, midpoint_triples(e), cover_pairs(comparable_pairs(e, c)))
-    return project_hrep(len(e), rows, [e.index(p) for p in a])
+    return project_hrep(len(e), rows, [e.index(p) for p in a], outer=outer)
 
 
 def _require_truncated(spec: SemialgSpec) -> None:
@@ -128,6 +131,14 @@ def trop_pseudomoment(
     max_extension_points: int = DEFAULT_EXTENSION_LIMIT,
 ) -> PseudoMomentTrop:
     """Projection of the degree-d constraint cone onto the A-coordinates."""
+    return _truncated(a, spec, d, max_extension_points, None)
+
+
+def _truncated(
+    a: PointConfig, spec: SemialgSpec, d: int, limit: int, outer: Optional[Cone]
+) -> PseudoMomentTrop:
+    """trop_pseudomoment, given a cone known to contain the projection
+    (project_hrep), or None."""
     _require_truncated(spec)
     if spec.n != a.n:
         raise ValueError("set specification dimension does not match the support")
@@ -137,9 +148,9 @@ def trop_pseudomoment(
                 f"support point {p} has total degree {sum(p)}, above the "
                 f"truncation degree {d}"
             )
-    _guard_size(delta_simplex_size(a.n, d), max_extension_points)
+    _guard_size(delta_simplex_size(a.n, d), limit)
     e = delta_simplex(a.n, d)
-    cone = _projected(a, e, order_cone(spec))
+    cone = _projected(a, e, order_cone(spec), outer)
     return PseudoMomentTrop(a, spec, d, False, cone, e)
 
 
@@ -228,7 +239,18 @@ def stabilization_scan(
 ) -> ScanReport:
     """Truncated cones from the support degree up to d_max, the first
     degree whose cone persists through the end of the scan, and agreement
-    with the stabilized construction when the kind has one."""
+    with the stabilized construction when the kind has one.
+
+    The cones nest, T_{d+1} inside T_d: the degree-d simplex lies in the
+    degree-(d+1) one, and every midpoint triple and comparable pair of the
+    first is one of the second, so the restriction of a point of the
+    degree-(d+1) cone satisfies the degree-d system, and both project onto
+    the same A-coordinates.  Each degree's cone is therefore passed as the
+    outer cone of the next projection, whose candidate normals valid on it
+    need no LP.  The closed form gets no outer cone: that it contains the
+    truncated cones is a theorem about large degrees, not an inclusion of
+    rows.
+    """
     d_min = max(sum(p) for p in a)
     if d_max < d_min:
         raise PreconditionError(
@@ -247,10 +269,10 @@ def stabilization_scan(
                 _guard_size(a_hat_size(a, order_cone(spec)), max_extension_points)
             except PreconditionError:
                 pass  # no closed form, so no guard for it
-    results = tuple(
-        trop_pseudomoment(a, spec, d, max_extension_points)
-        for d in range(d_min, d_max + 1)
-    )
+    results: list[PseudoMomentTrop] = []
+    for d in range(d_min, d_max + 1):
+        outer = results[-1].cone if results else None
+        results.append(_truncated(a, spec, d, max_extension_points, outer))
     first = d_max
     for k in range(len(results) - 1, -1, -1):
         if cone_equal(results[k].cone, results[-1].cone):
@@ -264,7 +286,7 @@ def stabilization_scan(
     matches = (
         None if closed is None else cone_equal(results[-1].cone, closed.cone)
     )
-    return ScanReport(a, spec, d_min, d_max, results, first, closed, matches)
+    return ScanReport(a, spec, d_min, d_max, tuple(results), first, closed, matches)
 
 
 def normal_valid_on(cone: Cone, normal: Sequence[int]) -> bool:

@@ -25,6 +25,12 @@ The mediated set and the midpoint facet test are the two fixpoint loops
 the library ran before one helper served both: the first rebuilt the
 midpoint of every pair of surviving points on each pass, the second
 searched point by point.
+
+The comparable pairs are the loop that tested p - q against the order
+cone once per ordered pair, before each point's values on the cone's
+H-representation were computed once; the cold scan projects every
+degree from scratch, as the scan did before it passed each degree's cone
+on to the next projection.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ from tropmom.lattice import (
 )
 from tropmom.linalg import dot, primitive, rank
 from tropmom.moments import SemialgSpec, _positive_functional
+from tropmom.pseudo import trop_pseudomoment
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -314,6 +321,22 @@ def semigroup_generation_check(s: SemialgSpec) -> bool:
 
     seen: dict = {}
     return all(reachable(z, seen) for z in hilbert)
+
+
+def comparable_pairs(a: PointConfig, c: Cone) -> list[tuple[int, int]]:
+    """Index pairs (i, j), i != j, with p_i - p_j in C, one membership
+    test per ordered pair."""
+    return [
+        (i, j)
+        for i, p in enumerate(a)
+        for j, q in enumerate(a)
+        if i != j and c.contains_point(tuple(x - y for x, y in zip(p, q)))
+    ]
+
+
+def cold_scan_cones(a: PointConfig, spec: SemialgSpec, d_min: int, d_max: int) -> list:
+    """The truncated cone of each degree, each projected with no outer cone."""
+    return [trop_pseudomoment(a, spec, d).cone for d in range(d_min, d_max + 1)]
 
 
 def _cover_pairs(points, c):

@@ -42,6 +42,16 @@ def test_dual_anchors():
     assert set(c.dual().rays) == {(-2, 1), (1, -2)}
 
 
+def test_cone_without_a_representation_refuses():
+    bare = Cone(3)
+    for side in ("rays", "lineality", "ineqs", "eqs"):
+        with pytest.raises(ValueError, match="no representation"):
+            getattr(bare, side)
+    # dual() builds its cone this way and fills both sides
+    c = Cone.from_hrep(2, [(1, -2), (-1, 3)])
+    assert set(c.dual().ineqs) == {(2, 1), (3, 1)}
+
+
 def test_dual_involution():
     rng = random.Random(7)
     for _ in range(20):

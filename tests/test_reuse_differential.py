@@ -1,0 +1,178 @@
+"""Work carried within a projection and across a scan's degrees, against
+the routes that carried none.
+
+A ``RowSystem`` must give the verdicts and certificates of plain rows and
+of the rational tableau.  The comparable pairs read off each point's
+values on the order cone's H-representation must be the pairs the old
+per-pair membership loop found, in its order.  Every cone of a scan,
+where each degree's projection is given the previous degree's cone as an
+outer cone, must equal the cone projected from scratch, and an outer cone
+that misses a member of the image must raise.  The work counts of two
+scans are pinned, so that losing the reuse shows up as a changed count.
+"""
+
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from test_kernels_differential import projection_systems, systems
+from tropmom import _simplex, pseudo
+from tropmom.cones import Cone, project_hrep
+from tropmom.funcones import comparable_pairs
+from tropmom.lattice import PointConfig, delta_simplex
+from tropmom.moments import SemialgSpec, order_cone
+from tropmom.pseudo import (
+    stabilization_scan,
+    stabilized_pseudomoment,
+    trop_pseudomoment,
+)
+
+MOTZKIN = PointConfig([(0, 0), (1, 1), (1, 2), (2, 1)])
+SQUARE = PointConfig([(0, 0), (1, 0), (0, 1), (1, 1)])
+ORTHANT2 = SemialgSpec.orthant(2)
+CUBE2 = SemialgSpec.cube(2)
+S1 = SemialgSpec.binomials(2, [((0, 1), (2, 0)), ((1, 0), (0, 2))])
+S2 = SemialgSpec.binomials(2, [((0, 2), (1, 0)), ((1, 0), (0, 3))])
+
+
+@st.composite
+def system_targets(draw):
+    """Rows and the drawn target, then up to two more targets on the rows."""
+    rows, target = draw(st.one_of(systems(), projection_systems()))
+    more = st.tuples(*[st.integers(-4, 4)] * len(target))
+    return rows, [target] + draw(st.lists(more, max_size=2))
+
+
+@settings(max_examples=60)
+@given(system_targets())
+def test_row_system_gives_the_plain_rows_answer(case):
+    rows, targets = case
+    system = _simplex.RowSystem(rows)
+    for target in targets:
+        got = _simplex.nonneg_combination(system, target)
+        assert got == _simplex.nonneg_combination(rows, target)
+        ok, ref_w = oracles.nonneg_combination(rows, target)
+        assert got[0] == ok
+        if not ok:
+            assert got[1] == oracles.integerize(ref_w)
+
+
+PLANE_VECTORS = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+ORDER_CONES = st.one_of(
+    st.sampled_from(
+        [
+            order_cone(s)
+            for s in (
+                ORTHANT2,
+                CUBE2,
+                S1,
+                S2,
+                SemialgSpec.toric_cube([[1, 2], [1, 3]]),
+                # one generator direction: the order cone has an equation
+                SemialgSpec.toric_cube([[1, 2], [2, 4]]),
+            )
+        ]
+    ),
+    st.builds(
+        lambda rays, lin: Cone.from_vrep(2, rays, lin),
+        st.lists(PLANE_VECTORS, max_size=3),
+        st.lists(PLANE_VECTORS, max_size=1),
+    ),
+)
+
+
+@settings(max_examples=60)
+@given(
+    ORDER_CONES,
+    st.lists(
+        st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=10,
+        unique=True,
+    ),
+)
+def test_comparable_pairs_match_the_membership_loop(c, points):
+    a = PointConfig(points)
+    assert comparable_pairs(a, c) == oracles.comparable_pairs(a, c)
+
+
+@settings(max_examples=20)
+@given(
+    st.lists(st.sampled_from(delta_simplex(2, 2).points), min_size=1, max_size=4,
+             unique=True).map(PointConfig),
+    st.sampled_from([ORTHANT2, CUBE2, S1, S2]),
+    st.integers(0, 2),
+)
+def test_scan_cones_equal_cold_projections(a, spec, extra):
+    d_min = max(sum(p) for p in a)
+    rep = stabilization_scan(a, spec, d_min + extra, max_extension_points=60)
+    cold = oracles.cold_scan_cones(a, spec, d_min, d_min + extra)
+    for r, c in zip(rep.results, cold, strict=True):
+        assert r.cone == c
+        assert (r.cone.ineqs, r.cone.eqs, r.cone.rays, r.cone.lineality) == (
+            c.ineqs, c.eqs, c.rays, c.lineality
+        )
+
+
+def test_outer_cone_missing_a_member_raises():
+    # the image is the ray through (1, 1), the outer cone the ray (1, 0)
+    rows = [(1, -1, 0), (-1, 1, 0), (1, 0, 0)]
+    with pytest.raises(ValueError, match="outer cone"):
+        project_hrep(3, rows, [0, 1], outer=Cone.from_vrep(2, [(1, 0)]))
+    # the nesting taken backwards: the square over S1 stabilizes at degree
+    # 3, strictly inside its degree-2 cone
+    t3 = trop_pseudomoment(SQUARE, S1, 3).cone
+    with pytest.raises(ValueError, match="outer cone"):
+        pseudo._projected(SQUARE, delta_simplex(2, 2), order_cone(S1), t3)
+
+
+def _work(run) -> Counter:
+    """LPs, refuted LPs, column builds and projections made by run()."""
+    counts: Counter = Counter()
+    lp, columns, project = (
+        _simplex.nonneg_combination, _simplex._columns, pseudo.project_hrep
+    )
+
+    def spy_lp(rows, target):
+        result = lp(rows, target)
+        counts["lp"] += 1
+        counts["refuted"] += not result[0]
+        return result
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_simplex, "nonneg_combination", spy_lp)
+        mp.setattr(_simplex, "_columns", spy("columns", columns))
+        mp.setattr(pseudo, "project_hrep", spy("project", project))
+        run()
+    return counts
+
+
+@pytest.mark.parametrize(
+    "a, spec, d_max, lps",
+    [(MOTZKIN, CUBE2, 5, 34), (SQUARE, S1, 4, 36)],
+    ids=["motzkin-cube", "square-s1"],
+)
+def test_scan_work_counts(a, spec, d_max, lps):
+    d_min = max(sum(p) for p in a)
+    scan = _work(lambda: stabilization_scan(a, spec, d_max))
+
+    def cold_run():
+        for d in range(d_min, d_max + 1):
+            trop_pseudomoment(a, spec, d)
+        stabilized_pseudomoment(a, spec)
+
+    cold = _work(cold_run)
+    assert scan["lp"] == lps
+    assert scan["lp"] < cold["lp"]
+    # an outer cone only spares LPs that would have certified a normal
+    assert scan["refuted"] == cold["refuted"]
+    assert scan["project"] == cold["project"] == d_max - d_min + 2
+    assert scan["columns"] == scan["project"]
