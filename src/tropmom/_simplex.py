@@ -28,7 +28,9 @@ the signed entries (i, sign[i] * a).
 Every cost is computed at every step, and the tableau column of the
 entering column alone; Dantzig's rule takes the least cost, Bland's rule
 after ``_BLAND_AFTER * (n + m)`` iterations the first negative one in
-column order.
+column order.  Bland's rule never returns to a basis, so a basis met
+twice under it means wrong costs or columns, and raises ArithmeticError
+instead of looping.
 
 The pivot sequence is that of a rational tableau.  The dense
 fraction-free tableau's entries outside the stored columns are integer
@@ -99,6 +101,7 @@ def nonneg_combination(
     basis = list(range(n, n + m))
     budget = _BLAND_AFTER * (n + m)
     it = 0
+    seen: set[frozenset] = set()  # the bases met under Bland's rule
     while True:
         it += 1
         # reduced costs times den: column j's is the signed duals against
@@ -114,7 +117,11 @@ def nonneg_combination(
         if it <= budget:  # Dantzig: the least cost
             best = min(cost)
             enter = cost.index(best) if best < 0 else -1
-        else:  # Bland: the first negative cost
+        else:  # Bland: the first negative cost, from a basis never met
+            key = frozenset(basis)
+            if key in seen:
+                raise ArithmeticError("simplex cycled under Bland's rule")
+            seen.add(key)
             enter = next((j for j, c in enumerate(cost) if c < 0), -1)
             best = cost[enter]
         if enter < 0:

@@ -389,23 +389,20 @@ def tropical_hull(y: Cone) -> Cone:
 
     Intersection over coordinates i of y + V_i, where V_i is the cone of
     vectors with minimal i-th coordinate (generated by the unit vectors
-    away from i together with the all-ones line).
+    away from i together with the all-ones line).  Each sum is built from
+    the generators of y and V_i at once; only its facets are computed.
     """
     n = y.dim
     if n == 0:
         return Cone.origin(0)
     ones = tuple(1 for _ in range(n))
-    pieces = []
-    for i in range(n):
-        vi = Cone.from_vrep(
-            n, [_unit(n, j) for j in range(n) if j != i], [ones]
-        )
-        pieces.append(y.minkowski_sum(vi))
     ineqs: list[IntVec] = []
     eqs: list[IntVec] = []
-    for p in pieces:
-        ineqs.extend(p.ineqs)
-        eqs.extend(p.eqs)
+    for i in range(n):
+        units = tuple(_unit(n, j) for j in range(n) if j != i)
+        piece = Cone.from_vrep(n, y.rays + units, y.lineality + (ones,))
+        ineqs.extend(piece.ineqs)
+        eqs.extend(piece.eqs)
     return Cone.from_hrep(n, ineqs, eqs)
 
 
@@ -500,11 +497,12 @@ def project_hrep(
     image is small, where double description on the source is infeasible.
     The system's sparse columns are built once for all of its LPs.
 
-    Precondition: ``outer``, if given, is a cone in R^len(coords) that
-    contains the image.  A candidate valid on it (checked exactly against
-    its rays and lineality) is valid on the image and needs no LP.  A
-    member found by an LP outside ``outer`` raises ValueError; an
-    ``outer`` that misses only members never found goes undetected.
+    Given a cone ``outer`` in R^len(coords), the result is the image
+    intersected with ``outer`` (the image when ``outer`` contains it), or
+    the call raises ValueError.  A candidate valid on ``outer`` needs no
+    LP.  The image's lineality, and each member an LP finds, must lie in
+    ``outer``, so the approximation stays in both cones and every final
+    candidate is valid on their intersection.
     """
     from ._simplex import RowSystem, valid_on_system
 
@@ -519,15 +517,21 @@ def project_hrep(
     if outer is not None and outer.dim != k:
         raise ValueError("outer cone dimension does not match the projection")
     take = lambda v: tuple([v[c] for c in coords])
-    if not rows:
-        return Cone.full_space(k)
-    if k == dim:
-        # a permutation of coordinates transports the H-rep directly
-        return Cone.from_hrep(k, [take(a) for a in rows])
+    missed = "outer cone does not contain the projection"
+    if not rows or k == dim:
+        # the whole space, or a permutation of coordinates transports the
+        # H-rep directly
+        image = Cone.from_hrep(k, [take(a) for a in rows])
+        if outer is not None and not outer.contains_cone(image):
+            raise ValueError(missed)
+        return image
     system = RowSystem(rows)
+    lins = [take(v) for v in kernel_basis(rows, dim)]
     # the normals valid on outer are the members of its dual
     outer_dual = None if outer is None else outer.dual()
-    lins = [take(v) for v in kernel_basis(rows, dim)]
+    normals = () if outer is None else outer.ineqs + outer.eqs
+    if any(dot(a, v) for a in normals for v in lins):
+        raise ValueError(missed)  # a line of the image is no line of outer
     rays: list[IntVec] = []
     certified: set[IntVec] = set()
     members: set[IntVec] = set()
@@ -555,7 +559,7 @@ def project_hrep(
             if not any(y):
                 raise ArithmeticError("projection certificate vanished")
             if outer is not None and not outer.contains_point(y):
-                raise ValueError("outer cone does not contain the projection")
+                raise ValueError(missed)
             if y in members:
                 # a certificate can repeat within a round once the cone
                 # has already grown past the stale candidate

@@ -30,10 +30,6 @@ def dot(u: Sequence, v: Sequence):
     return sum(map(mul, u, v))
 
 
-def content(v: Sequence[int]) -> int:
-    return gcd(*v)
-
-
 def primitive(v: Sequence[int]) -> IntVec:
     """Divide an integer vector by its content, keeping direction.
 

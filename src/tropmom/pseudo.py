@@ -117,6 +117,11 @@ def _require_truncated(spec: SemialgSpec) -> None:
         )
 
 
+def _require_same_dim(a: PointConfig, spec: SemialgSpec) -> None:
+    if spec.n != a.n:
+        raise ValueError("set specification dimension does not match the support")
+
+
 def f_s_d(spec: SemialgSpec, d: int) -> GeneralizedConvexityCone:
     """The degree-d pseudo-moment constraint cone on all monomials of
     degree at most d: midpoint-convexity plus order-cone monotonicity."""
@@ -131,26 +136,17 @@ def trop_pseudomoment(
     max_extension_points: int = DEFAULT_EXTENSION_LIMIT,
 ) -> PseudoMomentTrop:
     """Projection of the degree-d constraint cone onto the A-coordinates."""
-    return _truncated(a, spec, d, max_extension_points, None)
-
-
-def _truncated(
-    a: PointConfig, spec: SemialgSpec, d: int, limit: int, outer: Optional[Cone]
-) -> PseudoMomentTrop:
-    """trop_pseudomoment, given a cone known to contain the projection
-    (project_hrep), or None."""
     _require_truncated(spec)
-    if spec.n != a.n:
-        raise ValueError("set specification dimension does not match the support")
+    _require_same_dim(a, spec)
     for p in a:
         if sum(p) > d:
             raise PreconditionError(
                 f"support point {p} has total degree {sum(p)}, above the "
                 f"truncation degree {d}"
             )
-    _guard_size(delta_simplex_size(a.n, d), limit)
+    _guard_size(delta_simplex_size(a.n, d), max_extension_points)
     e = delta_simplex(a.n, d)
-    cone = _projected(a, e, order_cone(spec), outer)
+    cone = _projected(a, e, order_cone(spec))
     return PseudoMomentTrop(a, spec, d, False, cone, e)
 
 
@@ -187,8 +183,7 @@ def trop_pseudomoment_stable(
         raise PreconditionError(
             "no stabilized pseudo-moment construction for set kind 'toric_cube'"
         )
-    if spec.n != a.n:
-        raise ValueError("set specification dimension does not match the support")
+    _require_same_dim(a, spec)
     c = order_cone(spec)
     _guard_size(a_hat_size(a, c), max_extension_points)
     e = a_hat(a, c)
@@ -239,7 +234,9 @@ def stabilization_scan(
 ) -> ScanReport:
     """Truncated cones from the support degree up to d_max, the first
     degree whose cone persists through the end of the scan, and agreement
-    with the stabilized construction when the kind has one.
+    with the stabilized construction when the kind has one.  Every
+    degree's extension support is checked, and the closed form computed,
+    before any degree is projected.
 
     The cones nest, T_{d+1} inside T_d: the degree-d simplex lies in the
     degree-(d+1) one, and every midpoint triple and comparable pair of the
@@ -257,35 +254,28 @@ def stabilization_scan(
             f"d_max = {d_max} is below the support degree {d_min}"
         )
     _require_truncated(spec)
-    if spec.n == a.n:
-        # the guards the degrees and the closed form would trip, in the
-        # same order, before anything is projected
-        for d in range(d_min, d_max + 1):
-            _guard_size(delta_simplex_size(a.n, d), max_extension_points)
-        if spec.kind == "cube":
-            _guard_size(cubical_hull_size(a), max_extension_points)
-        if spec.kind == "binomials":
-            try:
-                _guard_size(a_hat_size(a, order_cone(spec)), max_extension_points)
-            except PreconditionError:
-                pass  # no closed form, so no guard for it
-    results: list[PseudoMomentTrop] = []
-    for d in range(d_min, d_max + 1):
-        outer = results[-1].cone if results else None
-        results.append(_truncated(a, spec, d, max_extension_points, outer))
-    first = d_max
-    for k in range(len(results) - 1, -1, -1):
-        if cone_equal(results[k].cone, results[-1].cone):
-            first = d_min + k
-        else:
-            break
+    _require_same_dim(a, spec)
+    degrees = range(d_min, d_max + 1)
+    for d in degrees:
+        _guard_size(delta_simplex_size(a.n, d), max_extension_points)
     try:
         closed = stabilized_pseudomoment(a, spec, max_extension_points)
     except PreconditionError:
         closed = None
-    matches = (
-        None if closed is None else cone_equal(results[-1].cone, closed.cone)
-    )
+    c = order_cone(spec)
+    results: list[PseudoMomentTrop] = []
+    cone = None
+    for d in degrees:
+        e = delta_simplex(a.n, d)
+        cone = _projected(a, e, c, cone)
+        results.append(PseudoMomentTrop(a, spec, d, False, cone, e))
+    first = d_max
+    for k in range(len(results) - 1, -1, -1):
+        if cone_equal(results[k].cone, cone):
+            first = d_min + k
+        else:
+            break
+    matches = None if closed is None else cone_equal(cone, closed.cone)
     return ScanReport(a, spec, d_min, d_max, tuple(results), first, closed, matches)
 
 

@@ -1,0 +1,129 @@
+"""Planted mutants that the test suite must kill.
+
+    python3 tests/mutants.py
+
+Each mutant is one exact text replacement in one module of src/tropmom.
+The script copies src/ to a temporary directory, applies the replacement
+there (and stops with an error unless the old text occurs exactly once),
+and runs the mutant's test files against the copy under a time bound.
+The mutant is killed when pytest exits with code 1, some test failed; a
+collection error, an interruption or the time bound does not count.
+The unmutated copy must pass every named file first.  The script exits 0
+when every mutant is killed.  pytest does not collect it.
+
+Left out on purpose: flipping double description's adjacency test
+(``meet & other[1] == meet``) keeps every answer right, because the
+final maximal-mask filter drops the extra rays; only a work count can
+tell it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIME_BOUND_S = 120
+
+# name, module, old text, new text, test files (relative to the root)
+MUTANTS = [
+    (
+        "_reduce_mod adds the pivot row",
+        "cones.py",
+        "v = [row[p] * x - c * y for x, y in zip(v, row)]",
+        "v = [row[p] * x + c * y for x, y in zip(v, row)]",
+        ["tests/test_dd_differential.py"],
+    ),
+    (
+        "certificate check forgives -1",
+        "_simplex.py",
+        "if dot(row, w) < 0:",
+        "if dot(row, w) < -1:",
+        ["tests/test_kernels_differential.py::test_valid_on_system_rejects_a_bad_certificate"],
+    ),
+    (
+        "tropical hull skips the last coordinate",
+        "cones.py",
+        "    for i in range(n):\n        units = ",
+        "    for i in range(n - 1):\n        units = ",
+        ["tests/test_cones.py"],
+    ),
+    (
+        "duals unsigned",
+        "_simplex.py",
+        "dual = [(c - den) * s for c, s in zip(obj, sign)]",
+        "dual = [(c - den) for c, s in zip(obj, sign)]",
+        ["tests/test_simplex.py"],
+    ),
+    (
+        "entering column takes a wrong row's sign",
+        "_simplex.py",
+        "sign[i0] * a0, sign[i1] * a1, sign[i2] * a2",
+        "sign[i0] * a0, sign[i0] * a1, sign[i2] * a2",
+        ["tests/test_simplex.py"],
+    ),
+    (
+        "fourth and later entries unsigned",
+        "_simplex.py",
+        "rest = [(i, sign[i] * a) for i, a in more[enter]]",
+        "rest = [(i, a) for i, a in more[enter]]",
+        ["tests/test_kernels_differential.py::test_simplex_matches_rational_tableau"],
+    ),
+    (
+        "projection skips the outer cone's lineality check",
+        "cones.py",
+        "    if any(dot(a, v) for a in normals for v in lins):",
+        "    if False:",
+        ["tests/test_reuse_differential.py::test_projection_in_an_outer_cone_is_the_image_met_with_it"],
+    ),
+]
+
+
+def run_tests(src: Path, tests: list[str]) -> tuple[int | None, float]:
+    """pytest's exit code on the tests with tropmom imported from src (None
+    past the time bound), and the seconds taken.  No bytecode is written,
+    so a module rewritten within the same second is never read stale."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    start = time.perf_counter()
+    try:
+        code = subprocess.run(
+            cmd, cwd=ROOT, env=env, timeout=TIME_BOUND_S,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        ).returncode
+    except subprocess.TimeoutExpired:
+        code = None
+    return code, time.perf_counter() - start
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        code, secs = run_tests(src, sorted({t for *_, tests in MUTANTS for t in tests}))
+        print(f"unmutated: exit {code} in {secs:.1f} s")
+        if code != 0:
+            return 1
+        survivors = 0
+        for name, module, old, new, tests in MUTANTS:
+            path = src / "tropmom" / module
+            text = path.read_text()
+            if text.count(old) != 1:
+                print(f"{name}: the old text occurs {text.count(old)} times in {module}")
+                return 2
+            path.write_text(text.replace(old, new))
+            code, secs = run_tests(src, tests)
+            path.write_text(text)
+            killed = code == 1
+            survivors += not killed
+            print(f"{name}: {'killed' if killed else 'SURVIVED'} (exit {code}) in {secs:.1f} s")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -6,9 +6,11 @@ of the rational tableau.  The comparable pairs read off each point's
 values on the order cone's H-representation must be the pairs the old
 per-pair membership loop found, in its order.  Every cone of a scan,
 where each degree's projection is given the previous degree's cone as an
-outer cone, must equal the cone projected from scratch, and an outer cone
-that misses a member of the image must raise.  The work counts of two
-scans are pinned, so that losing the reuse shows up as a changed count.
+outer cone, must equal the cone projected from scratch, and so must the
+closed form the scan computes first.  A projection given any outer cone
+must raise or return the image met with it.  The work counts of two
+scans, and the double descriptions of a moment cone and a scan, are
+pinned, so that losing the reuse shows up as a changed count.
 """
 
 from collections import Counter
@@ -19,11 +21,12 @@ from hypothesis import strategies as st
 
 import oracles
 from test_kernels_differential import projection_systems, systems
-from tropmom import _simplex, pseudo
+from tropmom import _simplex, cones, pseudo
 from tropmom.cones import Cone, project_hrep
+from tropmom.errors import PreconditionError
 from tropmom.funcones import comparable_pairs
 from tropmom.lattice import PointConfig, delta_simplex
-from tropmom.moments import SemialgSpec, order_cone
+from tropmom.moments import SemialgSpec, order_cone, trop_moment_cone
 from tropmom.pseudo import (
     stabilization_scan,
     stabilized_pseudomoment,
@@ -113,6 +116,47 @@ def test_scan_cones_equal_cold_projections(a, spec, extra):
         assert (r.cone.ineqs, r.cone.eqs, r.cone.rays, r.cone.lineality) == (
             c.ineqs, c.eqs, c.rays, c.lineality
         )
+    try:
+        closed = stabilized_pseudomoment(a, spec, max_extension_points=60)
+    except PreconditionError:
+        assert rep.closed_form is None and rep.matches_closed_form is None
+        return
+    got = rep.closed_form
+    assert (got.extension_support, got.cone.ineqs, got.cone.eqs) == (
+        closed.extension_support, closed.cone.ineqs, closed.cone.eqs
+    )
+    assert rep.matches_closed_form == (cold[-1] == closed.cone)
+
+
+@st.composite
+def outer_projections(draw):
+    """(dim, rows, coords, outer): a small system, the coordinates kept and
+    a cone in their space, drawn at random or as the image widened by
+    random generators, so that it often contains the image."""
+    rows, _ = draw(systems(max_rows=6))
+    dim = len(rows[0]) if rows else draw(st.integers(1, 3))
+    coords = draw(st.lists(st.integers(0, dim - 1), min_size=1, max_size=dim, unique=True))
+    vec = st.tuples(*[st.integers(-2, 2)] * len(coords))
+    outer = Cone.from_vrep(
+        len(coords), draw(st.lists(vec, max_size=3)), draw(st.lists(vec, max_size=1))
+    )
+    if draw(st.booleans()):
+        outer = outer.minkowski_sum(project_hrep(dim, rows, coords))
+    return dim, rows, coords, outer
+
+
+@settings(max_examples=150)
+@given(outer_projections())
+def test_projection_in_an_outer_cone_is_the_image_met_with_it(case):
+    dim, rows, coords, outer = case
+    image = project_hrep(dim, rows, coords)
+    try:
+        got = project_hrep(dim, rows, coords, outer=outer)
+    except ValueError as exc:
+        assert "outer cone" in str(exc)
+        assert not outer.contains_cone(image)
+        return
+    assert got == image.intersect(outer)
 
 
 def test_outer_cone_missing_a_member_raises():
@@ -120,6 +164,12 @@ def test_outer_cone_missing_a_member_raises():
     rows = [(1, -1, 0), (-1, 1, 0), (1, 0, 0)]
     with pytest.raises(ValueError, match="outer cone"):
         project_hrep(3, rows, [0, 1], outer=Cone.from_vrep(2, [(1, 0)]))
+    # no LP runs: the image of {x >= 0} under the identity, and the line
+    # that {x >= 0} in R^2 projects onto its second coordinate
+    with pytest.raises(ValueError, match="outer cone"):
+        project_hrep(1, [(1,)], [0], outer=Cone.origin(1))
+    with pytest.raises(ValueError, match="outer cone"):
+        project_hrep(2, [(1, 0)], [1], outer=Cone.from_vrep(1, [(1,)]))
     # the nesting taken backwards: the square over S1 stabilizes at degree
     # 3, strictly inside its degree-2 cone
     t3 = trop_pseudomoment(SQUARE, S1, 3).cone
@@ -128,10 +178,14 @@ def test_outer_cone_missing_a_member_raises():
 
 
 def _work(run) -> Counter:
-    """LPs, refuted LPs, column builds and projections made by run()."""
+    """LPs, refuted LPs, column builds, projections and double descriptions
+    made by run()."""
     counts: Counter = Counter()
-    lp, columns, project = (
-        _simplex.nonneg_combination, _simplex._columns, pseudo.project_hrep
+    lp, columns, project, dd = (
+        _simplex.nonneg_combination,
+        _simplex._columns,
+        pseudo.project_hrep,
+        cones.double_description,
     )
 
     def spy_lp(rows, target):
@@ -151,6 +205,7 @@ def _work(run) -> Counter:
         mp.setattr(_simplex, "nonneg_combination", spy_lp)
         mp.setattr(_simplex, "_columns", spy("columns", columns))
         mp.setattr(pseudo, "project_hrep", spy("project", project))
+        mp.setattr(cones, "double_description", spy("dd", dd))
         run()
     return counts
 
@@ -176,3 +231,20 @@ def test_scan_work_counts(a, spec, d_max, lps):
     assert scan["refuted"] == cold["refuted"]
     assert scan["project"] == cold["project"] == d_max - d_min + 2
     assert scan["columns"] == scan["project"]
+
+
+@pytest.mark.parametrize(
+    "run, dds, before",
+    [
+        (lambda: trop_moment_cone(MOTZKIN, CUBE2).cone.ineqs, 7, 11),
+        (lambda: stabilization_scan(MOTZKIN, CUBE2, 5), 14, 16),
+    ],
+    ids=["motzkin-cube-moment", "motzkin-cube-scan"],
+)
+def test_dd_counts(run, dds, before):
+    # the tropical hull builds each sum y + V_i from generators, with no
+    # cone V_i of its own, and a scan builds its order cone once; ``before``
+    # is the count when each V_i and each degree's order cone was a cone
+    got = _work(run)["dd"]
+    assert got == dds
+    assert got < before
