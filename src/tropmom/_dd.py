@@ -1,0 +1,178 @@
+"""Double description as one resumable state.
+
+A ``DoubleDescription`` holds the extreme rays of the cone
+{x : <e, x> = 0 for its equations, <a, x> >= 0 for the rows added so far},
+each with its tight mask, together with the lineality basis and the
+dimension of the current cone.  Rows may be added over several calls,
+and a copy continues from a shared prefix without touching the original;
+after any split of a sequence of rows into calls, the result is that of
+inserting the whole sequence at once.
+
+Bit k of a tight mask stands for the k-th row of ``_clean_rows`` over all
+the rows added, and is set when the ray is tight on that row.  A ray made
+from a positive and a negative one is tight exactly where both are, so
+the masks are the ray-row incidence, with no dot product spent on it.
+
+Two rays can be adjacent only if they share at least d - 2 tight rows, d
+the dimension of the current cone modulo its lineality, so pairs with
+fewer skip the combinatorial test (Fukuda & Prodon 1996).  Only a cut
+with no ray strictly on its positive side changes d: the cone collapses
+to a face, whose dimension is then computed.  With the exact adjacency
+test every ray kept is extreme, so the result needs no maximality filter.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable, Sequence
+
+from .linalg import IntVec, dot, primitive, rank, rref_int
+
+
+def _unit(n: int, i: int) -> IntVec:
+    return tuple([1 if j == i else 0 for j in range(n)])
+
+
+def _clean_rows(rows: Iterable[Sequence[int]]) -> list[IntVec]:
+    """Primitive, nonzero, deduplicated, original order."""
+    seen = set()
+    out = []
+    for row in rows:
+        v = primitive([int(a) for a in row])
+        if any(v) and v not in seen:
+            seen.add(v)
+            out.append(v)
+    return out
+
+
+def _reduce_mod(basis: Sequence[IntVec], vec: Sequence[int]) -> IntVec:
+    """Canonical representative of vec modulo the span of RREF basis rows,
+    whose pivots must be positive (as ``rref_int`` and ``kernel_basis``
+    give them).
+
+    Every elimination step rescales by a positive integer, so for rays the
+    direction is preserved.
+    """
+    v = list(vec)
+    for row in basis:
+        p = next(j for j, a in enumerate(row) if a)
+        c = v[p]
+        if c:
+            v = [row[p] * x - c * y for x, y in zip(v, row)]
+    return primitive(v)
+
+
+def _lineality_step(lin: list[IntVec], a: IntVec) -> tuple:
+    """Cut the lineality basis by <a, x> = 0.  Returns (basis, b0, s): b0 is
+    the first basis vector off the hyperplane, signed so that <a, b0> = s > 0,
+    and the basis is the rest with b0 eliminated; (lin, None, 0) if none is."""
+    vals = [dot(a, b) for b in lin]
+    j = next((i for i, t in enumerate(vals) if t != 0), None)
+    if j is None:
+        return lin, None, 0
+    b0, s = lin[j], vals[j]
+    if s < 0:
+        b0, s = tuple([-x for x in b0]), -s
+    rest = [
+        primitive([s * x - t * y for x, y in zip(b, b0)])
+        for b, t in zip(lin, vals)
+        if b is not lin[j]
+    ]
+    return [b for b in rest if any(b)], b0, s
+
+
+class Described(tuple):
+    """(rays, lineality basis) of a double description, carrying ``masks``:
+    the tight mask of each ray, in the order of the rays."""
+
+
+class DoubleDescription:
+    """Resumable double description of {x : eqs . x = 0, rows . x >= 0}."""
+
+    __slots__ = ("lin", "rays", "cone_dim", "added")
+
+    def __init__(self, dim: int, eqs: Iterable[Sequence[int]]):
+        lin: list[IntVec] = [_unit(dim, i) for i in range(dim)]
+        for a in _clean_rows(eqs):
+            lin, _, _ = _lineality_step(lin, a)
+        self.lin = lin
+        self.cone_dim = len(lin)
+        self.rays: list[list] = []  # [vector, tight mask]
+        self.added: set[IntVec] = set()  # rows added; bit k is the k-th
+
+    def copy(self) -> "DoubleDescription":
+        """A state that rows can be added to without changing this one."""
+        twin = DoubleDescription.__new__(DoubleDescription)
+        twin.lin, twin.cone_dim, twin.added = self.lin, self.cone_dim, set(self.added)
+        twin.rays = [list(entry) for entry in self.rays]  # add mutates entries
+        return twin
+
+    def add(self, ineqs: Iterable[Sequence[int]]) -> None:
+        """Insert the rows not added before, in the order given."""
+        lin, rays, cone_dim = self.lin, self.rays, self.cone_dim
+        for a in _clean_rows(ineqs):
+            if a in self.added:
+                continue
+            bit = 1 << len(self.added)
+            self.added.add(a)
+            lin, b0, s = _lineality_step(lin, a)
+            if b0 is not None:
+                for entry in rays:
+                    t = dot(a, entry[0])
+                    if t:
+                        entry[0] = primitive(
+                            [s * x - t * y for x, y in zip(entry[0], b0)]
+                        )
+                    entry[1] |= bit
+                # the pivot itself survives on the strict side of the cut;
+                # as former lineality it is tight for every earlier row
+                rays.append([b0, bit - 1])
+                continue
+            pos, zero, neg = [], [], []
+            for entry in rays:
+                t = dot(a, entry[0])
+                if t > 0:
+                    pos.append((entry, t))
+                elif t < 0:
+                    neg.append((entry, t))
+                else:
+                    entry[1] |= bit
+                    zero.append(entry)
+            if not neg:
+                rays = [e for e, _ in pos] + zero
+                continue
+            if not pos:
+                rays = zero
+                cone_dim = rank([e[0] for e in zero] + lin)
+                continue
+            need = cone_dim - len(lin) - 2
+            combos = []
+            for pe, tp in pos:
+                for ne, tn in neg:
+                    meet = pe[1] & ne[1]
+                    if meet.bit_count() < need:
+                        continue
+                    for other in rays:
+                        if other is not pe and other is not ne and meet & other[1] == meet:
+                            break
+                    else:
+                        vec = primitive(
+                            [tp * x - tn * y for x, y in zip(ne[0], pe[0])]
+                        )
+                        combos.append([vec, meet | bit])
+            rays = [e for e, _ in pos] + zero + combos
+        self.lin, self.rays, self.cone_dim = lin, rays, cone_dim
+
+    def result(self) -> Described:
+        """The rays, extreme, reduced modulo the lineality basis (in integer
+        reduced row echelon form), primitive, distinct and sorted; the
+        basis; and each ray's tight mask.  The state is left as it was."""
+        lin = rref_int(self.lin)
+        by_vec: dict[IntVec, int] = {}
+        for vec, mask in self.rays:
+            red = _reduce_mod(lin, vec)
+            if any(red):
+                by_vec.setdefault(red, mask)
+        rays = sorted(by_vec)
+        out = Described((rays, lin))
+        out.masks = [by_vec[r] for r in rays]
+        return out

@@ -13,16 +13,20 @@ round, so one routine completes either from the other.
 A side that was not given is one run of the double description method
 on the other, minimal and canonical.  A given side, once asked for, is
 made minimal from the incidence of its rows with the other's minimal form,
-not by a second run: rows tight on every generator are implicit
-equations, and the facets are the other rows with maximal tight sets.
-All arithmetic is integer and exact.  Both representations are canonically
-ordered, so two equal cones built the same way print identically.
+not by a second run: the incidence is read off the tight masks that run
+kept, rows tight on every generator are implicit equations, and the
+facets are the other rows with maximal tight sets.  The double
+description (``_dd``) is resumable: rows can be added to it later, and
+a copy continues from a shared prefix.  All arithmetic is integer and
+exact.  Both representations are canonically ordered, so two equal
+cones built the same way print identically.
 Equality of cones as sets is decided by mutual generator containment,
 never by string comparison.
 
 The tropical hull of a cone Y is computed from its definition as the
 intersection of the Minkowski sums Y + V_i, where V_i is the cone of
-vectors whose i-th coordinate is minimal; the dual route sums the slices
+vectors whose i-th coordinate is minimal, each sum continuing one double
+description of the generators of Y; the dual route sums the slices
 of the dual cone over the opposite orthant sectors.  Both routes are kept
 because they check each other.
 """
@@ -31,70 +35,25 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from .linalg import IntVec, dot, kernel_basis, primitive, rank, rref_int
+from ._dd import DoubleDescription, _clean_rows, _reduce_mod, _unit
+from .linalg import IntVec, dot, kernel_basis, primitive, rank
 
 Rows = tuple[IntVec, ...]
 
 
-def _unit(n: int, i: int) -> IntVec:
-    return tuple([1 if j == i else 0 for j in range(n)])
-
-
-def _clean_rows(rows: Iterable[Sequence[int]]) -> list[IntVec]:
-    """Primitive, nonzero, deduplicated, original order."""
-    seen = set()
-    out = []
-    for row in rows:
-        v = primitive([int(a) for a in row])
-        if any(v) and v not in seen:
-            seen.add(v)
-            out.append(v)
-    return out
-
-
-def _reduce_mod(basis: Sequence[IntVec], vec: Sequence[int]) -> IntVec:
-    """Canonical representative of vec modulo the span of RREF basis rows,
-    whose pivots must be positive (as ``rref_int`` and ``kernel_basis``
-    give them).
-
-    Every elimination step rescales by a positive integer, so for rays the
-    direction is preserved.
-    """
-    v = list(vec)
-    for row in basis:
-        p = next(j for j, a in enumerate(row) if a)
-        c = v[p]
-        if c:
-            v = [row[p] * x - c * y for x, y in zip(v, row)]
-    return primitive(v)
-
-
-def _lineality_step(lin: list[IntVec], a: IntVec) -> tuple:
-    """Cut the lineality basis by <a, x> = 0.  Returns (basis, b0, s): b0 is
-    the first basis vector off the hyperplane, signed so that <a, b0> = s > 0,
-    and the basis is the rest with b0 eliminated; (lin, None, 0) if none is."""
-    vals = [dot(a, b) for b in lin]
-    j = next((i for i, t in enumerate(vals) if t != 0), None)
-    if j is None:
-        return lin, None, 0
-    b0, s = lin[j], vals[j]
-    if s < 0:
-        b0, s = tuple([-x for x in b0]), -s
-    rest = [
-        primitive([s * x - t * y for x, y in zip(b, b0)])
-        for b, t in zip(lin, vals)
-        if b is not lin[j]
-    ]
-    return [b for b in rest if any(b)], b0, s
-
-
 def _by_incidence(
-    dim: int, normals: Sequence[IntVec], gens: Sequence[IntVec], lin: Sequence[IntVec]
+    dim: int,
+    normals: Sequence[IntVec],
+    gens: Sequence[IntVec],
+    lin: Sequence[IntVec],
+    masks: Sequence[int],
 ) -> tuple[Rows, Rows]:
     """Minimal (facets, equations) of {x : <a, x> >= 0 for a in normals},
     in double description's canonical form, from the cone's minimal
-    V-representation (gens, lin); with the roles swapped, the minimal
-    V-representation from the minimal H-representation.
+    V-representation (gens, lin) and the masks of the double description
+    that computed it (bit j of masks[i]: normals[j] is tight on gens[i]);
+    with the roles swapped, the minimal V-representation from the minimal
+    H-representation.
 
     The equations are the row-reduced kernel of gens and lin.  A normal
     tight on every generator is an implicit equation.  The tight set of
@@ -103,13 +62,15 @@ def _by_incidence(
     the equations.
     """
     eqs = kernel_basis(list(gens) + list(lin), dim)
+    tight = [0] * len(normals)
+    for i, m in enumerate(masks):
+        while m:
+            low = m & -m
+            tight[low.bit_length() - 1] |= 1 << i
+            m ^= low
     full = (1 << len(gens)) - 1
     by_mask: dict[int, IntVec] = {}
-    for a in normals:
-        mask = 0
-        for i, g in enumerate(gens):
-            if not dot(a, g):
-                mask |= 1 << i
+    for a, mask in zip(normals, tight):
         if mask != full:
             by_mask.setdefault(mask, a)
     facets = [
@@ -125,7 +86,8 @@ def double_description(
 ) -> tuple[list[IntVec], list[IntVec]]:
     """V-representation of {x : ineqs . x >= 0, eqs . x = 0}.
 
-    Returns (rays, lineality_basis).  The lineality basis is in integer
+    Returns (rays, lineality_basis), carrying the rays' tight masks over
+    the deduplicated ineqs as ``masks``.  The lineality basis is in integer
     reduced row echelon form; the rays are extreme, reduced modulo it,
     primitive, pairwise distinct and sorted.
 
@@ -133,92 +95,20 @@ def double_description(
     intermediate ray counts, and hence running time, can depend heavily on
     that order, so callers with structured systems should order them so
     successive partial cones stay close to the final one.
-
-    Two rays can be adjacent only if they share at least d - 2 tight
-    constraints, d the dimension of the current cone modulo its lineality,
-    so pairs with fewer skip the combinatorial test.  Only a cut with no
-    ray strictly on its positive side changes d: the cone collapses to a
-    face, whose dimension is then computed.
     """
-    lin: list[IntVec] = [_unit(dim, i) for i in range(dim)]
-    for a in _clean_rows(eqs):
-        lin, _, _ = _lineality_step(lin, a)
-    cone_dim = len(lin)
-
-    constraints = _clean_rows(ineqs)
-    rays: list[list] = []  # [vector, tight-bitmask over constraint indices]
-    for k, a in enumerate(constraints):
-        bit = 1 << k
-        lin, b0, s = _lineality_step(lin, a)
-        if b0 is not None:
-            for entry in rays:
-                t = dot(a, entry[0])
-                if t:
-                    entry[0] = primitive(
-                        [s * x - t * y for x, y in zip(entry[0], b0)]
-                    )
-                entry[1] |= bit
-            # the pivot itself survives on the strict side of the cut;
-            # as former lineality it is tight for every earlier constraint
-            rays.append([b0, bit - 1])
-            continue
-        pos, zero, neg = [], [], []
-        for entry in rays:
-            t = dot(a, entry[0])
-            if t > 0:
-                pos.append((entry, t))
-            elif t < 0:
-                neg.append((entry, t))
-            else:
-                entry[1] |= bit
-                zero.append(entry)
-        if not neg:
-            rays = [e for e, _ in pos] + zero
-            continue
-        if not pos:
-            rays = zero
-            cone_dim = rank([e[0] for e in zero] + lin)
-            continue
-        need = cone_dim - len(lin) - 2
-        current = rays
-        combos = []
-        for pe, tp in pos:
-            for ne, tn in neg:
-                meet = pe[1] & ne[1]
-                if meet.bit_count() < need:
-                    continue
-                for other in current:
-                    if other is not pe and other is not ne and meet & other[1] == meet:
-                        break
-                else:
-                    vec = primitive(
-                        [tp * x - tn * y for x, y in zip(ne[0], pe[0])]
-                    )
-                    combos.append([vec, meet | bit])
-        rays = [e for e, _ in pos] + zero + combos
-
-    # canonical reduction + safety net: drop anything not on a minimal face
-    lin = rref_int(lin)
-    by_vec: dict[IntVec, int] = {}
-    for vec, mask in rays:
-        red = _reduce_mod(lin, vec)
-        if any(red):
-            by_vec.setdefault(red, mask)
-    items = list(by_vec.items())
-    out = [
-        v
-        for i, (v, m) in enumerate(items)
-        if not any(i != j and m & mj == m for j, (_, mj) in enumerate(items))
-    ]
-    return sorted(out), lin
+    state = DoubleDescription(dim, eqs)
+    state.add(ineqs)
+    return state.result()
 
 
 class Cone:
     """An exact rational polyhedral cone in R^dim.  ``_sides`` holds the
     H-rep (normals, equations) and the V-rep (rays, lineality basis), each
-    None until given or computed; ``_minimal[k]`` marks side k minimal."""
+    None until given or computed; ``_minimal[k]`` marks side k minimal.
+    ``_masks`` holds the tight masks of the double description that
+    computed one side until they have made the given side minimal."""
 
-    __slots__ = ("dim", "_sides", "_minimal")
+    __slots__ = ("dim", "_sides", "_minimal", "_masks")
 
     def __init__(self, dim: int):
         if dim < 0:
@@ -226,6 +116,7 @@ class Cone:
         self.dim = dim
         self._sides: list[Optional[tuple[Rows, Rows]]] = [None, None]
         self._minimal = [False, False]
+        self._masks: Optional[list[int]] = None
 
     # -- construction -------------------------------------------------
 
@@ -276,7 +167,8 @@ class Cone:
     def _side(self, k: int) -> tuple[Rows, Rows]:
         """Side k (0: H, 1: V), minimal and canonical.  A side not given
         is one double description of the other; a given side is made
-        minimal by its incidence with the other's minimal form."""
+        minimal by its incidence with the other's minimal form, read off
+        the masks of that double description."""
         if not self._minimal[k]:
             given, other = self._sides[k], self._sides[1 - k]
             if given is None and other is None:
@@ -284,12 +176,20 @@ class Cone:
                     "cone has no representation; build it with from_hrep or from_vrep"
                 )
             if given is None:
-                rows, basis = double_description(self.dim, *other)
+                self._described(k, double_description(self.dim, *other))
             else:
-                rows, basis = _by_incidence(self.dim, given[0], *self._side(1 - k))
-            self._sides[k] = (tuple(rows), tuple(basis))
-            self._minimal[k] = True
+                gens, lin = self._side(1 - k)
+                self._sides[k] = _by_incidence(self.dim, given[0], gens, lin, self._masks)
+                self._masks = None
+                self._minimal[k] = True
         return self._sides[k]
+
+    def _described(self, k: int, out) -> None:
+        """Take side k, and its masks, from a double description of the
+        other side's rows."""
+        self._sides[k] = (tuple(out[0]), tuple(out[1]))
+        self._masks = out.masks
+        self._minimal[k] = True
 
     @property
     def rays(self) -> Rows:
@@ -389,20 +289,23 @@ def tropical_hull(y: Cone) -> Cone:
 
     Intersection over coordinates i of y + V_i, where V_i is the cone of
     vectors with minimal i-th coordinate (generated by the unit vectors
-    away from i together with the all-ones line).  Each sum is built from
-    the generators of y and V_i at once; only its facets are computed.
+    away from i together with the all-ones line).  The facets of each sum
+    are one double description of its generators, and every sum starts
+    from those of y: one state takes them, and each sum continues a copy.
     """
     n = y.dim
     if n == 0:
         return Cone.origin(0)
-    ones = tuple(1 for _ in range(n))
+    shared = DoubleDescription(n, y.lineality + (tuple(1 for _ in range(n)),))
+    shared.add(y.rays)
     ineqs: list[IntVec] = []
     eqs: list[IntVec] = []
     for i in range(n):
-        units = tuple(_unit(n, j) for j in range(n) if j != i)
-        piece = Cone.from_vrep(n, y.rays + units, y.lineality + (ones,))
-        ineqs.extend(piece.ineqs)
-        eqs.extend(piece.eqs)
+        piece = shared.copy()
+        piece.add([_unit(n, j) for j in range(n) if j != i])
+        facets, lin = piece.result()
+        ineqs.extend(facets)
+        eqs.extend(lin)
     return Cone.from_hrep(n, ineqs, eqs)
 
 
@@ -495,7 +398,10 @@ def project_hrep(
     approximation, and when every candidate passes, the approximation and
     the image coincide.  Suited to sources of high ambient dimension whose
     image is small, where double description on the source is infeasible.
-    The system's sparse columns are built once for all of its LPs.
+    The system's sparse columns are built once for all of its LPs, and one
+    resumable double description of the approximation takes each round's
+    new members.  A candidate negative on a member found earlier in its
+    round is no facet of the image and waits for the next round untested.
 
     Given a cone ``outer`` in R^len(coords), the result is the image
     intersected with ``outer`` (the image when ``outer`` contains it), or
@@ -532,21 +438,24 @@ def project_hrep(
     normals = () if outer is None else outer.ineqs + outer.eqs
     if any(dot(a, v) for a in normals for v in lins):
         raise ValueError(missed)  # a line of the image is no line of outer
+    approx = DoubleDescription(k, lins)
     rays: list[IntVec] = []
     certified: set[IntVec] = set()
     members: set[IntVec] = set()
     for _ in range(100000):
-        approx = Cone.from_vrep(k, rays, lins)
-        candidates = list(approx.ineqs)
-        for e in approx.eqs:
+        out = approx.result()
+        candidates = list(out[0])
+        for e in out[1]:
             candidates.append(e)
             candidates.append(tuple([-x for x in e]))
-        grew = False
+        found: list[IntVec] = []
         for nu in candidates:
             if nu in certified:
                 continue
             if outer_dual is not None and outer_dual.contains_point(nu):
                 certified.add(nu)
+                continue
+            if any(dot(nu, y) < 0 for y in found):
                 continue
             lift = [0] * dim
             for j, c in enumerate(coords):
@@ -561,14 +470,15 @@ def project_hrep(
             if outer is not None and not outer.contains_point(y):
                 raise ValueError(missed)
             if y in members:
-                # a certificate can repeat within a round once the cone
-                # has already grown past the stale candidate
-                if not grew:
-                    raise ArithmeticError("projection oracle made no progress")
-                continue
+                # nu is valid on every earlier member, and a member of this
+                # round negative on nu would have spared the LP
+                raise ArithmeticError("projection oracle made no progress")
             members.add(y)
-            rays.append(y)
-            grew = True
-        if not grew:
-            return approx
+            found.append(y)
+        if not found:
+            image = Cone.from_vrep(k, rays, lins)
+            image._described(0, out)
+            return image
+        approx.add(found)
+        rays.extend(found)
     raise ArithmeticError("projection oracle did not converge")

@@ -10,11 +10,6 @@ The mutant is killed when pytest exits with code 1, some test failed; a
 collection error, an interruption or the time bound does not count.
 The unmutated copy must pass every named file first.  The script exits 0
 when every mutant is killed.  pytest does not collect it.
-
-Left out on purpose: flipping double description's adjacency test
-(``meet & other[1] == meet``) keeps every answer right, because the
-final maximal-mask filter drops the extra rays; only a work count can
-tell it.
 """
 
 from __future__ import annotations
@@ -34,7 +29,7 @@ TIME_BOUND_S = 120
 MUTANTS = [
     (
         "_reduce_mod adds the pivot row",
-        "cones.py",
+        "_dd.py",
         "v = [row[p] * x - c * y for x, y in zip(v, row)]",
         "v = [row[p] * x + c * y for x, y in zip(v, row)]",
         ["tests/test_dd_differential.py"],
@@ -49,9 +44,16 @@ MUTANTS = [
     (
         "tropical hull skips the last coordinate",
         "cones.py",
-        "    for i in range(n):\n        units = ",
-        "    for i in range(n - 1):\n        units = ",
+        "    for i in range(n):\n        piece = ",
+        "    for i in range(n - 1):\n        piece = ",
         ["tests/test_cones.py"],
+    ),
+    (
+        "double description combines every pair that passes the prefilter",
+        "_dd.py",
+        "meet & other[1] == meet",
+        "False",
+        ["tests/test_dd_differential.py"],
     ),
     (
         "duals unsigned",

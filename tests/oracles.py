@@ -19,7 +19,9 @@ squares dual.
 The double description here is the library's before it skipped pairs of
 rays too far apart to be adjacent, and the minimal forms are the round
 trip through a second double description it made before it read them
-off the incidence of rows and generators.
+off the incidence of rows and generators.  The tight masks are that
+incidence computed with dot products, as the library did before it read
+it off its double description's masks.
 
 The mediated set and the midpoint facet test are the two fixpoint loops
 the library ran before one helper served both: the first rebuilt the
@@ -42,7 +44,8 @@ from math import gcd, lcm
 from operator import sub
 from typing import Optional, Sequence
 
-from tropmom.cones import Cone, _clean_rows, _lineality_step, _reduce_mod, _unit
+from tropmom._dd import _clean_rows, _lineality_step, _reduce_mod, _unit
+from tropmom.cones import Cone
 from tropmom.errors import PreconditionError
 from tropmom.funcones import _segment_members
 from tropmom.lattice import (
@@ -472,6 +475,20 @@ def double_description(dim, ineqs, eqs):
         if not any(i != j and m & mj == m for j, (_, mj) in enumerate(items))
     ]
     return sorted(out), lin
+
+
+def tight_masks(rows, rays):
+    """Per ray, the bitmask of the distinct primitive rows (in their
+    order) whose dot product with the ray is zero."""
+    rows = _clean_rows(rows)
+    masks = []
+    for g in rays:
+        mask = 0
+        for j, a in enumerate(rows):
+            if not dot(a, g):
+                mask |= 1 << j
+        masks.append(mask)
+    return masks
 
 
 def minimal_forms(dim, rows, lin_rows, given="h"):

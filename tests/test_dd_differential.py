@@ -1,13 +1,15 @@
 """Double description and minimal forms against the two-pass oracles.
 
 The library's double description skips pairs of rays that share too few
-tight constraints to be adjacent, and a cone reads the minimal form of
-its given representation off the incidence with the computed one.  The
-oracles in ``oracles.py`` do neither: every pair goes through the
-combinatorial test, and each minimal form is a second double description.
-On random cones of dimension at most 6, given by inequalities or by
-generators with redundant, repeated and implicitly tight rows, every
-canonical tuple must be the oracle's, byte for byte.
+tight constraints to be adjacent, keeps no maximality filter, can take
+its rows over several calls, and a cone reads the minimal form of its
+given representation off the tight masks of the computed one.  The
+oracles in ``oracles.py`` do none of this: every pair goes through the
+combinatorial test, the rays with maximal tight sets are kept, each
+minimal form is a second double description, and the masks are dot
+products.  On random cones of dimension at most 6, given by inequalities
+or by generators with redundant, repeated and implicitly tight rows,
+every canonical tuple must be the oracle's, byte for byte.
 """
 
 from unittest import mock
@@ -16,7 +18,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from tropmom import cones, linalg
+from tropmom import _dd, cones, linalg
+from tropmom._dd import DoubleDescription
 from tropmom.cones import Cone, double_description
 
 ENTRY = st.integers(-3, 3)
@@ -65,6 +68,25 @@ def test_dd_matches_unfiltered_oracle(system):
     assert (rays, lin) == oracles.double_description(dim, rows, eqs)
 
 
+@given(rows_with_ties(), st.data())
+def test_rows_added_in_two_calls_match_one_shot(system, data):
+    dim, rows, eqs = system
+    cut = data.draw(st.integers(0, len(rows)))
+    state = DoubleDescription(dim, eqs)
+    state.add(rows[:cut])
+    prefix = state.result()
+    assert prefix == oracles.double_description(dim, rows[:cut], eqs)
+    twin = state.copy()
+    twin.add(rows[cut:])
+    again = state.result()
+    assert (again, again.masks) == (prefix, prefix.masks)
+    state.add(rows[cut:])
+    got = state.result()
+    assert got == twin.result() == double_description(dim, rows, eqs)
+    assert got == oracles.double_description(dim, rows, eqs)
+    assert got.masks == oracles.tight_masks(rows, got[0])
+
+
 @given(rows_with_ties())
 def test_h_given_minimal_forms_match_round_trip(system):
     dim, rows, eqs = system
@@ -99,7 +121,7 @@ def test_implicit_equality_collapses_through_rank(system, data):
     dim, rows, _ = system
     a = data.draw(st.sampled_from(rows).filter(any))
     planted = [a, tuple([-x for x in a])] + rows
-    with mock.patch.object(cones, "rank", wraps=linalg.rank) as spy:
+    with mock.patch.object(_dd, "rank", wraps=linalg.rank) as spy:
         got = double_description(dim, planted, ())
     assert spy.call_count >= 1
     assert got == oracles.double_description(dim, planted, ())

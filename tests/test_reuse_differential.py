@@ -9,8 +9,9 @@ where each degree's projection is given the previous degree's cone as an
 outer cone, must equal the cone projected from scratch, and so must the
 closed form the scan computes first.  A projection given any outer cone
 must raise or return the image met with it.  The work counts of two
-scans, and the double descriptions of a moment cone and a scan, are
-pinned, so that losing the reuse shows up as a changed count.
+scans and of the 9-point cubical-hull projection, and the fresh double
+descriptions of a moment cone and a scan, are pinned, so that losing the
+reuse shows up as a changed count.
 """
 
 from collections import Counter
@@ -31,6 +32,7 @@ from tropmom.pseudo import (
     stabilization_scan,
     stabilized_pseudomoment,
     trop_pseudomoment,
+    trop_pseudomoment_cube_stable,
 )
 
 MOTZKIN = PointConfig([(0, 0), (1, 1), (1, 2), (2, 1)])
@@ -39,6 +41,10 @@ ORTHANT2 = SemialgSpec.orthant(2)
 CUBE2 = SemialgSpec.cube(2)
 S1 = SemialgSpec.binomials(2, [((0, 1), (2, 0)), ((1, 0), (0, 2))])
 S2 = SemialgSpec.binomials(2, [((0, 2), (1, 0)), ((1, 0), (0, 3))])
+# its cubical hull has 24 points
+NINE_POINTS = PointConfig(
+    [(0, 0), (0, 2), (0, 5), (1, 0), (1, 2), (1, 4), (2, 0), (2, 1), (3, 3)]
+)
 
 
 @st.composite
@@ -236,15 +242,25 @@ def test_scan_work_counts(a, spec, d_max, lps):
 @pytest.mark.parametrize(
     "run, dds, before",
     [
-        (lambda: trop_moment_cone(MOTZKIN, CUBE2).cone.ineqs, 7, 11),
-        (lambda: stabilization_scan(MOTZKIN, CUBE2, 5), 14, 16),
+        (lambda: trop_moment_cone(MOTZKIN, CUBE2).cone.ineqs, 3, 7),
+        (lambda: stabilization_scan(MOTZKIN, CUBE2, 5), 2, 14),
     ],
     ids=["motzkin-cube-moment", "motzkin-cube-scan"],
 )
 def test_dd_counts(run, dds, before):
-    # the tropical hull builds each sum y + V_i from generators, with no
-    # cone V_i of its own, and a scan builds its order cone once; ``before``
-    # is the count when each V_i and each degree's order cone was a cone
+    # the sums y + V_i of a tropical hull continue one shared double
+    # description, and a projection's approximation resumes one from round
+    # to round, so neither enters double_description afresh; ``before`` is
+    # the count when each sum and each round ran its own
     got = _work(run)["dd"]
     assert got == dds
     assert got < before
+
+
+def test_nine_point_cubical_hull_work_counts():
+    # a candidate negative on a member found earlier in its round is not
+    # tested; 587 LPs when every candidate was
+    got = []
+    counts = _work(lambda: got.append(trop_pseudomoment_cube_stable(NINE_POINTS).cone))
+    assert (counts["lp"], counts["refuted"], counts["project"]) == (169, 120, 1)
+    assert len(got[0].ineqs) == 44 and not got[0].eqs
