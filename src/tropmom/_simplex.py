@@ -25,6 +25,10 @@ integers:
 Column j's reduced cost times ``den`` is the sum of (obj[i] - den) * sign[i]
 * a over its unsigned entries (i, a), and its tableau column is B^-1 times
 the signed entries (i, sign[i] * a).
+The loop stops as soon as the phase-one objective reaches zero: the
+artificials are then all zero and the target is a member, so the
+remaining degenerate pivots of a certified LP are skipped.  A refuted LP
+never reaches zero, so its pivots and its certificate are unchanged.
 Every cost is computed at every step, and the tableau column of the
 entering column alone; Dantzig's rule takes the least cost, Bland's rule
 after ``_BLAND_AFTER * (n + m)`` iterations the first negative one in
@@ -82,7 +86,9 @@ def nonneg_combination(
     Returns (True, None) when some nonnegative rational combination of the
     rows equals the target, else (False, w) with w primitive,
     <w, row> >= 0 for every row and <w, target> < 0.  The rows may be a
-    RowSystem, whose columns are then not rebuilt.
+    RowSystem, whose columns are then not rebuilt.  Phase one ends at a
+    zero objective, the proof of membership, without pricing the basis to
+    optimality.
     """
     m = len(target)
     if m == 0:
@@ -102,7 +108,7 @@ def nonneg_combination(
     budget = _BLAND_AFTER * (n + m)
     it = 0
     seen: set[frozenset] = set()  # the bases met under Bland's rule
-    while True:
+    while obj[m]:
         it += 1
         # reduced costs times den: column j's is the signed duals against
         # its unsigned entries, the i-th artificial column's obj[i]

@@ -403,10 +403,10 @@ def project_hrep(
     new members.  A candidate negative on a member found earlier in its
     round is no facet of the image and waits for the next round untested.
 
-    Given a cone ``outer`` in R^len(coords), the result is the image
-    intersected with ``outer`` (the image when ``outer`` contains it), or
-    the call raises ValueError.  A candidate valid on ``outer`` needs no
-    LP.  The image's lineality, and each member an LP finds, must lie in
+    Given a cone ``outer`` in R^len(coords), such as M(A) for the cold
+    pseudo-moment projections, the result is the image met with ``outer``
+    or the call raises ValueError.  A candidate valid on ``outer`` needs
+    no LP.  The image's lineality and each member an LP finds must lie in
     ``outer``, so the approximation stays in both cones and every final
     candidate is valid on their intersection.
     """

@@ -105,8 +105,17 @@ def _projected(
 ) -> Cone:
     """Midpoint and cover-pair monotone rows on R^E, projected onto A;
     by transitivity the cover pairs cut out what all comparable pairs do.
-    ``outer`` is a cone known to contain the projection (project_hrep)."""
+    ``outer`` is a cone known to contain the projection (project_hrep).
+
+    Without one, M(A) = cone_M(a, c) is the outer cone: every midpoint
+    triple and every comparable pair among A's points is one of E's, so
+    the restriction to A of a point of the E-system satisfies M(A)'s
+    system, and the projection lies in M(A).  Its A-local facets then
+    need no LP.  When E = A no LP runs and M(A) is not built.
+    """
     rows = constraint_rows(e, midpoint_triples(e), cover_pairs(comparable_pairs(e, c)))
+    if outer is None and len(e) > len(a):
+        outer = cone_M(a, c).cone
     return project_hrep(len(e), rows, [e.index(p) for p in a], outer=outer)
 
 
@@ -244,9 +253,10 @@ def stabilization_scan(
     degree-(d+1) cone satisfies the degree-d system, and both project onto
     the same A-coordinates.  Each degree's cone is therefore passed as the
     outer cone of the next projection, whose candidate normals valid on it
-    need no LP.  The closed form gets no outer cone: that it contains the
-    truncated cones is a theorem about large degrees, not an inclusion of
-    rows.
+    need no LP.  The first degree and the closed form get the midpoint
+    cone M(A) as outer cone, like every cold projection: that the closed
+    form contains the truncated cones is a theorem about large degrees,
+    not an inclusion of rows, so T_d cannot serve there.
     """
     d_min = max(sum(p) for p in a)
     if d_max < d_min:

@@ -83,6 +83,13 @@ MUTANTS = [
         "    if False:",
         ["tests/test_reuse_differential.py::test_projection_in_an_outer_cone_is_the_image_met_with_it"],
     ),
+    (
+        "cold projections take an outer cone that misses the image",
+        "pseudo.py",
+        "outer = cone_M(a, c).cone",
+        "outer = cone_M(a, c).cone.dual()",
+        ["tests/test_pseudo.py", "tests/test_corpus_digests.py"],
+    ),
 ]
 
 

@@ -8,12 +8,17 @@ per-pair membership loop found, in its order.  Every cone of a scan,
 where each degree's projection is given the previous degree's cone as an
 outer cone, must equal the cone projected from scratch, and so must the
 closed form the scan computes first.  A projection given any outer cone
-must raise or return the image met with it.  The work counts of two
-scans and of the 9-point cubical-hull projection, and the fresh double
+must raise or return the image met with it.  The midpoint cone M(A) of a
+support, the outer cone of every cold projection, must contain the image
+and leave the projection and its refuted LPs as they are.  The work
+counts of two scans, of the 9-point cubical-hull projection and of the
+seed-1 ``projection`` and ``scan`` corpora, and the fresh double
 descriptions of a moment cone and a scan, are pinned, so that losing the
 reuse shows up as a changed count.
 """
 
+import contextlib
+import io
 from collections import Counter
 
 import pytest
@@ -21,12 +26,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from test_corpus_digests import _corpus
 from test_kernels_differential import projection_systems, systems
-from tropmom import _simplex, cones, pseudo
+from tropmom import _simplex, cli, cones, pseudo
 from tropmom.cones import Cone, project_hrep
 from tropmom.errors import PreconditionError
-from tropmom.funcones import comparable_pairs
-from tropmom.lattice import PointConfig, delta_simplex
+from tropmom.funcones import comparable_pairs, cone_M, constraint_rows, cover_pairs
+from tropmom.lattice import PointConfig, cubical_hull, delta_simplex, midpoint_triples
 from tropmom.moments import SemialgSpec, order_cone, trop_moment_cone
 from tropmom.pseudo import (
     stabilization_scan,
@@ -218,7 +224,9 @@ def _work(run) -> Counter:
 
 @pytest.mark.parametrize(
     "a, spec, d_max, lps",
-    [(MOTZKIN, CUBE2, 5, 34), (SQUARE, S1, 4, 36)],
+    # 34 and 36 before the first degree and the closed form had M(A) as
+    # outer cone; 24 and 22 of them are refuted either way
+    [(MOTZKIN, CUBE2, 5, 28), (SQUARE, S1, 4, 30)],
     ids=["motzkin-cube", "square-s1"],
 )
 def test_scan_work_counts(a, spec, d_max, lps):
@@ -232,6 +240,7 @@ def test_scan_work_counts(a, spec, d_max, lps):
 
     cold = _work(cold_run)
     assert scan["lp"] == lps
+    # 28 < 32 and 30 < 36 LPs
     assert scan["lp"] < cold["lp"]
     # an outer cone only spares LPs that would have certified a normal
     assert scan["refuted"] == cold["refuted"]
@@ -243,7 +252,10 @@ def test_scan_work_counts(a, spec, d_max, lps):
     "run, dds, before",
     [
         (lambda: trop_moment_cone(MOTZKIN, CUBE2).cone.ineqs, 3, 7),
-        (lambda: stabilization_scan(MOTZKIN, CUBE2, 5), 2, 14),
+        # the H-sides of the two order cones, and the V-side of the outer
+        # cone M(A) of each cold projection (the first degree and the
+        # closed form); 2 before M(A) was the outer cone
+        (lambda: stabilization_scan(MOTZKIN, CUBE2, 5), 4, 14),
     ],
     ids=["motzkin-cube-moment", "motzkin-cube-scan"],
 )
@@ -259,8 +271,66 @@ def test_dd_counts(run, dds, before):
 
 def test_nine_point_cubical_hull_work_counts():
     # a candidate negative on a member found earlier in its round is not
-    # tested; 587 LPs when every candidate was
+    # tested; 587 LPs when every candidate was, and 169 before M(A) was
+    # the outer cone
     got = []
     counts = _work(lambda: got.append(trop_pseudomoment_cube_stable(NINE_POINTS).cone))
-    assert (counts["lp"], counts["refuted"], counts["project"]) == (169, 120, 1)
+    assert (counts["lp"], counts["refuted"], counts["project"]) == (156, 120, 1)
     assert len(got[0].ineqs) == 44 and not got[0].eqs
+
+
+@st.composite
+def extensions(draw):
+    """(a, e, c): at most 5 points of degree at most 4 in at most 2
+    dimensions, an extension support E of them (a simplex Delta_d with
+    d <= 4, or their cubical hull) and the order cone of a cube, orthant
+    or S1 set."""
+    n = draw(st.integers(1, 2))
+    specs = [SemialgSpec.cube(n), SemialgSpec.orthant(n)] + ([S1] if n == 2 else [])
+    c = order_cone(draw(st.sampled_from(specs)))
+    pool = delta_simplex(n, 4).points
+    a = PointConfig(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5, unique=True)))
+    d_min = max(sum(p) for p in a)
+    if draw(st.booleans()):
+        return a, delta_simplex(n, draw(st.integers(d_min, 4))), c
+    return a, cubical_hull(a), c
+
+
+@settings(max_examples=120)
+@given(extensions())
+def test_midpoint_cone_of_the_support_is_an_outer_cone(case):
+    a, e, c = case
+    rows = constraint_rows(e, midpoint_triples(e), cover_pairs(comparable_pairs(e, c)))
+    coords = [e.index(p) for p in a]
+    m = cone_M(a, c).cone
+
+    def project(outer):
+        got = []
+        work = _work(lambda: got.append(project_hrep(len(e), rows, coords, outer=outer)))
+        return got[0], work
+
+    image, plain = project(None)
+    met, spared = project(m)
+    assert m.contains_cone(image)
+    assert (met.ineqs, met.eqs, met.rays, met.lineality) == (
+        image.ineqs, image.eqs, image.rays, image.lineality
+    )
+    # M(A) only spares LPs that would have certified a normal
+    assert spared["refuted"] == plain["refuted"]
+    assert spared["lp"] <= plain["lp"]
+
+
+def test_seed_one_corpus_lp_counts(tmp_path):
+    # total (refuted) LPs of the seed-1 projection and scan corpora; 137
+    # (75) and 93 (61) before the cold projections had M(A) as outer cone
+    corpus = _corpus()
+    for workload, lps in (("projection", (98, 75)), ("scan", (73, 61))):
+        argvs = corpus.write(corpus.build(workload, 1), tmp_path / workload)
+
+        def run():
+            with contextlib.redirect_stdout(io.StringIO()):
+                for argv in argvs:
+                    assert cli.main(argv) == 0
+
+        counts = _work(run)
+        assert (counts["lp"], counts["refuted"]) == lps, workload
