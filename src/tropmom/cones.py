@@ -387,6 +387,7 @@ def project_hrep(
     ineqs: Iterable[Sequence[int]],
     coords: Sequence[int],
     outer: Optional[Cone] = None,
+    inner: tuple[Sequence[IntVec], Sequence[IntVec]] = ((), ()),
 ) -> Cone:
     """Exact coordinate projection of {h : <row, h> >= 0 for every row},
     computed without enumerating the rays of the source cone.
@@ -398,7 +399,10 @@ def project_hrep(
     approximation, and when every candidate passes, the approximation and
     the image coincide.  Suited to sources of high ambient dimension whose
     image is small, where double description on the source is infeasible.
-    The system's sparse columns are built once for all of its LPs, and one
+    It starts from the origin, or from the images of ``inner = (points,
+    lines)`` of the source cone, each checked in integers against every
+    row (ArithmeticError if one fails): a head start, not a premise.  The
+    system's sparse columns are built once for all of its LPs, and one
     resumable double description of the approximation takes each round's
     new members.  A candidate negative on a member found earlier in its
     round is no facet of the image and waits for the next round untested.
@@ -406,9 +410,9 @@ def project_hrep(
     Given a cone ``outer`` in R^len(coords), such as M(A) for the cold
     pseudo-moment projections, the result is the image met with ``outer``
     or the call raises ValueError.  A candidate valid on ``outer`` needs
-    no LP.  The image's lineality and each member an LP finds must lie in
-    ``outer``, so the approximation stays in both cones and every final
-    candidate is valid on their intersection.
+    no LP.  The images of the inner points and lines and each member an
+    LP finds must lie in ``outer``, so the approximation stays in both
+    cones and every final candidate is valid on their intersection.
     """
     from ._simplex import RowSystem, valid_on_system
 
@@ -422,6 +426,11 @@ def project_hrep(
     k = len(coords)
     if outer is not None and outer.dim != k:
         raise ValueError("outer cone dimension does not match the projection")
+    points, lines = inner
+    if any(dot(a, h) < 0 for a in rows for h in points) or any(
+        dot(a, v) for a in rows for v in lines
+    ):
+        raise ArithmeticError("inner point or line is not in the source cone")
     take = lambda v: tuple([v[c] for c in coords])
     missed = "outer cone does not contain the projection"
     if not rows or k == dim:
@@ -432,16 +441,19 @@ def project_hrep(
             raise ValueError(missed)
         return image
     system = RowSystem(rows)
-    lins = [take(v) for v in kernel_basis(rows, dim)]
+    lins = [take(v) for v in lines]
     # the normals valid on outer are the members of its dual
     outer_dual = None if outer is None else outer.dual()
     normals = () if outer is None else outer.ineqs + outer.eqs
     if any(dot(a, v) for a in normals for v in lins):
         raise ValueError(missed)  # a line of the image is no line of outer
+    rays = _clean_rows(take(h) for h in points)
+    if outer is not None and not all(outer.contains_point(y) for y in rays):
+        raise ValueError(missed)
     approx = DoubleDescription(k, lins)
-    rays: list[IntVec] = []
+    approx.add(rays)
     certified: set[IntVec] = set()
-    members: set[IntVec] = set()
+    members = set(rays)
     for _ in range(100000):
         out = approx.result()
         candidates = list(out[0])

@@ -43,7 +43,7 @@ from .lattice import (
     lattice_points_size,
     midpoint_triples,
 )
-from .linalg import dot
+from .linalg import IntVec, dot
 from .moments import BinomialIneq, SemialgSpec, order_cone, render_binomial, trop_moment_cone
 
 _TRUNCATED_KINDS = ("orthant", "cube", "binomials")
@@ -100,12 +100,22 @@ def _guard_size(size: int, limit: int) -> None:
         )
 
 
+def _linear(e: PointConfig, c: Cone) -> tuple[list[IntVec], list[IntVec]]:
+    """Points p -> <p, u> on E for C's facet normals u, the dual's rays, and
+    lines for C's equations and the constants: every midpoint row vanishes
+    on them, and a monotone row p_i - p_j, p_i - p_j in C, is nonnegative
+    on the points and vanishes on the lines (project_hrep's ``inner``)."""
+    image = lambda u: tuple([dot(p, u) for p in e.points])
+    return [image(u) for u in c.ineqs], [(1,) * len(e)] + [image(u) for u in c.eqs]
+
+
 def _projected(
     a: PointConfig, e: PointConfig, c: Cone, outer: Optional[Cone] = None
 ) -> Cone:
     """Midpoint and cover-pair monotone rows on R^E, projected onto A;
     by transitivity the cover pairs cut out what all comparable pairs do.
     ``outer`` is a cone known to contain the projection (project_hrep).
+    The linear functions of C's dual on E start the projection (_linear).
 
     Without one, M(A) = cone_M(a, c) is the outer cone: every midpoint
     triple and every comparable pair among A's points is one of E's, so
@@ -116,7 +126,8 @@ def _projected(
     rows = constraint_rows(e, midpoint_triples(e), cover_pairs(comparable_pairs(e, c)))
     if outer is None and len(e) > len(a):
         outer = cone_M(a, c).cone
-    return project_hrep(len(e), rows, [e.index(p) for p in a], outer=outer)
+    coords = [e.index(p) for p in a]
+    return project_hrep(len(e), rows, coords, outer=outer, inner=_linear(e, c))
 
 
 def _require_truncated(spec: SemialgSpec) -> None:
@@ -205,13 +216,14 @@ def sigma_dual_trop(
 ) -> PseudoMomentTrop:
     """Tropicalized dual of the sums-of-squares cone on A, for measures on
     all of R^n: midpoint inequalities between even points of the lattice
-    hull of A, projected to the A-coordinates."""
+    hull of A, projected onto A with the affine functions as head start."""
     _guard_size(lattice_points_size(a.points), max_extension_points)
     e = lattice_points(a.points)
     even = lambda p: not any(x % 2 for x in p)
     triples = [t for t in midpoint_triples(e) if even(t.a1) and even(t.a2)]
     rows = constraint_rows(e, triples, ())
-    cone = project_hrep(len(e), rows, [e.index(p) for p in a])
+    coords = [e.index(p) for p in a]
+    cone = project_hrep(len(e), rows, coords, inner=_linear(e, Cone.origin(a.n)))
     return PseudoMomentTrop(
         a, SemialgSpec.full_space(a.n), None, True, cone, e
     )

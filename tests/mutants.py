@@ -81,7 +81,14 @@ MUTANTS = [
         "cones.py",
         "    if any(dot(a, v) for a in normals for v in lins):",
         "    if False:",
-        ["tests/test_reuse_differential.py::test_projection_in_an_outer_cone_is_the_image_met_with_it"],
+        ["tests/test_reuse_differential.py::test_outer_cone_missing_a_member_raises"],
+    ),
+    (
+        "inner point check forgives -1",
+        "cones.py",
+        "dot(a, h) < 0",
+        "dot(a, h) < -1",
+        ["tests/test_reuse_differential.py::test_inner_point_or_line_off_the_source_raises"],
     ),
     (
         "cold projections take an outer cone that misses the image",

@@ -285,45 +285,38 @@ def a_hat_pairwise(cfg: PointConfig, order_cone: Cone) -> PointConfig:
 
 
 def semigroup_generation_check(s: SemialgSpec) -> bool:
-    """Brute force for a pointed order cone: the Hilbert basis of the
-    lattice points in a bounding box, each tested for reachability."""
+    """Brute force for a pointed order cone: every lattice point of the
+    cone in a box that holds its Hilbert basis is tested for reachability,
+    so no Hilbert filter is needed.  A point is reachable when it is the
+    origin or some difference v, with phi(v) <= phi(t) for a positive
+    functional phi, leaves a reachable point of the cone."""
     n = s.n
     vs = list(dict.fromkeys(s.exponent_differences()))
     if not vs:
         return True
     c = Cone.from_vrep(n, vs)
     radius = n * max(abs(x) for v in tuple(vs) + c.rays for x in v)
-    box = [
-        p
-        for p in itertools.product(range(-radius, radius + 1), repeat=n)
-        if any(p) and c.contains_point(p)
-    ]
-    members = set(box)
-    hilbert = [
-        z
-        for z in box
-        if not any(
-            u != z and tuple(map(sub, z, u)) in members for u in box
-        )
-    ]
     phi = _positive_functional(c)
+    seen: dict = {}
 
-    def reachable(t, seen):
+    def reachable(t):
         if not any(t):
             return True
-        if t in seen:
-            return seen[t]
-        seen[t] = False
-        for v in vs:
-            if dot(phi, v) <= dot(phi, t) and reachable(
-                tuple(x - y for x, y in zip(t, v)), seen
-            ):
-                seen[t] = True
-                break
+        if t not in seen:
+            seen[t] = False
+            budget = dot(phi, t)
+            for v in vs:
+                rest = tuple(map(sub, t, v))
+                if dot(phi, v) <= budget and c.contains_point(rest) and reachable(rest):
+                    seen[t] = True
+                    break
         return seen[t]
 
-    seen: dict = {}
-    return all(reachable(z, seen) for z in hilbert)
+    return all(
+        reachable(p)
+        for p in itertools.product(range(-radius, radius + 1), repeat=n)
+        if any(p) and c.contains_point(p)
+    )
 
 
 def comparable_pairs(a: PointConfig, c: Cone) -> list[tuple[int, int]]:

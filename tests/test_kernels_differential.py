@@ -312,6 +312,12 @@ def test_semigroup_check_matches_brute_force_on_dependent_differences(spec):
     assert semigroup_generation_check(spec) == oracles.semigroup_generation_check(spec)
 
 
+@settings(max_examples=60)
+@given(dependent_binomials(3, 2))
+def test_semigroup_check_matches_brute_force_on_dependent_differences_3d(spec):
+    assert semigroup_generation_check(spec) == oracles.semigroup_generation_check(spec)
+
+
 @st.composite
 def hull_vertices(draw):
     """Vertex lists in at most 3 coordinates, often collinear or coplanar:

@@ -10,7 +10,10 @@ outer cone, must equal the cone projected from scratch, and so must the
 closed form the scan computes first.  A projection given any outer cone
 must raise or return the image met with it.  The midpoint cone M(A) of a
 support, the outer cone of every cold projection, must contain the image
-and leave the projection and its refuted LPs as they are.  The work
+and leave the projection and its refuted LPs as they are.  The linear
+functions of the order cone's dual, which seed every pseudo-moment
+projection, must satisfy every row, leave the projection as it is and
+refute no more LPs than the projection without them.  The work
 counts of two scans, of the 9-point cubical-hull projection and of the
 seed-1 ``projection`` and ``scan`` corpora, and the fresh double
 descriptions of a moment cone and a scan, are pinned, so that losing the
@@ -33,6 +36,7 @@ from tropmom.cones import Cone, project_hrep
 from tropmom.errors import PreconditionError
 from tropmom.funcones import comparable_pairs, cone_M, constraint_rows, cover_pairs
 from tropmom.lattice import PointConfig, cubical_hull, delta_simplex, midpoint_triples
+from tropmom.linalg import dot
 from tropmom.moments import SemialgSpec, order_cone, trop_moment_cone
 from tropmom.pseudo import (
     stabilization_scan,
@@ -177,16 +181,42 @@ def test_outer_cone_missing_a_member_raises():
     with pytest.raises(ValueError, match="outer cone"):
         project_hrep(3, rows, [0, 1], outer=Cone.from_vrep(2, [(1, 0)]))
     # no LP runs: the image of {x >= 0} under the identity, and the line
-    # that {x >= 0} in R^2 projects onto its second coordinate
+    # (0, 1) of {x >= 0} in R^2, given as an inner line, which projects
+    # onto a line outside the ray
+    ray = Cone.from_vrep(1, [(1,)])
     with pytest.raises(ValueError, match="outer cone"):
         project_hrep(1, [(1,)], [0], outer=Cone.origin(1))
     with pytest.raises(ValueError, match="outer cone"):
-        project_hrep(2, [(1, 0)], [1], outer=Cone.from_vrep(1, [(1,)]))
+        project_hrep(2, [(1, 0)], [1], outer=ray, inner=((), [(0, 1)]))
+    # without the line no member the LPs find leaves the ray, so the call
+    # returns the image met with it
+    assert project_hrep(2, [(1, 0)], [1], outer=ray) == ray
     # the nesting taken backwards: the square over S1 stabilizes at degree
-    # 3, strictly inside its degree-2 cone
+    # 3, strictly inside its degree-2 cone.  The seeds lie in t3, but the
+    # first LP, on h(0,0) + h(1,1) >= h(1,0) + h(0,1), finds (1, 1, 1, -1)
     t3 = trop_pseudomoment(SQUARE, S1, 3).cone
     with pytest.raises(ValueError, match="outer cone"):
         pseudo._projected(SQUARE, delta_simplex(2, 2), order_cone(S1), t3)
+    # a half-space that holds the line of constants but misses the seed
+    # (0, -2, -1, -3), from C's facet normal (-2, -1), refuses before any LP
+    missing = Cone.from_hrep(4, [(0, 1, -1, 0)])
+    work = _work(
+        lambda: pytest.raises(ValueError, pseudo._projected, SQUARE, delta_simplex(2, 2),
+                              order_cone(S1), missing)
+    )
+    assert work["lp"] == 0
+
+
+def test_inner_point_or_line_off_the_source_raises():
+    # the source is {x0 >= x1 >= 0}; (0, 1) is -1 on its first row and
+    # (1, 1) is no line of it
+    rows = [(1, -1), (0, 1)]
+    with pytest.raises(ArithmeticError, match="inner"):
+        project_hrep(2, rows, [0], inner=([(1, 0), (0, 1)], ()))
+    with pytest.raises(ArithmeticError, match="inner"):
+        project_hrep(2, rows, [0], inner=((), [(1, 1)]))
+    # a valid point is only a head start
+    assert project_hrep(2, rows, [0], inner=([(2, 1)], ())) == project_hrep(2, rows, [0])
 
 
 def _work(run) -> Counter:
@@ -224,9 +254,11 @@ def _work(run) -> Counter:
 
 @pytest.mark.parametrize(
     "a, spec, d_max, lps",
-    # 34 and 36 before the first degree and the closed form had M(A) as
-    # outer cone; 24 and 22 of them are refuted either way
-    [(MOTZKIN, CUBE2, 5, 28), (SQUARE, S1, 4, 30)],
+    # 28 and 30 before each projection started from the linear functions
+    # of the order cone's dual, and 34 and 36 before the first degree and
+    # the closed form had M(A) as outer cone; 8 and 16 of them are refuted
+    # either way (24 and 22 before the linear functions)
+    [(MOTZKIN, CUBE2, 5, 12), (SQUARE, S1, 4, 24)],
     ids=["motzkin-cube", "square-s1"],
 )
 def test_scan_work_counts(a, spec, d_max, lps):
@@ -240,7 +272,7 @@ def test_scan_work_counts(a, spec, d_max, lps):
 
     cold = _work(cold_run)
     assert scan["lp"] == lps
-    # 28 < 32 and 30 < 36 LPs
+    # 12 < 16 and 24 < 30 LPs (28 < 32 and 30 < 36 before)
     assert scan["lp"] < cold["lp"]
     # an outer cone only spares LPs that would have certified a normal
     assert scan["refuted"] == cold["refuted"]
@@ -271,11 +303,11 @@ def test_dd_counts(run, dds, before):
 
 def test_nine_point_cubical_hull_work_counts():
     # a candidate negative on a member found earlier in its round is not
-    # tested; 587 LPs when every candidate was, and 169 before M(A) was
-    # the outer cone
+    # tested; 587 LPs when every candidate was, 169 before M(A) was the
+    # outer cone, and (156, 120) before the linear functions seeded it
     got = []
     counts = _work(lambda: got.append(trop_pseudomoment_cube_stable(NINE_POINTS).cone))
-    assert (counts["lp"], counts["refuted"], counts["project"]) == (156, 120, 1)
+    assert (counts["lp"], counts["refuted"], counts["project"]) == (141, 105, 1)
     assert len(got[0].ineqs) == 44 and not got[0].eqs
 
 
@@ -296,21 +328,28 @@ def extensions(draw):
     return a, cubical_hull(a), c
 
 
+def _extension_projection(a, e, c):
+    """The rows of the pseudo-moment system on E, and a projection of them
+    onto A that returns the cone and its work counts."""
+    rows = constraint_rows(e, midpoint_triples(e), cover_pairs(comparable_pairs(e, c)))
+    coords = [e.index(p) for p in a]
+
+    def project(**kwargs):
+        got = []
+        work = _work(lambda: got.append(project_hrep(len(e), rows, coords, **kwargs)))
+        return got[0], work
+
+    return rows, project
+
+
 @settings(max_examples=120)
 @given(extensions())
 def test_midpoint_cone_of_the_support_is_an_outer_cone(case):
     a, e, c = case
-    rows = constraint_rows(e, midpoint_triples(e), cover_pairs(comparable_pairs(e, c)))
-    coords = [e.index(p) for p in a]
+    _, project = _extension_projection(a, e, c)
     m = cone_M(a, c).cone
-
-    def project(outer):
-        got = []
-        work = _work(lambda: got.append(project_hrep(len(e), rows, coords, outer=outer)))
-        return got[0], work
-
-    image, plain = project(None)
-    met, spared = project(m)
+    image, plain = project()
+    met, spared = project(outer=m)
     assert m.contains_cone(image)
     assert (met.ineqs, met.eqs, met.rays, met.lineality) == (
         image.ineqs, image.eqs, image.rays, image.lineality
@@ -320,11 +359,34 @@ def test_midpoint_cone_of_the_support_is_an_outer_cone(case):
     assert spared["lp"] <= plain["lp"]
 
 
+@settings(max_examples=120)
+@given(extensions())
+def test_linear_functions_are_a_head_start(case):
+    a, e, c = case
+    rows, project = _extension_projection(a, e, c)
+    points, lines = pseudo._linear(e, c)
+    assert all(dot(row, h) >= 0 for row in rows for h in points)
+    assert not any(dot(row, v) for row in rows for v in lines)
+    # the affine functions, which start the sums-of-squares dual, vanish on
+    # every midpoint row
+    none, affine = pseudo._linear(e, Cone.origin(e.n))
+    midpoint = constraint_rows(e, midpoint_triples(e), ())
+    assert not none and not any(dot(row, v) for row in midpoint for v in affine)
+    image, plain = project()
+    seeded, started = project(inner=(points, lines))
+    assert (seeded.ineqs, seeded.eqs, seeded.rays, seeded.lineality) == (
+        image.ineqs, image.eqs, image.rays, image.lineality
+    )
+    assert started["refuted"] <= plain["refuted"]
+
+
 def test_seed_one_corpus_lp_counts(tmp_path):
-    # total (refuted) LPs of the seed-1 projection and scan corpora; 137
-    # (75) and 93 (61) before the cold projections had M(A) as outer cone
+    # total (refuted) LPs of the seed-1 projection and scan corpora; 98
+    # (75) and 73 (61) before each projection started from the linear
+    # functions of the order cone's dual, and 137 (75) and 93 (61) before
+    # the cold projections had M(A) as outer cone
     corpus = _corpus()
-    for workload, lps in (("projection", (98, 75)), ("scan", (73, 61))):
+    for workload, lps in (("projection", (68, 44)), ("scan", (40, 28))):
         argvs = corpus.write(corpus.build(workload, 1), tmp_path / workload)
 
         def run():
