@@ -81,8 +81,8 @@ def _lineality_step(lin: list[IntVec], a: IntVec) -> tuple:
 
 
 class Described(tuple):
-    """(rays, lineality basis) of a double description, carrying ``masks``:
-    the tight mask of each ray, in the order of the rays."""
+    """(rays, lineality basis) of a double description, carrying ``masks``,
+    each ray's tight mask in the order of the rays, and ``cone_dim``."""
 
 
 class DoubleDescription:
@@ -165,7 +165,7 @@ class DoubleDescription:
     def result(self) -> Described:
         """The rays, extreme, reduced modulo the lineality basis (in integer
         reduced row echelon form), primitive, distinct and sorted; the
-        basis; and each ray's tight mask.  The state is left as it was."""
+        basis; the masks; the cone's dimension.  The state is unchanged."""
         lin = rref_int(self.lin)
         by_vec: dict[IntVec, int] = {}
         for vec, mask in self.rays:
@@ -175,4 +175,5 @@ class DoubleDescription:
         rays = sorted(by_vec)
         out = Described((rays, lin))
         out.masks = [by_vec[r] for r in rays]
+        out.cone_dim = self.cone_dim
         return out

@@ -47,21 +47,23 @@ def _by_incidence(
     gens: Sequence[IntVec],
     lin: Sequence[IntVec],
     masks: Sequence[int],
+    cone_dim: int,
 ) -> tuple[Rows, Rows]:
     """Minimal (facets, equations) of {x : <a, x> >= 0 for a in normals},
     in double description's canonical form, from the cone's minimal
-    V-representation (gens, lin) and the masks of the double description
-    that computed it (bit j of masks[i]: normals[j] is tight on gens[i]);
-    with the roles swapped, the minimal V-representation from the minimal
-    H-representation.
+    V-representation (gens, lin), of dimension cone_dim, and the masks of
+    the double description that computed it (bit j of masks[i]: normals[j]
+    is tight on gens[i]); with the roles swapped, the minimal
+    V-representation from the minimal H-representation.
 
-    The equations are the row-reduced kernel of gens and lin.  A normal
-    tight on every generator is an implicit equation.  The tight set of
-    any other is a face, and every face lies in a facet, so the facets are
-    the normals with maximal tight sets, one per set, each reduced modulo
-    the equations.
+    The equations are the row-reduced kernel of gens and lin (none if
+    cone_dim is dim).  A normal tight on every generator is an implicit
+    equation.  The tight set of any other is a face, and every face lies in
+    a facet, so the facets are the normals with maximal tight sets, one per
+    set, reduced modulo the equations; largest first, a set is maximal
+    unless a maximal one already taken contains it.
     """
-    eqs = kernel_basis(list(gens) + list(lin), dim)
+    eqs = [] if cone_dim == dim else kernel_basis(list(gens) + list(lin), dim)
     tight = [0] * len(normals)
     for i, m in enumerate(masks):
         while m:
@@ -73,11 +75,11 @@ def _by_incidence(
     for a, mask in zip(normals, tight):
         if mask != full:
             by_mask.setdefault(mask, a)
-    facets = [
-        _reduce_mod(eqs, a)
-        for m, a in by_mask.items()
-        if not any(m != o and m & o == m for o in by_mask)
-    ]
+    maximal: list[int] = []
+    for m in sorted(by_mask, key=int.bit_count, reverse=True):
+        if not any(m & o == m for o in maximal):
+            maximal.append(m)
+    facets = [_reduce_mod(eqs, by_mask[m]) for m in maximal]
     return tuple(sorted(facets)), tuple(eqs)
 
 
@@ -106,7 +108,8 @@ class Cone:
     H-rep (normals, equations) and the V-rep (rays, lineality basis), each
     None until given or computed; ``_minimal[k]`` marks side k minimal.
     ``_masks`` holds the tight masks of the double description that
-    computed one side until they have made the given side minimal."""
+    computed one side, and the cone's dimension it found, until they have
+    made the given side minimal."""
 
     __slots__ = ("dim", "_sides", "_minimal", "_masks")
 
@@ -179,7 +182,7 @@ class Cone:
                 self._described(k, double_description(self.dim, *other))
             else:
                 gens, lin = self._side(1 - k)
-                self._sides[k] = _by_incidence(self.dim, given[0], gens, lin, self._masks)
+                self._sides[k] = _by_incidence(self.dim, given[0], gens, lin, *self._masks)
                 self._masks = None
                 self._minimal[k] = True
         return self._sides[k]
@@ -188,7 +191,7 @@ class Cone:
         """Take side k, and its masks, from a double description of the
         other side's rows."""
         self._sides[k] = (tuple(out[0]), tuple(out[1]))
-        self._masks = out.masks
+        self._masks = (out.masks, out.cone_dim)
         self._minimal[k] = True
 
     @property
@@ -290,23 +293,33 @@ def tropical_hull(y: Cone) -> Cone:
     Intersection over coordinates i of y + V_i, where V_i is the cone of
     vectors with minimal i-th coordinate (generated by the unit vectors
     away from i together with the all-ones line).  The facets of each sum
-    are one double description of its generators, and every sum starts
-    from those of y: one state takes them, and each sum continues a copy.
+    are one double description of its generators.  The sums grow from one
+    state holding y's down a halving tree: each half of the coordinates
+    continues a copy that takes the other half's unit vectors.  Their
+    facets enter the hull sum by sum, most facets first (a stable sort), so
+    the later rows mostly cut nothing.
     """
     n = y.dim
     if n == 0:
         return Cone.origin(0)
     shared = DoubleDescription(n, y.lineality + (tuple(1 for _ in range(n)),))
     shared.add(y.rays)
-    ineqs: list[IntVec] = []
-    eqs: list[IntVec] = []
-    for i in range(n):
-        piece = shared.copy()
-        piece.add([_unit(n, j) for j in range(n) if j != i])
-        facets, lin = piece.result()
-        ineqs.extend(facets)
-        eqs.extend(lin)
-    return Cone.from_hrep(n, ineqs, eqs)
+    sums = []
+
+    def grow(state: DoubleDescription, coords: list[int]) -> None:
+        if len(coords) == 1:
+            sums.append(state.result())
+            return
+        left, right = coords[: len(coords) // 2], coords[len(coords) // 2 :]
+        piece = state.copy()
+        piece.add([_unit(n, j) for j in right])
+        grow(piece, left)
+        state.add([_unit(n, j) for j in left])  # the last use of state
+        grow(state, right)
+
+    grow(shared, list(range(n)))
+    sums.sort(key=lambda out: len(out[0]), reverse=True)
+    return Cone.from_hrep(n, *[[a for out in sums for a in out[k]] for k in (0, 1)])
 
 
 def tropical_hull_dual(y: Cone) -> Cone:

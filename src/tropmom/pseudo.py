@@ -43,7 +43,7 @@ from .lattice import (
     lattice_points_size,
     midpoint_triples,
 )
-from .linalg import IntVec, dot
+from .linalg import IntVec, dot, kernel_basis
 from .moments import BinomialIneq, SemialgSpec, order_cone, render_binomial, trop_moment_cone
 
 _TRUNCATED_KINDS = ("orthant", "cube", "binomials")
@@ -216,14 +216,15 @@ def sigma_dual_trop(
 ) -> PseudoMomentTrop:
     """Tropicalized dual of the sums-of-squares cone on A, for measures on
     all of R^n: midpoint inequalities between even points of the lattice
-    hull of A, projected onto A with the affine functions as head start."""
+    hull of A, projected onto A with the kernel of those rows, which holds
+    the affine functions, as head start."""
     _guard_size(lattice_points_size(a.points), max_extension_points)
     e = lattice_points(a.points)
     even = lambda p: not any(x % 2 for x in p)
     triples = [t for t in midpoint_triples(e) if even(t.a1) and even(t.a2)]
     rows = constraint_rows(e, triples, ())
     coords = [e.index(p) for p in a]
-    cone = project_hrep(len(e), rows, coords, inner=_linear(e, Cone.origin(a.n)))
+    cone = project_hrep(len(e), rows, coords, inner=((), kernel_basis(rows, len(e))))
     return PseudoMomentTrop(
         a, SemialgSpec.full_space(a.n), None, True, cone, e
     )

@@ -42,11 +42,25 @@ MUTANTS = [
         ["tests/test_kernels_differential.py::test_valid_on_system_rejects_a_bad_certificate"],
     ),
     (
-        "tropical hull skips the last coordinate",
+        "tropical hull skips a coordinate",
         "cones.py",
-        "    for i in range(n):\n        piece = ",
-        "    for i in range(n - 1):\n        piece = ",
-        ["tests/test_cones.py"],
+        "piece.add([_unit(n, j) for j in right])",
+        "piece.add([_unit(n, j) for j in right[1:]])",
+        ["tests/test_cones.py::test_tropical_hull_matches_dual_route_and_index_order"],
+    ),
+    (
+        "minimal forms skip the kernel of a cone that is not full-dimensional",
+        "cones.py",
+        "cone_dim == dim",
+        "cone_dim <= dim",
+        ["tests/test_cones.py::test_contains"],
+    ),
+    (
+        "minimal forms keep every tight set as maximal",
+        "cones.py",
+        "if not any(m & o == m for o in maximal):",
+        "if True:",
+        ["tests/test_cones.py::test_tropical_hull_anchors"],
     ),
     (
         "double description combines every pair that passes the prefilter",

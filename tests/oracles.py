@@ -33,6 +33,11 @@ cone once per ordered pair, before each point's values on the cone's
 H-representation were computed once; the cold scan projects every
 degree from scratch, as the scan did before it passed each degree's cone
 on to the next projection.
+
+The tropical hull is the library's before its sums shared a halving tree
+and entered the hull most facets first: one copy of the shared state per
+sum y + V_i, taking the n - 1 unit vectors away from i, and the sums'
+facets in coordinate order.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from math import gcd, lcm
 from operator import sub
 from typing import Optional, Sequence
 
-from tropmom._dd import _clean_rows, _lineality_step, _reduce_mod, _unit
+from tropmom._dd import DoubleDescription, _clean_rows, _lineality_step, _reduce_mod, _unit
 from tropmom.cones import Cone
 from tropmom.errors import PreconditionError
 from tropmom.funcones import _segment_members
@@ -468,6 +473,25 @@ def double_description(dim, ineqs, eqs):
         if not any(i != j and m & mj == m for j, (_, mj) in enumerate(items))
     ]
     return sorted(out), lin
+
+
+def tropical_hull(y: Cone) -> Cone:
+    """Intersection of the sums y + V_i, each a copy of one double
+    description of y's generators that takes the units away from i, with
+    the sums' facets given in coordinate order."""
+    n = y.dim
+    if n == 0:
+        return Cone.origin(0)
+    shared = DoubleDescription(n, y.lineality + ((1,) * n,))
+    shared.add(y.rays)
+    ineqs, eqs = [], []
+    for i in range(n):
+        piece = shared.copy()
+        piece.add([_unit(n, j) for j in range(n) if j != i])
+        facets, lin = piece.result()
+        ineqs.extend(facets)
+        eqs.extend(lin)
+    return Cone.from_hrep(n, ineqs, eqs)
 
 
 def tight_masks(rows, rays):

@@ -1,6 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
 
 from tropmom.cones import (
     Cone,
@@ -135,6 +139,26 @@ def test_tropical_hull_dual_anchors():
     assert cone_equal(tropical_hull_dual(y), want)
     line = Cone.from_vrep(2, [], [(1, 1)])
     assert cone_equal(tropical_hull_dual(line), tropical_hull(line).dual())
+
+
+@st.composite
+def small_cones(draw):
+    """Cones in at most 6 coordinates with at most 3 rays and an optional
+    line."""
+    n = draw(st.integers(1, 6))
+    vec = st.tuples(*[st.integers(-2, 2)] * n)
+    return Cone.from_vrep(n, draw(st.lists(vec, max_size=3)), draw(st.lists(vec, max_size=1)))
+
+
+@settings(max_examples=60)
+@given(small_cones())
+def test_tropical_hull_matches_dual_route_and_index_order(y):
+    hull = tropical_hull(y)
+    assert hull == tropical_hull_dual(y).dual()
+    old = oracles.tropical_hull(y)
+    assert (hull.ineqs, hull.eqs, hull.rays, hull.lineality) == (
+        old.ineqs, old.eqs, old.rays, old.lineality
+    )
 
 
 def test_tropical_dual_ray_shape():

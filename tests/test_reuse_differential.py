@@ -15,9 +15,12 @@ functions of the order cone's dual, which seed every pseudo-moment
 projection, must satisfy every row, leave the projection as it is and
 refute no more LPs than the projection without them.  The work
 counts of two scans, of the 9-point cubical-hull projection and of the
-seed-1 ``projection`` and ``scan`` corpora, and the fresh double
-descriptions of a moment cone and a scan, are pinned, so that losing the
-reuse shows up as a changed count.
+seed-1 ``projection`` and ``scan`` corpora, the fresh double
+descriptions of a moment cone and a scan, the rows the tropical hulls of
+two moment cones hand to double description and the kernels their
+minimal forms compute, and the LPs of the sums-of-squares dual on two
+supports whose kernel exceeds the affine functions, are pinned, so that
+losing the reuse shows up as a changed count.
 """
 
 import contextlib
@@ -31,7 +34,7 @@ from hypothesis import strategies as st
 import oracles
 from test_corpus_digests import _corpus
 from test_kernels_differential import projection_systems, systems
-from tropmom import _simplex, cli, cones, pseudo
+from tropmom import _dd, _simplex, cli, cones, pseudo
 from tropmom.cones import Cone, project_hrep
 from tropmom.errors import PreconditionError
 from tropmom.funcones import comparable_pairs, cone_M, constraint_rows, cover_pairs
@@ -220,14 +223,17 @@ def test_inner_point_or_line_off_the_source_raises():
 
 
 def _work(run) -> Counter:
-    """LPs, refuted LPs, column builds, projections and double descriptions
-    made by run()."""
+    """LPs, refuted LPs, column builds, projections, double descriptions,
+    rows handed to a double description's ``add`` and kernels computed by
+    ``cones`` in run()."""
     counts: Counter = Counter()
-    lp, columns, project, dd = (
+    lp, columns, project, dd, add, kernel = (
         _simplex.nonneg_combination,
         _simplex._columns,
         pseudo.project_hrep,
         cones.double_description,
+        _dd.DoubleDescription.add,
+        cones.kernel_basis,
     )
 
     def spy_lp(rows, target):
@@ -235,6 +241,11 @@ def _work(run) -> Counter:
         counts["lp"] += 1
         counts["refuted"] += not result[0]
         return result
+
+    def spy_add(state, ineqs):
+        ineqs = list(ineqs)
+        counts["rows"] += len(ineqs)
+        return add(state, ineqs)
 
     def spy(name, fn):
         def wrapper(*args, **kwargs):
@@ -248,6 +259,8 @@ def _work(run) -> Counter:
         mp.setattr(_simplex, "_columns", spy("columns", columns))
         mp.setattr(pseudo, "project_hrep", spy("project", project))
         mp.setattr(cones, "double_description", spy("dd", dd))
+        mp.setattr(_dd.DoubleDescription, "add", spy_add)
+        mp.setattr(cones, "kernel_basis", spy("kernel", kernel))
         run()
     return counts
 
@@ -299,6 +312,46 @@ def test_dd_counts(run, dds, before):
     got = _work(run)["dd"]
     assert got == dds
     assert got < before
+
+
+def _ten_point_cube(tmp_path):
+    corpus = _corpus()
+    problems = [p for p in corpus.build("moment", 1) if p.name == "ten-point-cube"]
+    (argv,) = corpus.write(problems, tmp_path)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+
+
+@pytest.mark.parametrize(
+    "run, rows, before",
+    [
+        (lambda tmp_path: trop_moment_cone(MOTZKIN, CUBE2).cone.ineqs, 24, 28),
+        (_ten_point_cube, 190, 246),
+    ],
+    ids=["motzkin-cube-moment", "ten-point-cube"],
+)
+def test_hull_work_counts(run, rows, before, tmp_path):
+    # the sums y + V_i take their unit vectors down a halving tree, and a
+    # full-dimensional cone's minimal H-side computes no kernel; ``before``
+    # is the row count when each sum took its n - 1 units, with 3 kernels
+    # on both
+    counts = _work(lambda: run(tmp_path))
+    assert (counts["rows"], counts["kernel"], counts["dd"]) == (rows, 0, 3)
+    assert rows < before
+
+
+@pytest.mark.parametrize(
+    "points",
+    [[(0, 0), (4, 2), (2, 4), (2, 2)], [(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 1)]],
+)
+def test_sums_of_squares_dual_starts_from_the_kernel(points):
+    # the kernel of the even-midpoint rows is larger than the affine
+    # functions here; 2 refuted LPs found the missing lines before the
+    # kernel started the projection
+    got = []
+    counts = _work(lambda: got.append(pseudo.sigma_dual_trop(PointConfig(points)).cone))
+    assert (counts["lp"], counts["project"]) == (0, 1)
+    assert got[0] == Cone.full_space(len(points))
 
 
 def test_nine_point_cubical_hull_work_counts():
