@@ -10,30 +10,36 @@ The method is the revised simplex on the phase-one problem: one
 equation per coordinate of the target, one column per input row and one
 artificial column per coordinate, with coordinate i multiplied by the
 sign of the target's i-th entry.  Each input row is stored once, as an
-unsigned sparse column of its nonzero entries; the midpoint and monotone
-rows of the projections have at most 3.  A ``RowSystem`` builds these
-columns once for every LP on its rows, and plain row sequences build them
-per call; the target's signs are folded into the duals, and only the
-entering column is signed.  What changes from pivot to pivot is kept in
-integers:
+unsigned sparse column of its nonzero entries (the midpoint and monotone
+rows of the projections have at most 3), with its sum and an index of
+the entries by coordinate.  A ``RowSystem`` builds these once for every
+LP on its rows, and plain row sequences build them per call; an LP signs
+only the entering column and the entries it reads through the index.
+What changes from pivot to pivot is kept in integers:
 
 - [B^-1 | rhs], m rows over the artificial columns and the right-hand
   side, each a primitive positive multiple of the rational row;
 - the objective row over the artificial columns and the right-hand side,
-  as integers over one positive common denominator ``den``.
+  and the reduced costs of the input columns, as integers over one
+  positive common denominator ``den``.
 
-Column j's reduced cost times ``den`` is the sum of (obj[i] - den) * sign[i]
-* a over its unsigned entries (i, a), and its tableau column is B^-1 times
-the signed entries (i, sign[i] * a).
-The loop stops as soon as the phase-one objective reaches zero: the
-artificials are then all zero and the target is a member, so the
-remaining degenerate pivots of a certified LP are skipped.  A refuted LP
-never reaches zero, so its pivots and its certificate are unchanged.
-Every cost is computed at every step, and the tableau column of the
-entering column alone; Dantzig's rule takes the least cost, Bland's rule
-after ``_BLAND_AFTER * (n + m)`` iterations the first negative one in
-column order.  Bland's rule never returns to a basis, so a basis met
-twice under it means wrong costs or columns, and raises ArithmeticError
+The costs start at minus each signed column's sum.  A pivot updates
+them as it updates the objective row: times the pivot, less the entering
+cost times the leaving row's entries, which the index reads on that
+row's few nonzeros, over the gcd that keeps ``obj`` and ``den`` coprime.
+A row whose entry in the entering column the pivot divides loses that
+multiple of the leaving row on the leaving row's support alone; the
+others take the dense fraction-free update.  Either way each row and
+cost is the integer that pricing every column from the duals would give,
+so the pivots are unchanged.  The loop stops as soon as the phase-one
+objective reaches zero: the artificials are then all zero and the target
+is a member, so the remaining degenerate pivots of a certified LP are
+skipped.  A refuted LP never reaches zero, so its pivots and its
+certificate are unchanged.  Only the entering column's tableau column is
+formed; Dantzig's rule takes the least cost, Bland's rule after
+``_BLAND_AFTER * (n + m)`` iterations the first negative one in column
+order.  Bland's rule never returns to a basis, so a basis met twice
+under it means wrong costs or columns, and raises ArithmeticError
 instead of looping.
 
 The pivot sequence is that of a rational tableau.  The dense
@@ -58,14 +64,19 @@ _PAD = [(0, 0)] * 3
 _BLAND_AFTER = 8
 
 
-def _columns(rows: Sequence[Sequence[int]]) -> tuple[list, dict]:
+def _columns(rows: Sequence[Sequence[int]]) -> tuple[list, dict, list, dict]:
     """The unsigned sparse columns of the rows: the first three nonzeros
     (i, a) of each row flat in one tuple, padded with zero entries, and
-    the rest, which the projection systems never have, by row index."""
+    the rest, which the projection systems never have, by row index; each
+    row's sum, and the entries (j, a) of every row j by coordinate i."""
     entries = [[(i, row[i]) for i in compress(count(), row)] for row in rows]
     cols = [(*e0, *e1, *e2) for e0, e1, e2, *_ in (col + _PAD for col in entries)]
     more = {j: col[3:] for j, col in enumerate(entries) if len(col) > 3}
-    return cols, more
+    index: dict[int, list] = {}
+    for j, col in enumerate(entries):
+        for i, a in col:
+            index.setdefault(i, []).append((j, a))
+    return cols, more, [sum(a for _, a in col) for col in entries], index
 
 
 class RowSystem(tuple):
@@ -95,41 +106,40 @@ def nonneg_combination(
         raise ValueError("empty ambient dimension")
     n = len(rows)
     sign = [1 if t >= 0 else -1 for t in target]
-    cols, more = rows.columns if isinstance(rows, RowSystem) else _columns(rows)
+    columns = rows.columns if isinstance(rows, RowSystem) else _columns(rows)
+    cols, more, colsum, index = columns
     # [B^-1 | rhs] over the basis of artificial variables
-    tab = [
-        [1 if k == i else 0 for k in range(m)] + [abs(target[i])] for i in range(m)
-    ]
+    tab = [[0] * (m + 1) for _ in target]
     # the objective (the sum of the artificials) over the artificial
     # columns and the rhs, times den
     obj = [0] * m + [-sum(abs(t) for t in target)]
     den = 1
+    # the input columns' reduced costs times den, carried from pivot to
+    # pivot: at the start minus each signed column's sum
+    cost = [-s for s in colsum]
+    for i, t in enumerate(target):
+        tab[i][i], tab[i][m] = 1, abs(t)
+        if t < 0:
+            for j, a in index.get(i, ()):
+                cost[j] += 2 * a
     basis = list(range(n, n + m))
     budget = _BLAND_AFTER * (n + m)
     it = 0
     seen: set[frozenset] = set()  # the bases met under Bland's rule
     while obj[m]:
         it += 1
-        # reduced costs times den: column j's is the signed duals against
-        # its unsigned entries, the i-th artificial column's obj[i]
-        dual = [(c - den) * s for c, s in zip(obj, sign)]
-        cost = [
-            dual[i0] * a0 + dual[i1] * a1 + dual[i2] * a2
-            for i0, a0, i1, a1, i2, a2 in cols
-        ]
-        for j, rest in more.items():
-            cost[j] += _dot(dual, rest)
-        cost += obj[:m]
+        # the i-th artificial column's reduced cost is obj[i]
+        costs = cost + obj[:m]
         if it <= budget:  # Dantzig: the least cost
-            best = min(cost)
-            enter = cost.index(best) if best < 0 else -1
+            best = min(costs)
+            enter = costs.index(best) if best < 0 else -1
         else:  # Bland: the first negative cost, from a basis never met
             key = frozenset(basis)
             if key in seen:
                 raise ArithmeticError("simplex cycled under Bland's rule")
             seen.add(key)
-            enter = next((j for j, c in enumerate(cost) if c < 0), -1)
-            best = cost[enter]
+            enter = next((j for j, c in enumerate(costs) if c < 0), -1)
+            best = costs[enter]
         if enter < 0:
             break
         # the entering column of the tableau, B^-1 times column enter
@@ -158,17 +168,31 @@ def nonneg_combination(
             raise ArithmeticError("phase-one objective unbounded below")
         prow = tab[leave]
         piv = d[leave]
+        support = [(k, y) for k, y in enumerate(prow) if y]
         for i, f in enumerate(d):
             if f and i != leave:
-                new = [piv * x - f * y for x, y in zip(tab[i], prow)]
-                g = gcd(*new)
-                if g > 1:
-                    new = [x // g for x in new]
-                tab[i] = new
+                row = tab[i]
+                if f % piv:
+                    row = [piv * x - f * y for x, y in zip(row, prow)]
+                else:  # the row less f / piv times prow, on prow's support
+                    q = f // piv
+                    for k, y in support:
+                        row[k] -= q * y
+                g = gcd(*row)
+                tab[i] = [x // g for x in row] if g > 1 else row
         obj = [piv * x - best * y for x, y in zip(obj, prow)]
         den *= piv
+        # the input columns' costs less best times their entries in the
+        # leaving row, read off the index on prow's support less its rhs
+        if piv > 1:
+            cost = [piv * c for c in cost]
+        for k, y in support[: -1 if prow[m] else None]:
+            y *= best * sign[k]
+            for j, a in index.get(k, ()):
+                cost[j] -= y * a
         g = gcd(den, *obj)
         if g > 1:
+            cost = [c // g for c in cost]
             obj = [x // g for x in obj]
             den //= g
         basis[leave] = enter

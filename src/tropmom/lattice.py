@@ -135,19 +135,21 @@ def midpoint_triples(cfg: PointConfig) -> tuple[MidpointTriple, ...]:
     """Triples (a1, a2, b) of configuration points with a1 + a2 = 2b, a1 != a2.
 
     Each unordered pair appears once, with a1 before a2 in graded-lex order;
-    the list is sorted by (b, a1).
+    the list is sorted by (b, a1).  a1 + a2 is even exactly when a1 and a2
+    agree mod 2, so only points of one parity class are paired.
     """
     pts = graded_lex_sorted(cfg.points)
     members = set(pts)
+    classes: dict[IntVec, list[IntVec]] = {}
+    for p in pts:
+        classes.setdefault(tuple(c % 2 for c in p), []).append(p)
     out = []
-    for i, a1 in enumerate(pts):
-        for a2 in pts[i + 1 :]:
-            s = tuple(x + y for x, y in zip(a1, a2))
-            if any(c % 2 for c in s):
-                continue
-            b = tuple(c // 2 for c in s)
-            if b in members:
-                out.append(MidpointTriple(a1, a2, b))
+    for cls in classes.values():
+        for i, a1 in enumerate(cls):
+            for a2 in cls[i + 1 :]:
+                b = tuple((x + y) // 2 for x, y in zip(a1, a2))
+                if b in members:
+                    out.append(MidpointTriple(a1, a2, b))
     out.sort(key=lambda t: (_glex(t.b), _glex(t.a1), _glex(t.a2)))
     return tuple(out)
 

@@ -70,11 +70,32 @@ MUTANTS = [
         ["tests/test_dd_differential.py"],
     ),
     (
-        "duals unsigned",
+        "cost update unsigned",
         "_simplex.py",
-        "dual = [(c - den) * s for c, s in zip(obj, sign)]",
-        "dual = [(c - den) for c, s in zip(obj, sign)]",
+        "y *= best * sign[k]",
+        "y *= best",
         ["tests/test_simplex.py"],
+    ),
+    (
+        "starting costs leave out the negative target coordinates",
+        "_simplex.py",
+        "cost[j] += 2 * a",
+        "pass",
+        ["tests/test_simplex.py"],
+    ),
+    (
+        "costs not divided by the objective's gcd",
+        "_simplex.py",
+        "cost = [c // g for c in cost]",
+        "pass",
+        ["tests/test_kernels_differential.py::test_simplex_branches_match_rational_tableau"],
+    ),
+    (
+        "sparse row update adds the leaving row",
+        "_simplex.py",
+        "row[k] -= q * y",
+        "row[k] += q * y",
+        ["tests/test_kernels_differential.py::test_simplex_branches_match_rational_tableau"],
     ),
     (
         "entering column takes a wrong row's sign",
@@ -89,6 +110,13 @@ MUTANTS = [
         "rest = [(i, sign[i] * a) for i, a in more[enter]]",
         "rest = [(i, a) for i, a in more[enter]]",
         ["tests/test_kernels_differential.py::test_simplex_matches_rational_tableau"],
+    ),
+    (
+        "midpoint triples pair points by residue mod 4",
+        "lattice.py",
+        "tuple(c % 2 for c in p)",
+        "tuple(c % 4 for c in p)",
+        ["tests/test_mediated_differential.py::test_midpoint_triples_match_all_pairs"],
     ),
     (
         "projection skips the outer cone's lineality check",

@@ -23,10 +23,12 @@ off the incidence of rows and generators.  The tight masks are that
 incidence computed with dot products, as the library did before it read
 it off its double description's masks.
 
-The mediated set and the midpoint facet test are the two fixpoint loops
-the library ran before one helper served both: the first rebuilt the
-midpoint of every pair of surviving points on each pass, the second
-searched point by point.
+The midpoint triples are found by testing every ordered pair of points,
+as the library did before it paired points only within their parity
+class.  The mediated set and the midpoint facet test are the two
+fixpoint loops the library ran before one helper served both: the first
+rebuilt the midpoint of every pair of surviving points on each pass, the
+second searched point by point.
 
 The comparable pairs are the loop that tested p - q against the order
 cone once per ordered pair, before each point's values on the cone's
@@ -538,6 +540,21 @@ def mediated_set(vertices: Sequence[Sequence[int]]) -> PointConfig:
         if nxt == current:
             return PointConfig(graded_lex_sorted(current))
         current = nxt
+
+
+def midpoint_triples_all_pairs(cfg: PointConfig) -> tuple[MidpointTriple, ...]:
+    """Test every ordered pair of distinct points for an even sum whose half
+    is a point, keep a1 before a2 in graded-lex order, and sort by (b, a1)."""
+    pts = graded_lex_sorted(cfg.points)
+    rank_of = {p: i for i, p in enumerate(pts)}
+    out = set()
+    for a1, a2 in itertools.permutations(pts, 2):
+        tot = tuple(x + y for x, y in zip(a1, a2))
+        b = tuple(c // 2 for c in tot)
+        if not any(c % 2 for c in tot) and b in rank_of:
+            a1, a2 = sorted((a1, a2), key=rank_of.get)
+            out.add(MidpointTriple(a1, a2, b))
+    return tuple(sorted(out, key=lambda t: (rank_of[t.b], rank_of[t.a1], rank_of[t.a2])))
 
 
 def is_midpoint_facet(a: PointConfig, t: MidpointTriple) -> bool:

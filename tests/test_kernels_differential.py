@@ -141,6 +141,37 @@ def test_pivot_rule_decides_the_certificate(bland_after, certificate):
     assert w == oracles.integerize(ref_w) == certificate
 
 
+# one system per branch of the integer simplex's pivot, each refuted; a
+# fault planted in the named branch changes its certificate
+BRANCH_CASES = {
+    # pivots 2 and 10 that do not divide the row's entry: the dense update
+    "pivot-not-dividing": ([(2, -2, 2), (1, 2, 3)], (3, 0, 1)),
+    # pivots 2 and 3 that divide the row's entries -2 and 3: the update on
+    # prow's support
+    "pivot-dividing": ([(3, 1, -3), (1, 1, -3)], (2, -1, -3)),
+    # the objective and den share the factor 3, which divides the costs too
+    "cost-rescale": ([(-3, 0), (-1, -1)], (-1, -3)),
+    # a row of 4 nonzeros enters: its fourth entry is read from `more`
+    "four-nonzeros": ([(-2, 1, -2, -3)], (-2, 3, 2, -2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BRANCH_CASES))
+def test_simplex_branches_match_rational_tableau(case):
+    _check_simplex(*BRANCH_CASES[case])
+
+
+def test_simplex_branches_match_rational_tableau_under_blands_rule():
+    # every pivot by Bland's rule, over both row updates and a rescale by 6;
+    # Dantzig's rule gives the certificate (-1, 4, 1) instead
+    rows, target = [(-2, -1, 2), (3, 0, 3)], (0, -1, 0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_simplex, "_BLAND_AFTER", 0)
+        mp.setattr(oracles, "_BLAND_AFTER", 0)
+        _check_simplex(rows, target)
+        assert _simplex.nonneg_combination(rows, target) == (False, (-1, 1, 1))
+
+
 @given(systems(max_rows=6))
 def test_projection_matches_double_description(system):
     rows, _ = system

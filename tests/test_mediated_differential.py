@@ -9,6 +9,10 @@ the same verdicts as the old loops kept in tests/oracles.py.
 is_midpoint_facet used to validate its triple by listing every midpoint
 triple of the configuration; it now checks the one triple directly and
 must accept and refuse the same triples.
+
+midpoint_triples pairs points only within their parity class; it must
+list the triples that testing every pair of points finds, in the same
+order.
 """
 
 from hypothesis import assume, given
@@ -34,6 +38,17 @@ def test_mediated_set_on_triangles(vertices):
 def test_mediated_set_on_segments(ends):
     vertices = [(x,) for x in ends]
     assert mediated_set(vertices) == oracles.mediated_set(vertices)
+
+
+def _configurations(n):
+    points = st.tuples(*[st.integers(0, 5)] * n)
+    return st.lists(points, min_size=1, max_size=14, unique=True)
+
+
+@given(st.integers(1, 3).flatmap(_configurations))
+def test_midpoint_triples_match_all_pairs(points):
+    cfg = PointConfig(points)
+    assert midpoint_triples(cfg) == oracles.midpoint_triples_all_pairs(cfg)
 
 
 def _same_verdicts(cfg: PointConfig) -> None:
