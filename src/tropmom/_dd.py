@@ -13,17 +13,21 @@ the rows added, and is set when the ray is tight on that row.  A ray made
 from a positive and a negative one is tight exactly where both are, so
 the masks are the ray-row incidence, with no dot product spent on it.
 
-Two rays can be adjacent only if they share at least d - 2 tight rows, d
-the dimension of the current cone modulo its lineality, so pairs with
-fewer skip the combinatorial test (Fukuda & Prodon 1996).  Only a cut
-with no ray strictly on its positive side changes d: the cone collapses
-to a face, whose dimension is then computed.  With the exact adjacency
-test every ray kept is extreme, so the result needs no maximality filter.
+A row with at most three nonzeros (every unit, midpoint and monotone
+row, most hull facets) is read flat, padded with zeros, to classify the
+rays.  Two rays can be adjacent only if they share at least d - 2 tight
+rows, d the dimension of the current cone modulo its lineality, so pairs
+with fewer skip the combinatorial test (Fukuda & Prodon 1996), which
+first retries the ray that ruled out the positive ray's previous pair.
+Only a cut with no ray strictly on its positive side changes d: the cone
+collapses to a face, whose dimension is then computed.  With the exact
+adjacency test every ray kept is extreme, so the result needs no
+maximality filter.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .linalg import IntVec, dot, primitive, rank, rref_int
 
@@ -80,6 +84,28 @@ def _lineality_step(lin: list[IntVec], a: IntVec) -> tuple:
     return [b for b in rest if any(b)], b0, s
 
 
+def _maximal(rows: Collection[IntVec], masks: Sequence[int]) -> tuple:
+    """The tight sets of the rows (rows[j] is tight on vector i when bit j
+    of masks[i] is set) but the full one, each with its first row, and the
+    maximal ones: largest first, unless a maximal one taken contains it."""
+    tight = [0] * len(rows)
+    for i, m in enumerate(masks):
+        while m:
+            low = m & -m
+            tight[low.bit_length() - 1] |= 1 << i
+            m ^= low
+    full = (1 << len(masks)) - 1
+    by_mask: dict[int, IntVec] = {}
+    for a, mask in zip(rows, tight):
+        if mask != full:
+            by_mask.setdefault(mask, a)
+    maximal: list[int] = []
+    for m in sorted(by_mask, key=int.bit_count, reverse=True):
+        if not any(m & o == m for o in maximal):
+            maximal.append(m)
+    return by_mask, maximal
+
+
 class Described(tuple):
     """(rays, lineality basis) of a double description, carrying ``masks``,
     each ray's tight mask in the order of the rays, and ``cone_dim``."""
@@ -97,12 +123,24 @@ class DoubleDescription:
         self.lin = lin
         self.cone_dim = len(lin)
         self.rays: list[list] = []  # [vector, tight mask]
-        self.added: set[IntVec] = set()  # rows added; bit k is the k-th
+        self.added: dict[IntVec, None] = {}  # rows added; bit k is the k-th
+
+    @classmethod
+    def seeded(cls, dim: int, out: Described, gens: Collection) -> "DoubleDescription":
+        """The state that added the facets out[0] of a full-dimensional cone,
+        read off the masks of out, a double description that added its
+        generators gens in this order: the lineality is the facets' kernel,
+        and the generators with maximal tight sets are the rays, one per set."""
+        by_mask, maximal = _maximal(gens, out.masks)
+        state = cls(dim, out[0])
+        state.cone_dim, state.added = dim, dict.fromkeys(out[0])
+        state.rays = [[by_mask[m], m] for m in maximal]
+        return state
 
     def copy(self) -> "DoubleDescription":
         """A state that rows can be added to without changing this one."""
         twin = DoubleDescription.__new__(DoubleDescription)
-        twin.lin, twin.cone_dim, twin.added = self.lin, self.cone_dim, set(self.added)
+        twin.lin, twin.cone_dim, twin.added = self.lin, self.cone_dim, dict(self.added)
         twin.rays = [list(entry) for entry in self.rays]  # add mutates entries
         return twin
 
@@ -113,11 +151,16 @@ class DoubleDescription:
             if a in self.added:
                 continue
             bit = 1 << len(self.added)
-            self.added.add(a)
+            self.added[a] = None
+            if len(a) - a.count(0) > 3:
+                vals = [dot(a, v) for v, _ in rays]
+            else:
+                nz = [(i, x) for i, x in enumerate(a) if x] + [(0, 0)] * 3
+                (i0, a0), (i1, a1), (i2, a2), *_ = nz
+                vals = [a0 * v[i0] + a1 * v[i1] + a2 * v[i2] for v, _ in rays]
             lin, b0, s = _lineality_step(lin, a)
             if b0 is not None:
-                for entry in rays:
-                    t = dot(a, entry[0])
+                for entry, t in zip(rays, vals):
                     if t:
                         entry[0] = primitive(
                             [s * x - t * y for x, y in zip(entry[0], b0)]
@@ -128,8 +171,7 @@ class DoubleDescription:
                 rays.append([b0, bit - 1])
                 continue
             pos, zero, neg = [], [], []
-            for entry in rays:
-                t = dot(a, entry[0])
+            for entry, t in zip(rays, vals):
                 if t > 0:
                     pos.append((entry, t))
                 elif t < 0:
@@ -147,12 +189,16 @@ class DoubleDescription:
             need = cone_dim - len(lin) - 2
             combos = []
             for pe, tp in pos:
+                last = neg[0][0]  # the ray that ruled out pe's previous pair
                 for ne, tn in neg:
                     meet = pe[1] & ne[1]
                     if meet.bit_count() < need:
                         continue
+                    if last is not ne and meet & last[1] == meet:
+                        continue
                     for other in rays:
                         if other is not pe and other is not ne and meet & other[1] == meet:
+                            last = other
                             break
                     else:
                         vec = primitive(

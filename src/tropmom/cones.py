@@ -26,16 +26,17 @@ never by string comparison.
 The tropical hull of a cone Y is computed from its definition as the
 intersection of the Minkowski sums Y + V_i, where V_i is the cone of
 vectors whose i-th coordinate is minimal, each sum continuing one double
-description of the generators of Y; the dual route sums the slices
-of the dual cone over the opposite orthant sectors.  Both routes are kept
-because they check each other.
+description of the generators of Y and the intersection continuing the
+largest sum's; the dual route sums the slices of the dual cone over the
+opposite orthant sectors.  Both routes are kept because they check each
+other.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from ._dd import DoubleDescription, _clean_rows, _reduce_mod, _unit
+from ._dd import DoubleDescription, _clean_rows, _maximal, _reduce_mod, _unit
 from .linalg import IntVec, dot, kernel_basis, primitive, rank
 
 Rows = tuple[IntVec, ...]
@@ -60,25 +61,10 @@ def _by_incidence(
     cone_dim is dim).  A normal tight on every generator is an implicit
     equation.  The tight set of any other is a face, and every face lies in
     a facet, so the facets are the normals with maximal tight sets, one per
-    set, reduced modulo the equations; largest first, a set is maximal
-    unless a maximal one already taken contains it.
+    set, reduced modulo the equations.
     """
     eqs = [] if cone_dim == dim else kernel_basis(list(gens) + list(lin), dim)
-    tight = [0] * len(normals)
-    for i, m in enumerate(masks):
-        while m:
-            low = m & -m
-            tight[low.bit_length() - 1] |= 1 << i
-            m ^= low
-    full = (1 << len(gens)) - 1
-    by_mask: dict[int, IntVec] = {}
-    for a, mask in zip(normals, tight):
-        if mask != full:
-            by_mask.setdefault(mask, a)
-    maximal: list[int] = []
-    for m in sorted(by_mask, key=int.bit_count, reverse=True):
-        if not any(m & o == m for o in maximal):
-            maximal.append(m)
+    by_mask, maximal = _maximal(normals, masks)
     facets = [_reduce_mod(eqs, by_mask[m]) for m in maximal]
     return tuple(sorted(facets)), tuple(eqs)
 
@@ -187,12 +173,13 @@ class Cone:
                 self._minimal[k] = True
         return self._sides[k]
 
-    def _described(self, k: int, out) -> None:
+    def _described(self, k: int, out) -> "Cone":
         """Take side k, and its masks, from a double description of the
-        other side's rows."""
+        other side's rows; returns the cone."""
         self._sides[k] = (tuple(out[0]), tuple(out[1]))
         self._masks = (out.masks, out.cone_dim)
         self._minimal[k] = True
+        return self
 
     @property
     def rays(self) -> Rows:
@@ -293,22 +280,25 @@ def tropical_hull(y: Cone) -> Cone:
     Intersection over coordinates i of y + V_i, where V_i is the cone of
     vectors with minimal i-th coordinate (generated by the unit vectors
     away from i together with the all-ones line).  The facets of each sum
-    are one double description of its generators.  The sums grow from one
-    state holding y's down a halving tree: each half of the coordinates
-    continues a copy that takes the other half's unit vectors.  Their
-    facets enter the hull sum by sum, most facets first (a stable sort), so
-    the later rows mostly cut nothing.
+    are one double description of its generators, y's as given.  The sums
+    grow from one state holding y's down a halving tree: each half of the
+    coordinates continues a copy that takes the other half's unit vectors.
+    Each sum is full-dimensional (ArithmeticError otherwise), so the hull's
+    double description starts from the generators of the sum with the most
+    facets and takes the others' facets, most first (a stable sort), so the
+    later rows mostly cut nothing.
     """
     n = y.dim
     if n == 0:
         return Cone.origin(0)
-    shared = DoubleDescription(n, y.lineality + (tuple(1 for _ in range(n)),))
-    shared.add(y.rays)
+    gens, lins = y._sides[1] or y._side(1)
+    shared = DoubleDescription(n, [*lins, (1,) * n])
+    shared.add(gens)
     sums = []
 
     def grow(state: DoubleDescription, coords: list[int]) -> None:
         if len(coords) == 1:
-            sums.append(state.result())
+            sums.append((state.result(), state.added))
             return
         left, right = coords[: len(coords) // 2], coords[len(coords) // 2 :]
         piece = state.copy()
@@ -318,8 +308,13 @@ def tropical_hull(y: Cone) -> Cone:
         grow(state, right)
 
     grow(shared, list(range(n)))
-    sums.sort(key=lambda out: len(out[0]), reverse=True)
-    return Cone.from_hrep(n, *[[a for out in sums for a in out[k]] for k in (0, 1)])
+    if any(out[1] for out, _ in sums):
+        raise ArithmeticError("a sum y + V_i is not full-dimensional")
+    sums.sort(key=lambda s: len(s[0][0]), reverse=True)
+    state = DoubleDescription.seeded(n, *sums[0])
+    state.add([a for out, _ in sums[1:] for a in out[0]])
+    hull = Cone.from_hrep(n, [a for out, _ in sums for a in out[0]])
+    return hull._described(1, state.result())
 
 
 def tropical_hull_dual(y: Cone) -> Cone:
@@ -501,9 +496,7 @@ def project_hrep(
             members.add(y)
             found.append(y)
         if not found:
-            image = Cone.from_vrep(k, rays, lins)
-            image._described(0, out)
-            return image
+            return Cone.from_vrep(k, rays, lins)._described(0, out)
         approx.add(found)
         rays.extend(found)
     raise ArithmeticError("projection oracle did not converge")

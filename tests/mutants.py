@@ -57,7 +57,7 @@ MUTANTS = [
     ),
     (
         "minimal forms keep every tight set as maximal",
-        "cones.py",
+        "_dd.py",
         "if not any(m & o == m for o in maximal):",
         "if True:",
         ["tests/test_cones.py::test_tropical_hull_anchors"],
@@ -68,6 +68,27 @@ MUTANTS = [
         "meet & other[1] == meet",
         "False",
         ["tests/test_dd_differential.py"],
+    ),
+    (
+        "double description retries a witness that is one of the pair",
+        "_dd.py",
+        "if last is not ne and meet & last[1] == meet:",
+        "if meet & last[1] == meet:",
+        ["tests/test_dd_differential.py::test_dd_matches_unfiltered_oracle"],
+    ),
+    (
+        "double description classifies a sparse row without its third nonzero",
+        "_dd.py",
+        "a0 * v[i0] + a1 * v[i1] + a2 * v[i2]",
+        "a0 * v[i0] + a1 * v[i1]",
+        ["tests/test_dd_differential.py::test_dd_matches_unfiltered_oracle"],
+    ),
+    (
+        "seeded state keeps generators with non-maximal tight sets",
+        "_dd.py",
+        "state.rays = [[by_mask[m], m] for m in maximal]",
+        "state.rays = [[by_mask[m], m] for m in by_mask]",
+        ["tests/test_dd_differential.py::test_seeded_state_continues_as_the_facets_would"],
     ),
     (
         "cost update unsigned",

@@ -9,7 +9,9 @@ combinatorial test, the rays with maximal tight sets are kept, each
 minimal form is a second double description, and the masks are dot
 products.  On random cones of dimension at most 6, given by inequalities
 or by generators with redundant, repeated and implicitly tight rows,
-every canonical tuple must be the oracle's, byte for byte.
+every canonical tuple must be the oracle's, byte for byte.  A state
+seeded from a full-dimensional cone's generators and their incidence with
+its facets must continue as a fresh state given those facets does.
 """
 
 from unittest import mock
@@ -147,3 +149,48 @@ def test_facet_free_and_origin_cones():
             got = forms(cone)
             assert got == oracles.minimal_forms(dim, rows, lin_rows, given_as)
             assert got[0] == got[2] == ()
+
+
+@st.composite
+def full_dimensional_generators(draw):
+    """(dim, gens, lines, more) in dimension 1 to 5: gens and lines span the
+    space, and gens holds repeated members, redundant ones and members of
+    the lineality (a line, or a generator's negative); more holds the rows
+    added after the seed."""
+    dim = draw(st.integers(1, 5))
+    vec = st.tuples(*[ENTRY] * dim)
+    lines = draw(st.lists(vec, max_size=2))
+    gens = draw(st.lists(vec, min_size=1, max_size=6))
+    for i in range(dim):
+        if linalg.rank(gens + lines) == dim:
+            break
+        gens.append(cones._unit(dim, i))
+    pick = st.sampled_from(gens)
+    for kind in draw(st.lists(st.sampled_from("rcl"), max_size=4)):
+        if kind == "r":
+            extra = draw(pick)
+        elif kind == "c":
+            extra = tuple([x + 2 * y for x, y in zip(draw(pick), draw(pick))])
+        else:
+            line = draw(st.sampled_from(lines or [draw(pick)]))
+            extra = tuple([draw(st.sampled_from((-1, 1))) * x for x in line])
+        gens.insert(draw(st.integers(0, len(gens))), extra)
+    return dim, gens, lines, draw(st.lists(vec, max_size=5))
+
+
+@given(full_dimensional_generators())
+def test_seeded_state_continues_as_the_facets_would(case):
+    dim, gens, lines, more = case
+    dual = DoubleDescription(dim, lines)
+    dual.add(gens)
+    out = dual.result()
+    assert not out[1]
+    seeded = DoubleDescription.seeded(dim, out, dual.added)
+    fresh = DoubleDescription(dim, ())
+    fresh.add(out[0])
+    for rows in ((), more):
+        seeded.add(rows)
+        fresh.add(rows)
+        got, want = seeded.result(), fresh.result()
+        assert (got, got.masks, got.cone_dim) == (want, want.masks, want.cone_dim)
+    assert got == oracles.double_description(dim, list(out[0]) + more, ())

@@ -296,7 +296,10 @@ def test_scan_work_counts(a, spec, d_max, lps):
 @pytest.mark.parametrize(
     "run, dds, before",
     [
-        (lambda: trop_moment_cone(MOTZKIN, CUBE2).cone.ineqs, 3, 7),
+        # the H-side of the order cone; 3 before the hull's final double
+        # description started from its largest sum and read y's generators
+        # as given
+        (lambda: trop_moment_cone(MOTZKIN, CUBE2).cone.ineqs, 1, 7),
         # the H-sides of the two order cones, and the V-side of the outer
         # cone M(A) of each cold projection (the first degree and the
         # closed form); 2 before M(A) was the outer cone
@@ -325,8 +328,11 @@ def _ten_point_cube(tmp_path):
 @pytest.mark.parametrize(
     "run, rows, before",
     [
-        (lambda tmp_path: trop_moment_cone(MOTZKIN, CUBE2).cone.ineqs, 24, 28),
-        (_ten_point_cube, 190, 246),
+        # 24 and 190 rows, with 3 fresh double descriptions, before the
+        # final one started from the largest sum's generators and y's
+        # generators were read as given
+        (lambda tmp_path: trop_moment_cone(MOTZKIN, CUBE2).cone.ineqs, 18, 28),
+        (_ten_point_cube, 152, 246),
     ],
     ids=["motzkin-cube-moment", "ten-point-cube"],
 )
@@ -334,9 +340,9 @@ def test_hull_work_counts(run, rows, before, tmp_path):
     # the sums y + V_i take their unit vectors down a halving tree, and a
     # full-dimensional cone's minimal H-side computes no kernel; ``before``
     # is the row count when each sum took its n - 1 units, with 3 kernels
-    # on both
+    # on both; the one fresh double description left is the order cone's
     counts = _work(lambda: run(tmp_path))
-    assert (counts["rows"], counts["kernel"], counts["dd"]) == (rows, 0, 3)
+    assert (counts["rows"], counts["kernel"], counts["dd"]) == (rows, 0, 1)
     assert rows < before
 
 
