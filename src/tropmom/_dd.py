@@ -14,15 +14,15 @@ from a positive and a negative one is tight exactly where both are, so
 the masks are the ray-row incidence, with no dot product spent on it.
 
 A row with at most three nonzeros (every unit, midpoint and monotone
-row, most hull facets) is read flat, padded with zeros, to classify the
-rays.  Two rays can be adjacent only if they share at least d - 2 tight
-rows, d the dimension of the current cone modulo its lineality, so pairs
-with fewer skip the combinatorial test (Fukuda & Prodon 1996), which
-first retries the ray that ruled out the positive ray's previous pair.
-Only a cut with no ray strictly on its positive side changes d: the cone
-collapses to a face, whose dimension is then computed.  With the exact
-adjacency test every ray kept is extreme, so the result needs no
-maximality filter.
+row) is read flat, padded with zeros, against four rays or more; against
+fewer the read costs more than it saves.  Two rays can be adjacent only
+if they share at least d - 2 tight rows, d the dimension of the current
+cone modulo its lineality, so pairs with fewer skip the combinatorial
+test (Fukuda & Prodon 1996), which first retries the ray that ruled out
+the positive ray's previous pair.  Only a cut with no ray strictly on
+its positive side changes d: the cone collapses to a face, whose
+dimension is then computed.  With the exact adjacency test every ray
+kept is extreme, so the result needs no maximality filter.
 """
 
 from __future__ import annotations
@@ -128,9 +128,9 @@ class DoubleDescription:
     @classmethod
     def seeded(cls, dim: int, out: Described, gens: Collection) -> "DoubleDescription":
         """The state that added the facets out[0] of a full-dimensional cone,
-        read off the masks of out, a double description that added its
-        generators gens in this order: the lineality is the facets' kernel,
-        and the generators with maximal tight sets are the rays, one per set."""
+        read off the masks of out, the double description of its generators
+        gens in this order: the generators with maximal tight sets, one per
+        set, are the rays, and the facets' kernel is the lineality."""
         by_mask, maximal = _maximal(gens, out.masks)
         state = cls(dim, out[0])
         state.cone_dim, state.added = dim, dict.fromkeys(out[0])
@@ -152,15 +152,10 @@ class DoubleDescription:
                 continue
             bit = 1 << len(self.added)
             self.added[a] = None
-            if len(a) - a.count(0) > 3:
-                vals = [dot(a, v) for v, _ in rays]
-            else:
-                nz = [(i, x) for i, x in enumerate(a) if x] + [(0, 0)] * 3
-                (i0, a0), (i1, a1), (i2, a2), *_ = nz
-                vals = [a0 * v[i0] + a1 * v[i1] + a2 * v[i2] for v, _ in rays]
             lin, b0, s = _lineality_step(lin, a)
             if b0 is not None:
-                for entry, t in zip(rays, vals):
+                for entry in rays:
+                    t = dot(a, entry[0])
                     if t:
                         entry[0] = primitive(
                             [s * x - t * y for x, y in zip(entry[0], b0)]
@@ -170,8 +165,14 @@ class DoubleDescription:
                 # as former lineality it is tight for every earlier row
                 rays.append([b0, bit - 1])
                 continue
+            flat = len(rays) > 3 and len(a) - a.count(0) < 4
+            if flat:
+                nz = [(i, x) for i, x in enumerate(a) if x] + [(0, 0)] * 3
+                (i0, a0), (i1, a1), (i2, a2), *_ = nz
             pos, zero, neg = [], [], []
-            for entry, t in zip(rays, vals):
+            for entry in rays:
+                v = entry[0]
+                t = a0 * v[i0] + a1 * v[i1] + a2 * v[i2] if flat else dot(a, v)
                 if t > 0:
                     pos.append((entry, t))
                 elif t < 0:

@@ -26,10 +26,9 @@ never by string comparison.
 The tropical hull of a cone Y is computed from its definition as the
 intersection of the Minkowski sums Y + V_i, where V_i is the cone of
 vectors whose i-th coordinate is minimal, each sum continuing one double
-description of the generators of Y and the intersection continuing the
-largest sum's; the dual route sums the slices of the dual cone over the
-opposite orthant sectors.  Both routes are kept because they check each
-other.
+description of the generators of Y, and the hull the largest sum's; the
+dual route sums the slices of the dual cone over the opposite orthant
+sectors.  Both routes are kept because they check each other.
 """
 
 from __future__ import annotations
@@ -173,13 +172,12 @@ class Cone:
                 self._minimal[k] = True
         return self._sides[k]
 
-    def _described(self, k: int, out) -> "Cone":
+    def _described(self, k: int, out) -> None:
         """Take side k, and its masks, from a double description of the
-        other side's rows; returns the cone."""
+        other side's rows."""
         self._sides[k] = (tuple(out[0]), tuple(out[1]))
         self._masks = (out.masks, out.cone_dim)
         self._minimal[k] = True
-        return self
 
     @property
     def rays(self) -> Rows:
@@ -280,13 +278,12 @@ def tropical_hull(y: Cone) -> Cone:
     Intersection over coordinates i of y + V_i, where V_i is the cone of
     vectors with minimal i-th coordinate (generated by the unit vectors
     away from i together with the all-ones line).  The facets of each sum
-    are one double description of its generators, y's as given.  The sums
-    grow from one state holding y's down a halving tree: each half of the
-    coordinates continues a copy that takes the other half's unit vectors.
-    Each sum is full-dimensional (ArithmeticError otherwise), so the hull's
-    double description starts from the generators of the sum with the most
-    facets and takes the others' facets, most first (a stable sort), so the
-    later rows mostly cut nothing.
+    are one double description of its generators, y's as given, grown
+    from one state down a halving tree: each half of the coordinates
+    continues a copy that takes the other half's unit vectors.  Every sum
+    is full-dimensional (ArithmeticError otherwise); the hull's double
+    description starts from the one with the most facets and takes the
+    others' facets, most first (a stable sort), so they mostly cut nothing.
     """
     n = y.dim
     if n == 0:
@@ -314,7 +311,8 @@ def tropical_hull(y: Cone) -> Cone:
     state = DoubleDescription.seeded(n, *sums[0])
     state.add([a for out, _ in sums[1:] for a in out[0]])
     hull = Cone.from_hrep(n, [a for out, _ in sums for a in out[0]])
-    return hull._described(1, state.result())
+    hull._described(1, state.result())
+    return hull
 
 
 def tropical_hull_dual(y: Cone) -> Cone:
@@ -496,7 +494,9 @@ def project_hrep(
             members.add(y)
             found.append(y)
         if not found:
-            return Cone.from_vrep(k, rays, lins)._described(0, out)
+            image = Cone.from_vrep(k, rays, lins)
+            image._described(0, out)
+            return image
         approx.add(found)
         rays.extend(found)
     raise ArithmeticError("projection oracle did not converge")

@@ -223,15 +223,17 @@ def test_inner_point_or_line_off_the_source_raises():
 
 
 def _work(run) -> Counter:
-    """LPs, refuted LPs, column builds, projections, double descriptions,
-    rows handed to a double description's ``add`` and kernels computed by
-    ``cones`` in run()."""
+    """LPs, refuted LPs, column builds, projections, fresh double
+    descriptions, double descriptions seeded from a cone's generators and
+    the facets they seed, rows handed to a double description's ``add`` and
+    kernels computed by ``cones`` in run()."""
     counts: Counter = Counter()
-    lp, columns, project, dd, add, kernel = (
+    lp, columns, project, dd, seeded, add, kernel = (
         _simplex.nonneg_combination,
         _simplex._columns,
         pseudo.project_hrep,
         cones.double_description,
+        _dd.DoubleDescription.seeded,
         _dd.DoubleDescription.add,
         cones.kernel_basis,
     )
@@ -247,6 +249,11 @@ def _work(run) -> Counter:
         counts["rows"] += len(ineqs)
         return add(state, ineqs)
 
+    def spy_seeded(cls, dim, out, gens):
+        counts["seeded"] += 1
+        counts["seeded_rows"] += len(out[0])
+        return seeded(dim, out, gens)
+
     def spy(name, fn):
         def wrapper(*args, **kwargs):
             counts[name] += 1
@@ -259,6 +266,7 @@ def _work(run) -> Counter:
         mp.setattr(_simplex, "_columns", spy("columns", columns))
         mp.setattr(pseudo, "project_hrep", spy("project", project))
         mp.setattr(cones, "double_description", spy("dd", dd))
+        mp.setattr(_dd.DoubleDescription, "seeded", classmethod(spy_seeded))
         mp.setattr(_dd.DoubleDescription, "add", spy_add)
         mp.setattr(cones, "kernel_basis", spy("kernel", kernel))
         run()
@@ -296,14 +304,15 @@ def test_scan_work_counts(a, spec, d_max, lps):
 @pytest.mark.parametrize(
     "run, dds, before",
     [
-        # the H-side of the order cone; 3 before the hull's final double
-        # description started from its largest sum and read y's generators
-        # as given
-        (lambda: trop_moment_cone(MOTZKIN, CUBE2).cone.ineqs, 1, 7),
+        # the H-side of the order cone fresh, and the hull's final double
+        # description seeded from its largest sum; 3 fresh and none seeded
+        # before that seeding, and before the hull read y's generators as
+        # given
+        (lambda: trop_moment_cone(MOTZKIN, CUBE2).cone.ineqs, (1, 1), 7),
         # the H-sides of the two order cones, and the V-side of the outer
         # cone M(A) of each cold projection (the first degree and the
         # closed form); 2 before M(A) was the outer cone
-        (lambda: stabilization_scan(MOTZKIN, CUBE2, 5), 4, 14),
+        (lambda: stabilization_scan(MOTZKIN, CUBE2, 5), (4, 0), 14),
     ],
     ids=["motzkin-cube-moment", "motzkin-cube-scan"],
 )
@@ -312,9 +321,9 @@ def test_dd_counts(run, dds, before):
     # description, and a projection's approximation resumes one from round
     # to round, so neither enters double_description afresh; ``before`` is
     # the count when each sum and each round ran its own
-    got = _work(run)["dd"]
-    assert got == dds
-    assert got < before
+    counts = _work(run)
+    assert (counts["dd"], counts["seeded"]) == dds
+    assert counts["dd"] + counts["seeded"] < before
 
 
 def _ten_point_cube(tmp_path):
@@ -328,11 +337,12 @@ def _ten_point_cube(tmp_path):
 @pytest.mark.parametrize(
     "run, rows, before",
     [
-        # 24 and 190 rows, with 3 fresh double descriptions, before the
-        # final one started from the largest sum's generators and y's
-        # generators were read as given
-        (lambda tmp_path: trop_moment_cone(MOTZKIN, CUBE2).cone.ineqs, 18, 28),
-        (_ten_point_cube, 152, 246),
+        # (24, 0, 3, 0) and (190, 0, 3, 0) in the order (rows added,
+        # rows seeded, fresh, seeded double descriptions) before the final
+        # one started from the largest sum's generators and y's generators
+        # were read as given
+        (lambda tmp_path: trop_moment_cone(MOTZKIN, CUBE2).cone.ineqs, (18, 4), 28),
+        (_ten_point_cube, (152, 36), 246),
     ],
     ids=["motzkin-cube-moment", "ten-point-cube"],
 )
@@ -340,10 +350,13 @@ def test_hull_work_counts(run, rows, before, tmp_path):
     # the sums y + V_i take their unit vectors down a halving tree, and a
     # full-dimensional cone's minimal H-side computes no kernel; ``before``
     # is the row count when each sum took its n - 1 units, with 3 kernels
-    # on both; the one fresh double description left is the order cone's
+    # on both; the one fresh double description left is the order cone's,
+    # and the hull's final one still runs, seeded with its largest sum's
+    # facets and given the others' rows
     counts = _work(lambda: run(tmp_path))
-    assert (counts["rows"], counts["kernel"], counts["dd"]) == (rows, 0, 1)
-    assert rows < before
+    assert (counts["rows"], counts["seeded_rows"]) == rows
+    assert (counts["kernel"], counts["dd"], counts["seeded"]) == (0, 1, 1)
+    assert sum(rows) < before
 
 
 @pytest.mark.parametrize(
