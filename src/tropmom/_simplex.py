@@ -207,6 +207,15 @@ def _dot(vec, entries) -> int:
     return sum([vec[i] * a for i, a in entries])
 
 
+def row_values(system: RowSystem, vec: Sequence[int]) -> list[int]:
+    """<row, vec> for every row of the system, read through its nonzeros."""
+    cols, more, _, _ = system.columns
+    values = [vec[i0] * a0 + vec[i1] * a1 + vec[i2] * a2 for i0, a0, i1, a1, i2, a2 in cols]
+    for j, rest in more.items():
+        values[j] += _dot(vec, rest)
+    return values
+
+
 def valid_on_system(rows: Sequence[IntVec], normal: Sequence[int]):
     """Whether <normal, h> >= 0 follows from the system <row, h> >= 0.
 
@@ -214,12 +223,12 @@ def valid_on_system(rows: Sequence[IntVec], normal: Sequence[int]):
     <normal, h> < 0.  The certificate is checked in integer arithmetic;
     one that fails the check raises ArithmeticError.
     """
-    ok, w = nonneg_combination(rows, normal)
+    system = rows if isinstance(rows, RowSystem) else RowSystem(rows)
+    ok, w = nonneg_combination(system, normal)
     if ok:
         return True, None
     if w is None or dot(normal, w) >= 0:
         raise ArithmeticError("certificate does not violate the normal")
-    for row in rows:
-        if dot(row, w) < 0:
-            raise ArithmeticError("certificate violates the system")
+    if min(row_values(system, w), default=0) < 0:
+        raise ArithmeticError("certificate violates the system")
     return False, w

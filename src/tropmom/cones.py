@@ -394,6 +394,7 @@ def project_hrep(
     coords: Sequence[int],
     outer: Optional[Cone] = None,
     inner: tuple[Sequence[IntVec], Sequence[IntVec]] = ((), ()),
+    pool: Sequence[IntVec] = (),
 ) -> Cone:
     """Exact coordinate projection of {h : <row, h> >= 0 for every row},
     computed without enumerating the rays of the source cone.
@@ -412,32 +413,38 @@ def project_hrep(
     resumable double description of the approximation takes each round's
     new members.  A candidate negative on a member found earlier in its
     round is no facet of the image and waits for the next round untested.
+    Before its LP, any other candidate takes the first ``pool`` function
+    (more members of the source, in R^dim) whose image is negative on it;
+    that one leaves the pool, is checked in integers against every row
+    (ArithmeticError if it fails) and stands in for the LP's refutation.
 
     Given a cone ``outer`` in R^len(coords), such as M(A) for the cold
     pseudo-moment projections, the result is the image met with ``outer``
     or the call raises ValueError.  A candidate valid on ``outer`` needs
-    no LP.  The images of the inner points and lines and each member an
-    LP finds must lie in ``outer``, so the approximation stays in both
-    cones and every final candidate is valid on their intersection.
+    no LP.  The images of the inner points and lines and of each member an
+    LP or the pool finds must lie in ``outer``, so the approximation stays
+    in both cones and every final candidate is valid on their intersection.
     """
-    from ._simplex import RowSystem, valid_on_system
+    from ._simplex import RowSystem, row_values, valid_on_system
 
     rows = tuple(_clean_rows(ineqs))
     coords = list(coords)
     if len(set(coords)) != len(coords):
         raise ValueError("projection coordinates must be distinct")
-    for c in coords:
-        if not 0 <= c < dim:
-            raise ValueError("projection coordinate out of range")
+    if not all(0 <= c < dim for c in coords):
+        raise ValueError("projection coordinate out of range")
     k = len(coords)
     if outer is not None and outer.dim != k:
         raise ValueError("outer cone dimension does not match the projection")
     points, lines = inner
-    if any(dot(a, h) < 0 for a in rows for h in points) or any(
-        dot(a, v) for a in rows for v in lines
+    system = RowSystem(rows)
+    if any(min(row_values(system, h), default=0) < 0 for h in points) or any(
+        any(row_values(system, v)) for v in lines
     ):
         raise ArithmeticError("inner point or line is not in the source cone")
     take = lambda v: tuple([v[c] for c in coords])
+    where = {c: j for j, c in enumerate(coords)}
+    lift = lambda nu: tuple([nu[where[i]] if i in where else 0 for i in range(dim)])
     missed = "outer cone does not contain the projection"
     if not rows or k == dim:
         # the whole space, or a permutation of coordinates transports the
@@ -446,7 +453,6 @@ def project_hrep(
         if outer is not None and not outer.contains_cone(image):
             raise ValueError(missed)
         return image
-    system = RowSystem(rows)
     lins = [take(v) for v in lines]
     # the normals valid on outer are the members of its dual
     outer_dual = None if outer is None else outer.dual()
@@ -460,6 +466,7 @@ def project_hrep(
     approx.add(rays)
     certified: set[IntVec] = set()
     members = set(rays)
+    pool = {take(h): h for h in pool}
     for _ in range(100000):
         out = approx.result()
         candidates = list(out[0])
@@ -475,13 +482,16 @@ def project_hrep(
                 continue
             if any(dot(nu, y) < 0 for y in found):
                 continue
-            lift = [0] * dim
-            for j, c in enumerate(coords):
-                lift[c] = nu[j]
-            ok, w = valid_on_system(system, tuple(lift))
-            if ok:
-                certified.add(nu)
-                continue
+            hit = next((y for y in pool if dot(nu, y) < 0), None)
+            if hit is not None:
+                w = pool.pop(hit)
+                if min(row_values(system, w), default=0) < 0:
+                    raise ArithmeticError("pool function is not in the source cone")
+            else:
+                ok, w = valid_on_system(system, lift(nu))
+                if ok:
+                    certified.add(nu)
+                    continue
             y = primitive(take(w))
             if not any(y):
                 raise ArithmeticError("projection certificate vanished")

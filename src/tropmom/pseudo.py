@@ -6,7 +6,8 @@ most d by midpoint inequalities h(a1) + h(a2) >= 2h(b) and monotonicity
 inequalities h(a) >= h(b) for a - b in the order cone of S.  Restricting
 to a support A means projecting that cone onto the A-coordinates; the
 projection is computed by the certified-oracle method, never by ray
-enumeration of the high-dimensional cone.
+enumeration of the high-dimensional cone.  Members known in closed
+form, linear functions and their tropical maxima, spare it most LPs.
 
 Three stabilized constructions bypass the degree parameter: the cubical
 hull (cube), the finite extension support A-hat (sets whose negated order
@@ -109,13 +110,31 @@ def _linear(e: PointConfig, c: Cone) -> tuple[list[IntVec], list[IntVec]]:
     return [image(u) for u in c.ineqs], [(1,) * len(e)] + [image(u) for u in c.eqs]
 
 
+def _maxima(coords: list[int], points: list[IntVec], lines: list[IntVec]) -> list[IntVec]:
+    """Tropical maxima max(f, g + s) on E, one per image on A, for f, g
+    among _linear's points, its lines but the constants with both signs,
+    and zero, and s each value of f - g on A strictly between its extremes:
+    every row holds on f and g + s, hence on their maximum.  On A any other
+    shift gives f, g + s or a convex combination of two of these maxima."""
+    gens = [*points, *(w for v in lines[1:] for w in (v, tuple([-x for x in v])))]
+    gens.append((0,) * len(lines[0]))
+    pool: dict[IntVec, IntVec] = {}
+    for f in gens:
+        for g in gens:
+            for s in sorted({f[i] - g[i] for i in coords})[1:-1]:
+                h = tuple([max(x, y + s) for x, y in zip(f, g)])
+                pool.setdefault(tuple([h[i] for i in coords]), h)
+    return list(pool.values())
+
+
 def _projected(
     a: PointConfig, e: PointConfig, c: Cone, outer: Optional[Cone] = None
 ) -> Cone:
     """Midpoint and cover-pair monotone rows on R^E, projected onto A;
     by transitivity the cover pairs cut out what all comparable pairs do.
     ``outer`` is a cone known to contain the projection (project_hrep).
-    The linear functions of C's dual on E start the projection (_linear).
+    The linear functions of C's dual on E start the projection (_linear),
+    and their tropical maxima refute candidates before an LP (_maxima).
 
     Without one, M(A) = cone_M(a, c) is the outer cone: every midpoint
     triple and every comparable pair among A's points is one of E's, so
@@ -127,7 +146,9 @@ def _projected(
     if outer is None and len(e) > len(a):
         outer = cone_M(a, c).cone
     coords = [e.index(p) for p in a]
-    return project_hrep(len(e), rows, coords, outer=outer, inner=_linear(e, c))
+    inner = _linear(e, c)
+    pool = _maxima(coords, *inner)
+    return project_hrep(len(e), rows, coords, outer=outer, inner=inner, pool=pool)
 
 
 def _require_truncated(spec: SemialgSpec) -> None:

@@ -37,8 +37,8 @@ MUTANTS = [
     (
         "certificate check forgives -1",
         "_simplex.py",
-        "if dot(row, w) < 0:",
-        "if dot(row, w) < -1:",
+        "if min(row_values(system, w), default=0) < 0:",
+        "if min(row_values(system, w), default=0) < -1:",
         ["tests/test_kernels_differential.py::test_valid_on_system_rejects_a_bad_certificate"],
     ),
     (
@@ -149,9 +149,16 @@ MUTANTS = [
     (
         "inner point check forgives -1",
         "cones.py",
-        "dot(a, h) < 0",
-        "dot(a, h) < -1",
+        "min(row_values(system, h), default=0) < 0",
+        "min(row_values(system, h), default=0) < -1",
         ["tests/test_reuse_differential.py::test_inner_point_or_line_off_the_source_raises"],
+    ),
+    (
+        "pool function taken without its row check",
+        "cones.py",
+        "if min(row_values(system, w), default=0) < 0:",
+        "if False:",
+        ["tests/test_reuse_differential.py::test_pool_function_off_the_source_raises_when_taken"],
     ),
     (
         "cold projections take an outer cone that misses the image",

@@ -13,14 +13,17 @@ support, the outer cone of every cold projection, must contain the image
 and leave the projection and its refuted LPs as they are.  The linear
 functions of the order cone's dual, which seed every pseudo-moment
 projection, must satisfy every row, leave the projection as it is and
-refute no more LPs than the projection without them.  The work
-counts of two scans, of the 9-point cubical-hull projection and of the
-seed-1 ``projection`` and ``scan`` corpora, the fresh double
-descriptions of a moment cone and a scan, the rows the tropical hulls of
-two moment cones hand to double description and the kernels their
-minimal forms compute, and the LPs of the sums-of-squares dual on two
-supports whose kernel exceeds the affine functions, are pinned, so that
-losing the reuse shows up as a changed count.
+refute no more LPs than the projection without them.  The pool of
+tropical maxima of those functions must satisfy every row, leave the
+projection as it is and run no more LPs, and a pool function off the
+source must raise when it is taken.  The work counts of two scans, of
+the 9-point cubical-hull projection and of the seed-1 ``projection`` and
+``scan`` corpora, the fresh double descriptions of a moment cone and a
+scan, the rows the tropical hulls of two moment cones hand to double
+description and the kernels their minimal forms compute, and the LPs of
+the sums-of-squares dual on two supports whose kernel exceeds the affine
+functions, are pinned, so that losing the reuse shows up as a changed
+count.
 """
 
 import contextlib
@@ -195,11 +198,19 @@ def test_outer_cone_missing_a_member_raises():
     # returns the image met with it
     assert project_hrep(2, [(1, 0)], [1], outer=ray) == ray
     # the nesting taken backwards: the square over S1 stabilizes at degree
-    # 3, strictly inside its degree-2 cone.  The seeds lie in t3, but the
-    # first LP, on h(0,0) + h(1,1) >= h(1,0) + h(0,1), finds (1, 1, 1, -1)
+    # 3, strictly inside its degree-2 cone T_2.  The seeds lie in t3.
+    # Without the pool of tropical maxima the first LP, on h(0,0) + h(1,1)
+    # >= h(1,0) + h(0,1), finds (1, 1, 1, -1) and the call raises; with it,
+    # the pool refutes every candidate that is not valid on t3, and the call
+    # returns T_2 met with t3, which is t3 (it raised before the pool)
     t3 = trop_pseudomoment(SQUARE, S1, 3).cone
-    with pytest.raises(ValueError, match="outer cone"):
-        pseudo._projected(SQUARE, delta_simplex(2, 2), order_cone(S1), t3)
+    backwards = lambda: pseudo._projected(SQUARE, delta_simplex(2, 2), order_cone(S1), t3)
+    got = backwards()
+    assert got == t3 and (got.ineqs, got.eqs) == (t3.ineqs, t3.eqs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pseudo, "_maxima", lambda *args: [])
+        with pytest.raises(ValueError, match="outer cone"):
+            backwards()
     # a half-space that holds the line of constants but misses the seed
     # (0, -2, -1, -3), from C's facet normal (-2, -1), refuses before any LP
     missing = Cone.from_hrep(4, [(0, 1, -1, 0)])
@@ -220,6 +231,22 @@ def test_inner_point_or_line_off_the_source_raises():
         project_hrep(2, rows, [0], inner=((), [(1, 1)]))
     # a valid point is only a head start
     assert project_hrep(2, rows, [0], inner=([(2, 1)], ())) == project_hrep(2, rows, [0])
+
+
+def test_pool_function_off_the_source_raises_when_taken():
+    # the source is {x0 >= x1 >= 0}; (-1, 0) is -1 on its first row, and its
+    # image refutes the normal (1,) of the origin's span, so it is taken
+    rows = [(1, -1), (0, 1)]
+    image = project_hrep(2, rows, [0])
+    with pytest.raises(ArithmeticError, match="pool"):
+        project_hrep(2, rows, [0], pool=[(-1, 0)])
+    # (0, 1) is off the source too, but its image refutes no candidate, so
+    # it is never taken and never checked; (1, 0), in the source, refutes
+    # the normal (-1,) in place of an LP
+    assert project_hrep(2, rows, [0], pool=[(0, 1)]) == image
+    got = []
+    work = _work(lambda: got.append(project_hrep(2, rows, [0], pool=[(1, 0)])))
+    assert got == [image] and (work["lp"], work["refuted"]) == (1, 0)
 
 
 def _work(run) -> Counter:
@@ -275,11 +302,13 @@ def _work(run) -> Counter:
 
 @pytest.mark.parametrize(
     "a, spec, d_max, lps",
-    # 28 and 30 before each projection started from the linear functions
-    # of the order cone's dual, and 34 and 36 before the first degree and
-    # the closed form had M(A) as outer cone; 8 and 16 of them are refuted
-    # either way (24 and 22 before the linear functions)
-    [(MOTZKIN, CUBE2, 5, 12), (SQUARE, S1, 4, 24)],
+    # 4 and 1 of them refuted; 12 and 24 before the pool of tropical
+    # maxima refuted candidates, 28 and 30 before each projection started
+    # from the linear functions of the order cone's dual, and 34 and 36
+    # before the first degree and the closed form had M(A) as outer cone;
+    # 8 and 16 of them refuted either way before the pool (24 and 22
+    # before the linear functions)
+    [(MOTZKIN, CUBE2, 5, 8), (SQUARE, S1, 4, 9)],
     ids=["motzkin-cube", "square-s1"],
 )
 def test_scan_work_counts(a, spec, d_max, lps):
@@ -293,7 +322,8 @@ def test_scan_work_counts(a, spec, d_max, lps):
 
     cold = _work(cold_run)
     assert scan["lp"] == lps
-    # 12 < 16 and 24 < 30 LPs (28 < 32 and 30 < 36 before)
+    # 8 < 12 and 9 < 15 LPs (12 < 16 and 24 < 30 before the pool, and 28 <
+    # 32 and 30 < 36 before the linear functions)
     assert scan["lp"] < cold["lp"]
     # an outer cone only spares LPs that would have certified a normal
     assert scan["refuted"] == cold["refuted"]
@@ -376,10 +406,11 @@ def test_sums_of_squares_dual_starts_from_the_kernel(points):
 def test_nine_point_cubical_hull_work_counts():
     # a candidate negative on a member found earlier in its round is not
     # tested; 587 LPs when every candidate was, 169 before M(A) was the
-    # outer cone, and (156, 120) before the linear functions seeded it
+    # outer cone, (156, 120) before the linear functions seeded it, and
+    # (141, 105) before the pool of tropical maxima refuted candidates
     got = []
     counts = _work(lambda: got.append(trop_pseudomoment_cube_stable(NINE_POINTS).cone))
-    assert (counts["lp"], counts["refuted"], counts["project"]) == (141, 105, 1)
+    assert (counts["lp"], counts["refuted"], counts["project"]) == (140, 104, 1)
     assert len(got[0].ineqs) == 44 and not got[0].eqs
 
 
@@ -452,13 +483,30 @@ def test_linear_functions_are_a_head_start(case):
     assert started["refuted"] <= plain["refuted"]
 
 
+@settings(max_examples=120)
+@given(extensions())
+def test_tropical_maxima_leave_the_projection_as_it_is(case):
+    a, e, c = case
+    rows, project = _extension_projection(a, e, c)
+    inner = pseudo._linear(e, c)
+    pool = pseudo._maxima([e.index(p) for p in a], *inner)
+    assert all(dot(row, h) >= 0 for row in rows for h in pool)
+    image, plain = project(inner=inner)
+    pooled, spared = project(inner=inner, pool=pool)
+    assert (pooled.ineqs, pooled.eqs, pooled.rays, pooled.lineality) == (
+        image.ineqs, image.eqs, image.rays, image.lineality
+    )
+    assert spared["lp"] <= plain["lp"]
+
+
 def test_seed_one_corpus_lp_counts(tmp_path):
-    # total (refuted) LPs of the seed-1 projection and scan corpora; 98
-    # (75) and 73 (61) before each projection started from the linear
-    # functions of the order cone's dual, and 137 (75) and 93 (61) before
-    # the cold projections had M(A) as outer cone
+    # total (refuted) LPs of the seed-1 projection and scan corpora; 68
+    # (44) and 40 (28) before the pool of tropical maxima refuted
+    # candidates, 98 (75) and 73 (61) before each projection started from
+    # the linear functions of the order cone's dual, and 137 (75) and 93
+    # (61) before the cold projections had M(A) as outer cone
     corpus = _corpus()
-    for workload, lps in (("projection", (68, 44)), ("scan", (40, 28))):
+    for workload, lps in (("projection", (38, 14)), ("scan", (19, 7))):
         argvs = corpus.write(corpus.build(workload, 1), tmp_path / workload)
 
         def run():

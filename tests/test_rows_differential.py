@@ -35,7 +35,7 @@ def rows_projected(run) -> list:
     projection itself is skipped."""
     sent = []
 
-    def capture(dim, rows, coords, outer=None, inner=((), ())):
+    def capture(dim, rows, coords, outer=None, inner=((), ()), pool=()):
         sent.append(list(rows))
         return Cone.full_space(len(coords))
 
