@@ -8,10 +8,14 @@ and a copy continues from a shared prefix without touching the original;
 after any split of a sequence of rows into calls, the result is that of
 inserting the whole sequence at once.
 
-Bit k of a tight mask stands for the k-th row of ``_clean_rows`` over all
-the rows added, and is set when the ray is tight on that row.  A ray made
-from a positive and a negative one is tight exactly where both are, so
-the masks are the ray-row incidence, with no dot product spent on it.
+Rows enter through ``_clean_rows``: ints only (any other number raises
+TypeError, never truncated), made primitive with one gcd.  Every ray is
+such a row, a lineality vector or built by ``primitive``, so ``result()``
+reduces rays only modulo a nonempty basis; modulo none it is canonical.
+Bit k of a tight mask stands for the k-th of the cleaned rows added, and
+is set when the ray is tight on that row.  A ray made from a positive and
+a negative one is tight exactly where both are, so the masks are the
+ray-row incidence, with no dot product spent on it.
 
 A row with at most three nonzeros (every unit, midpoint and monotone
 row) is read flat, padded with zeros, against four rays or more; against
@@ -27,6 +31,7 @@ kept is extreme, so the result needs no maximality filter.
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Collection, Iterable, Sequence
 
 from .linalg import IntVec, dot, primitive, rank, rref_int
@@ -37,15 +42,15 @@ def _unit(n: int, i: int) -> IntVec:
 
 
 def _clean_rows(rows: Iterable[Sequence[int]]) -> list[IntVec]:
-    """Primitive, nonzero, deduplicated, original order."""
-    seen = set()
-    out = []
+    """Primitive, nonzero, deduplicated, original order; ints only."""
+    out: dict[IntVec, None] = {}
     for row in rows:
-        v = primitive([int(a) for a in row])
-        if any(v) and v not in seen:
-            seen.add(v)
-            out.append(v)
-    return out
+        g = gcd(*row)
+        if g > 1:
+            out[tuple([a // g for a in row])] = None
+        elif g:
+            out[tuple(row)] = None
+    return list(out)
 
 
 def _reduce_mod(basis: Sequence[IntVec], vec: Sequence[int]) -> IntVec:
@@ -216,7 +221,7 @@ class DoubleDescription:
         lin = rref_int(self.lin)
         by_vec: dict[IntVec, int] = {}
         for vec, mask in self.rays:
-            red = _reduce_mod(lin, vec)
+            red = _reduce_mod(lin, vec) if lin else vec
             if any(red):
                 by_vec.setdefault(red, mask)
         rays = sorted(by_vec)

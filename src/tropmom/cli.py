@@ -38,6 +38,7 @@ from .pseudo import (
     trop_pseudomoment,
 )
 
+_quote = json.encoder.encode_basestring_ascii
 _EXIT_CODES = {SchemaError: 2, PreconditionError: 3, ResourceLimitError: 4}
 
 
@@ -323,9 +324,24 @@ def _text_lines(doc: dict) -> list[str]:
     return [entry["binomial"] for entry in doc["facets"]]
 
 
+def _json(value: Any, indent: str = "") -> str:
+    """json.dumps(value, indent=2), nested at indent, without the pure-Python
+    encoder that json.dumps takes whenever an indent is given."""
+    deeper = indent + "  "
+    if isinstance(value, dict):
+        body, ends = [f"{_quote(k)}: {_json(v, deeper)}" for k, v in value.items()], "{}"
+    elif isinstance(value, (list, tuple)):
+        body, ends = [str(v) if type(v) is int else _json(v, deeper) for v in value], "[]"
+    else:
+        return _quote(value) if type(value) is str else json.dumps(value)
+    if not body:
+        return ends
+    return f"{ends[0]}\n{deeper}" + f",\n{deeper}".join(body) + f"\n{indent}{ends[1]}"
+
+
 def _emit(doc: dict, fmt: str) -> None:
     if fmt == "json":
-        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+        sys.stdout.write(_json(doc) + "\n")
         return
     for note in doc.get("warnings", ()):
         print(f"warning: {note}", file=sys.stderr)

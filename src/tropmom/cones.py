@@ -64,7 +64,7 @@ def _by_incidence(
     """
     eqs = [] if cone_dim == dim else kernel_basis(list(gens) + list(lin), dim)
     by_mask, maximal = _maximal(normals, masks)
-    facets = [_reduce_mod(eqs, by_mask[m]) for m in maximal]
+    facets = [_reduce_mod(eqs, by_mask[m]) if eqs else by_mask[m] for m in maximal]
     return tuple(sorted(facets)), tuple(eqs)
 
 
@@ -113,7 +113,10 @@ class Cone:
         cls, dim: int, k: int, rows: Iterable, basis: Iterable, what: str
     ) -> "Cone":
         c = cls(dim)
-        side = (tuple(_clean_rows(rows)), tuple(_clean_rows(basis)))
+        try:
+            side = (tuple(_clean_rows(rows)), tuple(_clean_rows(basis)))
+        except TypeError:
+            raise ValueError(f"{what} entries must be integers") from None
         for row in side[0] + side[1]:
             if len(row) != dim:
                 raise ValueError(f"{what} of wrong length")
@@ -326,18 +329,11 @@ def tropical_hull_dual(y: Cone) -> Cone:
     if n == 0:
         return Cone.origin(0)
     ydual = y.dual()
-    ones = tuple(1 for _ in range(n))
     total: Optional[Cone] = None
     for i in range(n):
-        sector = Cone.from_hrep(
-            n,
-            [
-                tuple(-x for x in _unit(n, i)) if j == i else _unit(n, j)
-                for j in range(n)
-            ],
-            [ones],
-        )
-        piece = ydual.intersect(sector)
+        normals = [_unit(n, j) for j in range(n)]
+        normals[i] = tuple([-x for x in normals[i]])
+        piece = ydual.intersect(Cone.from_hrep(n, normals, [(1,) * n]))
         total = piece if total is None else total.minkowski_sum(piece)
     total.rays  # the sum's minimal V-rep is this route's work, done here
     return total
@@ -354,8 +350,7 @@ def fourier_motzkin_project(cone: Cone, coords: Sequence[int]) -> Cone:
     if n > 12:
         raise ValueError("fourier_motzkin_project is limited to dimension <= 12")
     keep = list(coords)
-    ineqs = [list(a) for a in cone.ineqs]
-    eqs = [list(e) for e in cone.eqs]
+    ineqs, eqs = cone.ineqs, cone.eqs
     for j in range(n):
         if j in keep:
             continue
@@ -382,8 +377,7 @@ def fourier_motzkin_project(cone: Cone, coords: Sequence[int]) -> Cone:
                 for p in pos
                 for q in neg
             ]
-        ineqs = [list(v) for v in dict.fromkeys(primitive(a) for a in ineqs if any(a))]
-        eqs = [list(v) for v in dict.fromkeys(primitive(e) for e in eqs if any(e))]
+        ineqs, eqs = _clean_rows(ineqs), _clean_rows(eqs)
     take = lambda v: tuple([v[c] for c in keep])
     return Cone.from_hrep(len(keep), [take(a) for a in ineqs], [take(e) for e in eqs])
 

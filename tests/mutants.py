@@ -91,6 +91,27 @@ MUTANTS = [
         ["tests/test_dd_differential.py::test_seeded_state_continues_as_the_facets_would"],
     ),
     (
+        "cleaned rows keep a row that is not primitive",
+        "_dd.py",
+        "out[tuple([a // g for a in row])] = None",
+        "out[tuple(row)] = None",
+        ["tests/test_dd_differential.py::test_clean_rows_match_oracle"],
+    ),
+    (
+        "result skips the reduction modulo a nonempty lineality basis",
+        "_dd.py",
+        "red = _reduce_mod(lin, vec) if lin else vec",
+        "red = vec",
+        ["tests/test_dd_differential.py::test_dd_matches_unfiltered_oracle"],
+    ),
+    (
+        "JSON writer drops the indentation before a closing bracket",
+        "cli.py",
+        'f"\\n{indent}{ends[1]}"',
+        'f"\\n{ends[1]}"',
+        ["tests/test_cli.py::test_writer_gives_the_bytes_of_json_dumps"],
+    ),
+    (
         "cost update unsigned",
         "_simplex.py",
         "y *= best * sign[k]",

@@ -16,6 +16,8 @@ built them before one builder did: the projected system, the midpoint
 cone's defining system and the even-midpoint system of the sums of
 squares dual.
 
+The cleaned rows are the library's before each row made one gcd pass:
+every entry went through int() and every row was made primitive again.
 The double description here is the library's before it skipped pairs of
 rays too far apart to be adjacent, and the minimal forms are the round
 trip through a second double description it made before it read them
@@ -51,7 +53,7 @@ from math import gcd, lcm
 from operator import sub
 from typing import Optional, Sequence
 
-from tropmom._dd import DoubleDescription, _clean_rows, _lineality_step, _reduce_mod, _unit
+from tropmom._dd import DoubleDescription, _lineality_step, _reduce_mod, _unit
 from tropmom.cones import Cone
 from tropmom.errors import PreconditionError
 from tropmom.funcones import _segment_members
@@ -423,15 +425,27 @@ def even_midpoint_rows(e: PointConfig) -> list[tuple[int, ...]]:
     return rows
 
 
+def clean_rows(rows):
+    """Primitive over int, zero rows dropped, first occurrence kept."""
+    seen = set()
+    out = []
+    for row in rows:
+        v = primitive([int(a) for a in row])
+        if any(v) and v not in seen:
+            seen.add(v)
+            out.append(v)
+    return out
+
+
 def double_description(dim, ineqs, eqs):
     """(rays, lineality basis) of {x : ineqs . x >= 0, eqs . x = 0}: every
     positive-negative pair of rays goes through the combinatorial
     adjacency test."""
     lin = [_unit(dim, i) for i in range(dim)]
-    for a in _clean_rows(eqs):
+    for a in clean_rows(eqs):
         lin, _, _ = _lineality_step(lin, a)
     rays = []  # [vector, tight-bitmask over constraint indices]
-    for k, a in enumerate(_clean_rows(ineqs)):
+    for k, a in enumerate(clean_rows(ineqs)):
         bit = 1 << k
         lin, b0, s = _lineality_step(lin, a)
         if b0 is not None:
@@ -499,7 +513,7 @@ def tropical_hull(y: Cone) -> Cone:
 def tight_masks(rows, rays):
     """Per ray, the bitmask of the distinct primitive rows (in their
     order) whose dot product with the ray is zero."""
-    rows = _clean_rows(rows)
+    rows = clean_rows(rows)
     masks = []
     for g in rays:
         mask = 0

@@ -5,6 +5,8 @@ import warnings
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropmom import cli, moments, pseudo
 from tropmom.cli import main
@@ -190,6 +192,30 @@ def test_moment_is_deterministic(capsys, motz_cube):
     _, first = run_json(capsys, ["moment", motz_cube])
     _, second = run_json(capsys, ["moment", motz_cube])
     assert first == second
+
+
+# strings and documents shaped like the output: quotes, backslashes,
+# non-ASCII and control characters; nested lists of ints, large and
+# negative, empty lists, None, and objects keyed by such strings
+TEXT = st.text(st.sampled_from('"\\/\n\t\x00\x1f\x7fé\u2028\U0001d11ea '))
+DOCUMENTS = st.recursive(
+    st.none() | st.integers(-3, 3) | st.integers(-(10**40), 10**40) | TEXT,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(TEXT, kids, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=100)
+@given(DOCUMENTS)
+def test_writer_gives_the_bytes_of_json_dumps(doc):
+    assert cli._json(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("flags", [[], ["--degree", "6"]])
+def test_output_reserializes_byte_for_byte(capsys, motz_cube, flags):
+    # test_moment_cube checks the same on moment's output
+    doc, out = run_json(capsys, ["pseudomoment", motz_cube, *flags])
+    assert json.dumps(doc, indent=2) + "\n" == out
 
 
 def test_moment_toric_text(capsys, motz_toric):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -54,6 +55,14 @@ def test_cone_without_a_representation_refuses():
     # dual() builds its cone this way and fills both sides
     c = Cone.from_hrep(2, [(1, -2), (-1, 3)])
     assert set(c.dual().ineqs) == {(2, 1), (3, 1)}
+
+
+@pytest.mark.parametrize("build", [Cone.from_hrep, Cone.from_vrep])
+@pytest.mark.parametrize("rows", [[(Fraction(1, 2),)], [(0.9, 1)]], ids=["fraction", "float"])
+def test_non_integer_entries_refused(build, rows):
+    # int() would truncate them: 1/2 to the zero row, (0.9, 1) to (0, 1)
+    with pytest.raises(ValueError, match="entries must be integers"):
+        build(len(rows[0]), rows)
 
 
 def test_dual_involution():

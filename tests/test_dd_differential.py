@@ -11,7 +11,9 @@ products.  On random cones of dimension at most 6, given by inequalities
 or by generators with redundant, repeated and implicitly tight rows,
 every canonical tuple must be the oracle's, byte for byte.  A state
 seeded from a full-dimensional cone's generators and their incidence with
-its facets must continue as a fresh state given those facets does.
+its facets must continue as a fresh state given those facets does.  The
+rows every double description takes, cleaned with one gcd each, must be
+the old cleaning's: primitive, nonzero, first occurrence kept.
 """
 
 from unittest import mock
@@ -57,6 +59,29 @@ def rows_with_ties(draw, max_rows=8):
     if draw(st.booleans()):
         lin_rows.append(tuple([x - y for x, y in zip(draw(pick), draw(pick))]))
     return dim, rows, lin_rows
+
+
+@st.composite
+def rows_with_repeats(draw):
+    """Integer rows of one length, with zero rows, repeats, positive
+    multiples and negations of earlier rows."""
+    dim = draw(st.integers(0, 4))
+    rows = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(["new", "zero", "again"] if rows else ["new", "zero"]))
+        if kind == "new":
+            rows.append(tuple(draw(st.lists(ENTRY, min_size=dim, max_size=dim))))
+        elif kind == "zero":
+            rows.append((0,) * dim)
+        else:
+            k = draw(st.sampled_from([1, 2, 5, -1, -3]))
+            rows.append(tuple([k * a for a in draw(st.sampled_from(rows))]))
+    return rows
+
+
+@given(rows_with_repeats())
+def test_clean_rows_match_oracle(rows):
+    assert _dd._clean_rows(rows) == oracles.clean_rows(rows)
 
 
 def forms(cone):
