@@ -288,13 +288,10 @@ def _column_top(normals, bounds, prefix: Sequence[int]) -> int:
     )
 
 
-def _in_down(tops: dict, x: IntVec) -> bool:
-    return x[-1] < tops.get(x[:-1], 0)
-
-
 def _a_hat_parts(cfg: PointConfig, order_cone: Cone):
     """The column tops of the down-set D, its parity vectors D cap {0,1}^n,
-    and the points of A-hat outside P = {2b - a >= 0 : a, b in D}."""
+    and the points of A-hat outside P = {2b - a >= 0 : a, b in D}: the
+    2u - v with u in A \\ D and v in A or in D cap [0, 2u] (see a_hat)."""
     n = cfg.n
     if order_cone.dim != n:
         raise ValueError("order cone dimension does not match the configuration")
@@ -308,41 +305,40 @@ def _a_hat_parts(cfg: PointConfig, order_cone: Cone):
                 "in the interior of the negated order cone"
             )
     bounds = [min(dot(a, p) for p in cfg) for a in normals]
-    # the shell max(x) == m lies in K iff m exceeds every coordinate of the
-    # down-set, whose largest i-th coordinate sits on the i-th axis
-    reach = max(_column_top(normals, bounds, (0,) * i) for i in range(n))
-    m = max(1, max(c for p in cfg for c in p))
-    while m < reach:
-        m *= 2
-        if m > 1 << 20:
-            raise PreconditionError("extension support does not close up")
-    cols: list[IntVec] = [()]
-    for i in range(n - 1):
-        cols = [
-            p + (t,)
-            for p in cols
-            for t in range(_column_top(normals, bounds, p))
-        ]
-    tops = {p: _column_top(normals, bounds, p) for p in cols}
+    # the largest i-th coordinate of the down-set sits on the i-th axis
+    if max(_column_top(normals, bounds, (0,) * i) for i in range(n)) > 1 << 20:
+        raise PreconditionError("extension support does not close up")
+    tops = {(): _column_top(normals, bounds, ())}
+    for k in range(n - 1):
+        # the tops of the columns over p + (t,) for every t, one pass per normal
+        level = {}
+        for p, top in tops.items():
+            col = [0] * top
+            for a, b in zip(normals, bounds):
+                c, s, d = dot(a[:k], p) - b, a[k], a[k + 1]
+                col = [max(x, -((c + s * t) // d)) for t, x in enumerate(col)]
+            level.update(zip([p + (t,) for t in range(top)], col))
+        tops = level
     parities = [
         p + (t,)
-        for p, top in tops.items()
-        if max(p, default=0) <= 1
-        for t in range(min(top, 2))
+        for p in itertools.product((0, 1), repeat=n - 1)
+        for t in range(min(tops.get(p, 0), 2))
     ]
-    down = [p + (t,) for p, top in tops.items() for t in range(top)]
     extra = set()
     for u in cfg:
-        if _in_down(tops, u):
+        if u[-1] < tops.get(u[:-1], 0):
             continue
-        for v in itertools.chain(cfg, down):
-            for c in (
-                tuple([2 * y - x for x, y in zip(u, v)]),
-                tuple([2 * x - y for x, y in zip(u, v)]),
-            ):
-                # c lies in P iff ceil(c/2) lies in D (see a_hat)
-                if min(c) >= 0 and not _in_down(tops, tuple([(x + 1) // 2 for x in c])):
-                    extra.add(c)
+        near = [
+            p + (t,)
+            for p in itertools.product(*(range(2 * y + 1) for y in u[:-1]))
+            for t in range(min(tops.get(p, 0), 2 * u[-1] + 1))
+        ]
+        for v in itertools.chain(cfg, near):
+            c = [2 * x - y for x, y in zip(u, v)]
+            h = [(x + 1) // 2 for x in c]
+            # c lies in P iff h = ceil(c/2) lies in D (see a_hat)
+            if min(c) >= 0 and h[-1] >= tops.get(tuple(h[:-1]), 0):
+                extra.add(tuple(c))
     return tops, parities, extra
 
 
@@ -351,15 +347,18 @@ def _above(p: IntVec, e: IntVec) -> bool:
 
 
 def a_hat_size(cfg: PointConfig, order_cone: Cone) -> int:
-    """len(a_hat(cfg, order_cone)), without listing it: column by column,
-    |{2b - e : b in D, b >= e}| for each parity vector e, plus the points
-    the configuration adds."""
+    """len(a_hat(cfg, order_cone)), without listing it: a column over p
+    adds top - e_n points for each parity vector e = (e', e_n) with
+    e' <= p, that is with e' zero where p is; so the tops, and the tops
+    less one, are summed per pattern of zeros, plus what A adds."""
     tops, parities, extra = _a_hat_parts(cfg, order_cone)
+    sums: dict = {}
+    for p, top in tops.items():
+        s = sums.setdefault(tuple(map(bool, p)), [0, 0])
+        s[0] += top
+        s[1] += top - 1
     return len(extra) + sum(
-        max(0, top - e[-1])
-        for e in parities
-        for p, top in tops.items()
-        if _above(p, e)
+        s[e[-1]] for e in parities for q, s in sums.items() if _above(q, e)
     )
 
 
@@ -379,8 +378,8 @@ def a_hat(cfg: PointConfig, order_cone: Cone) -> PointConfig:
     down-set.  It is read column by column: for a point x' of D in the
     first k coordinates, the column x' x [0, oo) meets K in one interval
     [t, oo), and t comes from the normals alone.  The axis columns give
-    the largest coordinate of D, which decides whether it closes up within
-    the size bound before any column is listed.
+    the largest coordinate of D; past 2^20 it does not close up, and that
+    is decided before any other column is read.
 
     The completion of D alone is read off parity vectors: c = 2b - a with
     a, b in D and c >= 0 holds iff ceil(c/2) and c mod 2 both lie in D.
@@ -389,9 +388,10 @@ def a_hat(cfg: PointConfig, order_cone: Cone) -> PointConfig:
     c = 2 ceil(c/2) - (c mod 2).  As c mod 2 <= ceil(c/2) for c >= 0, the
     test reduces to ceil(c/2) in D.  So that part is the disjoint union,
     over e in D cap {0,1}^n, of {2b - e : b in D, b >= e}, and a_hat_size
-    counts it per column.  Only the pairs with a configuration point
-    outside D are completed one by one, each point tested against the
-    identity.
+    counts it per column.  For u in A \\ D only 2u - v is completed, with v
+    in A or in D cap [0, 2u], as 2u - v >= 0 forces v <= 2u: for v in D
+    with 2v - u >= 0, ceil((2v - u)/2) = v - floor(u/2) <= v lies in D, so
+    2v - u is in D's completion; for v in A \\ D it is the 2u - v of (v, u).
     """
     tops, parities, extra = _a_hat_parts(cfg, order_cone)
     hat = [

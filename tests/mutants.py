@@ -161,6 +161,20 @@ MUTANTS = [
         ["tests/test_mediated_differential.py::test_midpoint_triples_match_all_pairs"],
     ),
     (
+        "Â completion box stops one short of 2u",
+        "lattice.py",
+        "range(2 * y + 1)",
+        "range(2 * y)",
+        ["tests/test_kernels_differential.py::test_a_hat_matches_box_filter_2d"],
+    ),
+    (
+        "Â size counts the whole column for parity vectors ending in 1",
+        "lattice.py",
+        "s[e[-1]]",
+        "s[0]",
+        ["tests/test_kernels_differential.py::test_a_hat_size_reads_columns_in_one_pass"],
+    ),
+    (
         "projection skips the outer cone's lineality check",
         "cones.py",
         "    if any(dot(a, v) for a in normals for v in lins):",

@@ -405,3 +405,64 @@ def test_a_hat_refuses_before_listing_columns(monkeypatch):
     with pytest.raises(PreconditionError, match="does not close up"):
         a_hat(square, order_cone(spec))
     assert [top(*args) for args in calls] == [k + 1, k + 1]
+
+
+def test_a_hat_closes_up_by_its_axis_tops_alone(monkeypatch):
+    """The close-up bound reads the axis tops, not the support's largest
+    coordinate: here they are 300 001 and 900 000, both within 2^20, so the
+    columns are listed (the third call of _column_top)."""
+    top = lattice._column_top
+    calls = []
+
+    class Listed(Exception):
+        pass
+
+    def third_lists(*args):
+        calls.append(top(*args))
+        if len(calls) == 3:
+            raise Listed
+        return calls[-1]
+
+    monkeypatch.setattr(lattice, "_column_top", third_lists)
+    k = 300000
+    spec = SemialgSpec.binomials(2, [((0, 1), (k, 0)), ((1, 0), (0, k))])
+    support = PointConfig([(0, 0), (3, 0), (0, 1), (1, 1)])
+    with pytest.raises(Listed):
+        a_hat_size(support, order_cone(spec))
+    assert calls[:2] == [k + 1, 3 * k]
+
+
+@pytest.mark.parametrize(
+    "support, expected",
+    [([(0,), (3,)], range(7)), ([(1,), (5,)], range(11)), ([(0,)], range(1))],
+)
+def test_a_hat_in_one_variable(support, expected):
+    # 1 >= x^2: the order cone is the nonpositive half-line and D = [0, max A)
+    c = order_cone(SemialgSpec.binomials(1, [((0,), (2,))]))
+    cfg = PointConfig(support)
+    built = a_hat(cfg, c)
+    assert built.points == tuple((t,) for t in expected)
+    assert built == oracles.a_hat(cfg, c)
+    assert a_hat_size(cfg, c) == len(built)
+
+
+def test_a_hat_size_reads_columns_in_one_pass(monkeypatch):
+    """Over the unit square, y >= x^k, x >= y^k gives |Â| = 4k + 5, and the
+    column tops are read in one pass per normal: _column_top is called as
+    often for k = 50 000 as for k = 200."""
+    top = lattice._column_top
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return top(*args)
+
+    monkeypatch.setattr(lattice, "_column_top", counted)
+    square = PointConfig([(0, 0), (1, 0), (0, 1), (1, 1)])
+    counts = []
+    for k in (200, 50000):
+        spec = SemialgSpec.binomials(2, [((0, 1), (k, 0)), ((1, 0), (0, k))])
+        calls.clear()
+        assert a_hat_size(square, order_cone(spec)) == 4 * k + 5
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
