@@ -18,10 +18,9 @@ kept, rows tight on every generator are implicit equations, and the
 facets are the other rows with maximal tight sets.  The double
 description (``_dd``) is resumable: rows can be added to it later, and
 a copy continues from a shared prefix.  All arithmetic is integer and
-exact.  Both representations are canonically ordered, so two equal
-cones built the same way print identically.
-Equality of cones as sets is decided by mutual generator containment,
-never by string comparison.
+exact.  Both representations are canonical, so a cone's minimal H-rep
+is its identity: two cones are equal as sets exactly when they have the
+same dimension and the same minimal H-rep, and they print identically.
 
 The tropical hull of a cone Y is computed from its definition as the
 intersection of the Minkowski sums Y + V_i, where V_i is the cone of
@@ -36,7 +35,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from ._dd import DoubleDescription, _clean_rows, _maximal, _reduce_mod, _unit
-from .linalg import IntVec, dot, kernel_basis, primitive, rank
+from .linalg import IntVec, dot, kernel_basis, primitive
 
 Rows = tuple[IntVec, ...]
 
@@ -201,7 +200,7 @@ class Cone:
     # -- basic queries -------------------------------------------------
 
     def cone_dim(self) -> int:
-        return rank(self.rays + self.lineality)
+        return self.dim - len(self.eqs)
 
     def is_pointed(self) -> bool:
         return not self.lineality
@@ -226,10 +225,10 @@ class Cone:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Cone):
             return NotImplemented
-        return self.contains_cone(other) and other.contains_cone(self)
+        return self.dim == other.dim and self._side(0) == other._side(0)
 
     def __hash__(self):
-        return hash((self.dim, self.rays, self.lineality))
+        return hash((self.dim, self._side(0)))
 
     def __repr__(self) -> str:
         return (
@@ -245,20 +244,6 @@ class Cone:
         c._sides = [self._side(1), self._side(0)]
         c._minimal = [True, True]
         return c
-
-    def intersect(self, other: "Cone") -> "Cone":
-        if self.dim != other.dim:
-            raise ValueError("ambient dimension mismatch")
-        return Cone.from_hrep(
-            self.dim, self.ineqs + other.ineqs, self.eqs + other.eqs
-        )
-
-    def minkowski_sum(self, other: "Cone") -> "Cone":
-        if self.dim != other.dim:
-            raise ValueError("ambient dimension mismatch")
-        return Cone.from_vrep(
-            self.dim, self.rays + other.rays, self.lineality + other.lineality
-        )
 
     def project(self, coords: Sequence[int]) -> "Cone":
         """Image under the coordinate projection x -> (x[c] for c in coords)."""
@@ -323,18 +308,19 @@ def tropical_hull_dual(y: Cone) -> Cone:
 
     Sums, over coordinates i, the slice of the dual of y lying in the
     sector of vectors with sole negative coordinate i and coordinate
-    sum zero.
+    sum zero: one double description of every slice's generators.
     """
     n = y.dim
     if n == 0:
         return Cone.origin(0)
-    ydual = y.dual()
-    total: Optional[Cone] = None
+    rays, lins = [], []
     for i in range(n):
-        normals = [_unit(n, j) for j in range(n)]
-        normals[i] = tuple([-x for x in normals[i]])
-        piece = ydual.intersect(Cone.from_hrep(n, normals, [(1,) * n]))
-        total = piece if total is None else total.minkowski_sum(piece)
+        sector = [_unit(n, j) for j in range(n)]
+        sector[i] = tuple([-x for x in sector[i]])
+        piece = Cone.from_hrep(n, y.rays + tuple(sector), y.lineality + ((1,) * n,))
+        rays += piece.rays
+        lins += piece.lineality
+    total = Cone.from_vrep(n, rays, lins)
     total.rays  # the sum's minimal V-rep is this route's work, done here
     return total
 

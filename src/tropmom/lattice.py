@@ -93,16 +93,22 @@ def _in_hull(hull: Cone, p: Sequence[int]) -> bool:
 
 
 def _hull_columns(vertices: Sequence[Sequence[int]]):
-    """(prefix, lo, hi) for each prefix in the bounding box of the first
-    n - 1 coordinates: the integer points of conv(vertices) over it are
-    (prefix, t) for lo <= t <= hi, the range read off the hull's facets,
-    each equation taken as two opposite inequalities."""
+    """(prefix, lo, hi) for each integer point prefix of the projection of
+    conv(vertices) onto the first n - 1 coordinates: the integer points of
+    conv(vertices) over it are (prefix, t) for lo <= t <= hi, the range
+    read off the hull's facets, each equation taken as two opposite
+    inequalities.  The projection is the hull of the projected vertices;
+    in one coordinate it is their bounding box."""
     verts = [tuple(int(a) for a in v) for v in vertices]
     hull = _hull_cone(verts)
     n = len(verts[0])
     rows = hull.ineqs + hull.eqs + tuple(tuple(-x for x in e) for e in hull.eqs)
     box = [(min(v[i] for v in verts), max(v[i] for v in verts)) for i in range(n)]
-    for p in itertools.product(*(range(l, h + 1) for l, h in box[:-1])):
+    if n > 2:
+        prefixes = lattice_points([v[:-1] for v in verts]).points
+    else:
+        prefixes = itertools.product(*(range(l, h + 1) for l, h in box[:-1]))
+    for p in prefixes:
         lo, hi = box[-1]
         for a in rows:
             # a[:n-1].p + a[n-1] t + a[n] >= 0
@@ -346,12 +352,12 @@ def _above(p: IntVec, e: IntVec) -> bool:
     return all(x >= y for x, y in zip(p, e))
 
 
-def a_hat_size(cfg: PointConfig, order_cone: Cone) -> int:
-    """len(a_hat(cfg, order_cone)), without listing it: a column over p
-    adds top - e_n points for each parity vector e = (e', e_n) with
-    e' <= p, that is with e' zero where p is; so the tops, and the tops
-    less one, are summed per pattern of zeros, plus what A adds."""
-    tops, parities, extra = _a_hat_parts(cfg, order_cone)
+def _a_hat_size(tops, parities, extra) -> int:
+    """len(_a_hat_points(...)) of the same parts, without listing it: a
+    column over p adds top - e_n points for each parity vector
+    e = (e', e_n) with e' <= p, that is with e' zero where p is; so the
+    tops, and the tops less one, are summed per pattern of zeros, plus
+    what A adds."""
     sums: dict = {}
     for p, top in tops.items():
         s = sums.setdefault(tuple(map(bool, p)), [0, 0])
@@ -360,6 +366,23 @@ def a_hat_size(cfg: PointConfig, order_cone: Cone) -> int:
     return len(extra) + sum(
         s[e[-1]] for e in parities for q, s in sums.items() if _above(q, e)
     )
+
+
+def _a_hat_points(tops, parities, extra) -> PointConfig:
+    """A-hat from its parts (see a_hat)."""
+    hat = [
+        tuple([2 * y - x for x, y in zip(e, p + (t,))])
+        for e in parities
+        for p, top in tops.items()
+        if _above(p, e)
+        for t in range(e[-1], top)
+    ]
+    return PointConfig(graded_lex_sorted(itertools.chain(hat, extra)))
+
+
+def a_hat_size(cfg: PointConfig, order_cone: Cone) -> int:
+    """len(a_hat(cfg, order_cone)), without listing it."""
+    return _a_hat_size(*_a_hat_parts(cfg, order_cone))
 
 
 def a_hat(cfg: PointConfig, order_cone: Cone) -> PointConfig:
@@ -393,12 +416,4 @@ def a_hat(cfg: PointConfig, order_cone: Cone) -> PointConfig:
     with 2v - u >= 0, ceil((2v - u)/2) = v - floor(u/2) <= v lies in D, so
     2v - u is in D's completion; for v in A \\ D it is the 2u - v of (v, u).
     """
-    tops, parities, extra = _a_hat_parts(cfg, order_cone)
-    hat = [
-        tuple([2 * y - x for x, y in zip(e, p + (t,))])
-        for e in parities
-        for p, top in tops.items()
-        if _above(p, e)
-        for t in range(e[-1], top)
-    ]
-    return PointConfig(graded_lex_sorted(itertools.chain(hat, extra)))
+    return _a_hat_points(*_a_hat_parts(cfg, order_cone))

@@ -208,14 +208,6 @@ def order_cone(s: SemialgSpec) -> Cone:
     return Cone.from_vrep(s.n, s.exponent_differences())
 
 
-def _positive_functional(c: Cone) -> IntVec:
-    # sum of the facet normals of a pointed cone is strictly positive on it
-    phi = [0] * c.dim
-    for a in c.ineqs:
-        phi = [x + y for x, y in zip(phi, a)]
-    return tuple(phi)
-
-
 def semigroup_generation_check(s: SemialgSpec) -> bool:
     """Whether the exponent differences generate the full semigroup of
     lattice points of the order cone.
@@ -229,7 +221,10 @@ def semigroup_generation_check(s: SemialgSpec) -> bool:
     is a lattice point of B's half-open parallelepiped
     {sum l_i b_i : 0 <= l_i < 1} plus a nonnegative integer combination of
     B.  So the answer is yes iff every such parallelepiped point is
-    reachable, which a search ordered by a positive functional decides.
+    reachable: it is zero, or a difference taken off it leaves a reachable
+    point of the cone.  A depth-first search decides it, and ends: the
+    cone is pointed, so some functional is positive on it and falls at
+    every step, and the points of the cone below a value are finitely many.
     Only ambient dimension <= 3 is supported, and the order cone must be
     pointed.
     """
@@ -256,25 +251,31 @@ def semigroup_generation_check(s: SemialgSpec) -> bool:
     r = rank(vs)
     if r == len(vs):
         return True
-    phi = _positive_functional(c)
-    vals = {v: dot(phi, v) for v in vs}
-
-    def reachable(t: IntVec, seen: dict) -> bool:
-        if not any(t):
-            return True
-        if t in seen:
-            return seen[t]
-        seen[t] = False
-        budget = dot(phi, t)
-        for v in vs:
-            if vals[v] <= budget and reachable(
-                tuple(x - y for x, y in zip(t, v)), seen
-            ):
-                seen[t] = True
-                break
-        return seen[t]
-
     seen: dict = {}
+
+    def reachable(t: IntVec) -> bool:
+        # depth first on an explicit stack, as a path runs as deep as t is
+        # far from 0; a success marks its whole path
+        if t in seen or not any(t):
+            return seen.get(t, True)
+        seen[t] = False
+        path = [(t, iter(vs))]
+        while path:
+            u, rest = path[-1]
+            for v in rest:
+                w = tuple([x - y for x, y in zip(u, v)])
+                if not any(w) or seen.get(w):
+                    for x, _ in path:
+                        seen[x] = True
+                    return True
+                if w not in seen and c.contains_point(w):
+                    seen[w] = False
+                    path.append((w, iter(vs)))
+                    break
+            else:
+                path.pop()
+        return False
+
     for base in itertools.combinations(vs, r):
         if rank(base) < r:
             continue
@@ -285,7 +286,7 @@ def semigroup_generation_check(s: SemialgSpec) -> bool:
         ]
         for z in itertools.product(*box):
             lam = solve_linear(rows, z)
-            if lam is not None and all(0 <= x < 1 for x in lam) and not reachable(z, seen):
+            if lam is not None and all(0 <= x < 1 for x in lam) and not reachable(z):
                 return False
     return True
 

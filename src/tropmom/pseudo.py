@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .cones import Cone, cone_equal, project_hrep
+from .cones import Cone, project_hrep
 from .errors import PreconditionError, ResourceLimitError
 from .funcones import (
     GeneralizedConvexityCone,
@@ -34,8 +34,9 @@ from .funcones import (
 )
 from .lattice import (
     PointConfig,
-    a_hat,
-    a_hat_size,
+    _a_hat_parts,
+    _a_hat_points,
+    _a_hat_size,
     cubical_hull,
     cubical_hull_size,
     delta_simplex,
@@ -226,8 +227,9 @@ def trop_pseudomoment_stable(
         )
     _require_same_dim(a, spec)
     c = order_cone(spec)
-    _guard_size(a_hat_size(a, c), max_extension_points)
-    e = a_hat(a, c)
+    parts = _a_hat_parts(a, c)  # sized, then listed, from one reading of D
+    _guard_size(_a_hat_size(*parts), max_extension_points)
+    e = _a_hat_points(*parts)
     cone = _projected(a, e, c)
     return PseudoMomentTrop(a, spec, None, True, cone, e)
 
@@ -314,20 +316,15 @@ def stabilization_scan(
         cone = _projected(a, e, c, cone)
         results.append(PseudoMomentTrop(a, spec, d, False, cone, e))
     first = d_max
-    for k in range(len(results) - 1, -1, -1):
-        if cone_equal(results[k].cone, cone):
-            first = d_min + k
-        else:
-            break
-    matches = None if closed is None else cone_equal(cone, closed.cone)
+    while first > d_min and results[first - 1 - d_min].cone == cone:
+        first -= 1
+    matches = None if closed is None else cone == closed.cone
     return ScanReport(a, spec, d_min, d_max, tuple(results), first, closed, matches)
 
 
 def normal_valid_on(cone: Cone, normal: Sequence[int]) -> bool:
     """Whether <normal, x> >= 0 holds for every x in the cone."""
-    return all(dot(normal, r) >= 0 for r in cone.rays) and all(
-        dot(normal, l) == 0 for l in cone.lineality
-    )
+    return cone.dual().contains_point(normal)
 
 
 def gap_report(

@@ -202,6 +202,27 @@ MUTANTS = [
         "outer = cone_M(a, c).cone.dual()",
         ["tests/test_pseudo.py", "tests/test_corpus_digests.py"],
     ),
+    (
+        "cone equality ignores the equations",
+        "cones.py",
+        "self._side(0) == other._side(0)",
+        "self._side(0)[0] == other._side(0)[0]",
+        ["tests/test_cones.py::test_equality_is_mutual_containment"],
+    ),
+    (
+        "semigroup search forgets the points that reached zero",
+        "moments.py",
+        "if not any(w) or seen.get(w):",
+        "if not any(w):",
+        ["tests/test_kernels_differential.py::test_semigroup_check_matches_brute_force"],
+    ),
+    (
+        "hull columns cover the bounding box",
+        "lattice.py",
+        "    if n > 2:",
+        "    if False:",
+        ["tests/test_lattice.py::test_thin_hull_reads_only_the_columns_over_its_shadow"],
+    ),
 ]
 
 

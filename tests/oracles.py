@@ -42,6 +42,9 @@ The tropical hull is the library's before its sums shared a halving tree
 and entered the hull most facets first: one copy of the shared state per
 sum y + V_i, taking the n - 1 unit vectors away from i, and the sums'
 facets in coordinate order.
+
+Cone equality is mutual containment, the rule the library used before a
+cone's identity became its canonical minimal H-rep.
 """
 
 from __future__ import annotations
@@ -67,13 +70,27 @@ from tropmom.lattice import (
     midpoint_triples,
 )
 from tropmom.linalg import dot, primitive, rank
-from tropmom.moments import SemialgSpec, _positive_functional
+from tropmom.moments import SemialgSpec
 from tropmom.pseudo import trop_pseudomoment
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 # Dantzig pricing for this many iterations per column, then Bland's rule
 _BLAND_AFTER = 8
+
+
+def _positive_functional(c: Cone) -> tuple[int, ...]:
+    # sum of the facet normals of a pointed cone is strictly positive on it
+    phi = [0] * c.dim
+    for a in c.ineqs:
+        phi = [x + y for x, y in zip(phi, a)]
+    return tuple(phi)
+
+
+def cone_equal(a: Cone, b: Cone) -> bool:
+    """a and b as sets: each contains the other's generators (ValueError if
+    their dimensions differ)."""
+    return a.contains_cone(b) and b.contains_cone(a)
 
 
 def integerize(v: Sequence[Fraction]) -> tuple[int, ...]:

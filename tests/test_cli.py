@@ -365,6 +365,33 @@ def test_semigroup_assumption_from_file(capsys, tmp_path):
     assert doc["warnings"][0] == "semigroup generation assumed, not checked"
 
 
+@pytest.mark.parametrize("command", ["pseudomoment", "gap"])
+def test_semigroup_search_deeper_than_the_python_stack(capsys, tmp_path, command):
+    # the difference (1, 1000) puts the parallelepiped points (1, y),
+    # 0 < y < 1000, a thousand steps above the origin; the check answers
+    # yes, and the Â hypothesis then fails on the difference (1, 0)
+    deep = problem_file(
+        tmp_path,
+        "deep.json",
+        {
+            "ambient_dim": 2,
+            "support": [[0, 0], [1, 0], [0, 1], [1, 1]],
+            "set": {
+                "kind": "binomials",
+                "gens": [
+                    {"plus": plus, "minus": [0, 0]}
+                    for plus in ([1, 0], [0, 1], [1, 1000])
+                ],
+            },
+        },
+    )
+    code, out, err = run(capsys, [command, deep])
+    assert code == 3
+    assert out == ""
+    assert "stabilization hypothesis fails" in err
+    assert "Traceback" not in err
+
+
 def test_semigroup_gate_not_applied_to_fixed_degree(capsys, square_s1):
     code, _, _ = run(capsys, ["pseudomoment", square_s1, "--degree", "3"])
     assert code == 0
@@ -547,7 +574,7 @@ def test_scan_takes_no_semigroup_flag(capsys, square_s1):
 
 def test_a_hat_guard_trips_before_building(capsys, tmp_path, monkeypatch):
     # y >= x^2000, x >= y^2000 over the square: Â is counted, not listed
-    monkeypatch.setattr(pseudo, "a_hat", _not_built)
+    monkeypatch.setattr(pseudo, "_a_hat_points", _not_built)
     gens = [
         {"plus": [0, 1], "minus": [2000, 0]},
         {"plus": [1, 0], "minus": [0, 2000]},

@@ -81,20 +81,26 @@ def test_dual_involution():
         assert cone_equal(c.dual().dual(), c)
 
 
-def test_intersect_and_minkowski():
-    quad = Cone.from_hrep(2, [(1, 0)]).intersect(Cone.from_hrep(2, [(0, 1)]))
-    assert cone_equal(quad, Cone.nonneg_orthant(2))
-    ms = Cone.from_vrep(2, [(1, 0)]).minkowski_sum(Cone.from_vrep(2, [(0, 1)]))
-    assert cone_equal(ms, Cone.nonneg_orthant(2))
+def test_cones_from_concatenated_sides():
+    # an intersection is the cone of both H-reps, a sum the cone of both V-reps
+    right, up = Cone.from_hrep(2, [(1, 0)]), Cone.from_hrep(2, [(0, 1)])
+    quad = Cone.from_hrep(2, right.ineqs + up.ineqs, right.eqs + up.eqs)
+    assert quad == Cone.nonneg_orthant(2)
+    x, y = Cone.from_vrep(2, [(1, 0)]), Cone.from_vrep(2, [(0, 1)])
+    ms = Cone.from_vrep(2, x.rays + y.rays, x.lineality + y.lineality)
+    assert ms == Cone.nonneg_orthant(2)
     u1h = Cone.from_hrep(
         3, [(-1, 0, 0), (0, 1, 0), (0, 0, 1)], [(1, 1, 1)]
     )
     assert set(u1h.rays) == {(-1, 1, 0), (-1, 0, 1)}
 
 
-def test_intersect_dimension_mismatch():
+def test_dimension_mismatch():
+    # equality reads the dimension first; containment refuses the pair
+    assert Cone.full_space(2) != Cone.full_space(3)
+    assert Cone.origin(0) != Cone.origin(1)
     with pytest.raises(ValueError):
-        Cone.full_space(2).intersect(Cone.full_space(3))
+        Cone.full_space(2).contains_cone(Cone.full_space(3))
 
 
 def test_project():
@@ -157,6 +163,38 @@ def small_cones(draw):
     n = draw(st.integers(1, 6))
     vec = st.tuples(*[st.integers(-2, 2)] * n)
     return Cone.from_vrep(n, draw(st.lists(vec, max_size=3)), draw(st.lists(vec, max_size=1)))
+
+
+@st.composite
+def cone_pairs(draw):
+    """Two cones in at most 4 coordinates, each given by either side; the
+    second is the first given again by its other side or the same one, the
+    rows scaled, reordered and joined by a redundant sum and the basis
+    negated, then often cut or widened by one more drawn row."""
+    n = draw(st.integers(1, 4))
+    vec = st.tuples(*[st.integers(-2, 2)] * n)
+    build = lambda: draw(st.sampled_from([Cone.from_hrep, Cone.from_vrep]))
+    a = build()(n, draw(st.lists(vec, max_size=4)), draw(st.lists(vec, max_size=1)))
+    given_by = build()
+    rows, basis = (a.ineqs, a.eqs) if given_by is Cone.from_hrep else (a.rays, a.lineality)
+    scales = draw(st.lists(st.integers(1, 3), min_size=len(rows), max_size=len(rows)))
+    rows = [tuple([c * x for x in r]) for r, c in zip(rows, scales)]
+    if len(rows) > 1:
+        rows.append(tuple([x + y for x, y in zip(rows[0], rows[1])]))
+    rows = draw(st.permutations(rows)) + draw(st.lists(vec, max_size=1))
+    return a, given_by(n, rows, [tuple([-x for x in b]) for b in basis])
+
+
+@settings(max_examples=100)
+@given(cone_pairs())
+def test_equality_is_mutual_containment(pair):
+    a, b = pair
+    assert (a == b) == oracles.cone_equal(a, b)
+    if a == b:
+        assert hash(a) == hash(b)
+    pad = lambda rows: [r + (0,) for r in rows]
+    wider = Cone.from_vrep(a.dim + 1, pad(a.rays), pad(a.lineality))
+    assert a != wider and wider != a
 
 
 @settings(max_examples=60)

@@ -18,6 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from draws import ints, vectors
 from tropmom import _simplex, lattice
 from tropmom.cones import Cone, project_hrep
 from tropmom.errors import PreconditionError
@@ -32,7 +33,7 @@ from tropmom.lattice import (
     lattice_points,
     lattice_points_size,
 )
-from tropmom.linalg import dot, kernel_basis, rank, rref_int, solve_linear
+from tropmom.linalg import _det, dot, kernel_basis, rank, rref_int, solve_linear
 from tropmom.moments import SemialgSpec, order_cone, semigroup_generation_check
 
 ENTRY = st.integers(-4, 4)
@@ -42,9 +43,7 @@ ENTRY = st.integers(-4, 4)
 def systems(draw, max_rows=14):
     """(rows, target) with at most 7 coordinates and max_rows rows."""
     m = draw(st.integers(1, 7))
-    vec = st.tuples(*[ENTRY] * m)
-    rows = draw(st.lists(vec, max_size=max_rows))
-    return rows, draw(vec)
+    return draw(vectors(0, max_rows, m, -4, 4)), draw(st.tuples(*[ENTRY] * m))
 
 
 @st.composite
@@ -53,17 +52,17 @@ def matrices(draw, rational=False):
     each row is a small combination of a few base rows."""
     n = draw(st.integers(1, 7))
     k = draw(st.integers(0, n))
-    base = draw(st.lists(st.tuples(*[ENTRY] * n), min_size=k, max_size=k))
-    coef = st.tuples(*[st.integers(-2, 2)] * k)
+    base = draw(vectors(k, k, n, -4, 4))
     rows = [
         [sum(c * b[j] for c, b in zip(cs, base)) for j in range(n)]
-        for cs in draw(st.lists(coef, max_size=12))
+        for cs in draw(vectors(0, 12, k, -2, 2))
     ]
-    rows += draw(st.lists(st.tuples(*[ENTRY] * n).map(list), max_size=2))
+    rows += [list(row) for row in draw(vectors(0, 2, n, -4, 4))]
     if rational:
-        dens = st.integers(1, 4)
-        rows = [[Fraction(a, draw(dens)) for a in row] for row in rows]
-    return n, draw(st.permutations(rows))
+        dens = iter(draw(ints(n * len(rows), 1, 4)))
+        rows = [[Fraction(a, next(dens)) for a in row] for row in rows]
+    draw(st.randoms(use_true_random=True)).shuffle(rows)
+    return n, rows
 
 
 @st.composite
@@ -73,15 +72,16 @@ def projection_systems(draw):
     at most 12 coordinates, and a target that vanishes on some of them, so
     that phase one starts degenerate."""
     m = draw(st.integers(3, 12))
-    coords = st.lists(st.integers(0, m - 1), min_size=3, max_size=3, unique=True)
 
     def row(weights):
         return tuple(weights.get(i, 0) for i in range(m))
 
-    midpoint = coords.map(lambda t: row({t[0]: 1, t[1]: 1, t[2]: -2}))
-    monotone = coords.map(lambda t: row({t[0]: 1, t[1]: -1}))
-    size = draw(st.integers(0, 3 * m))
-    rows = draw(st.lists(st.one_of(midpoint, monotone), min_size=size, max_size=size))
+    rng = draw(st.randoms(use_true_random=True))
+    rows = []
+    for _ in range(draw(st.integers(0, 3 * m))):
+        t = rng.sample(range(m), 3)
+        monotone = rng.random() < 0.5
+        rows.append(row({t[0]: 1, t[1]: -1} if monotone else {t[0]: 1, t[1]: 1, t[2]: -2}))
     zero = draw(st.sets(st.integers(0, m - 1), min_size=1, max_size=m - 1))
     target = tuple(0 if i in zero else draw(ENTRY) for i in range(m))
     return rows, target
@@ -195,7 +195,7 @@ def test_rational_input_is_scaled_to_integers(mat):
     assert rref_int(rows) == oracles.rref_int(rows)
 
 
-@given(matrices(), st.lists(ENTRY, min_size=14, max_size=14))
+@given(matrices(), ints(14, -4, 4))
 def test_solve_linear_matches_rational_elimination(mat, rhs):
     _, rows = mat
     rhs = rhs[: len(rows)]
@@ -205,7 +205,7 @@ def test_solve_linear_matches_rational_elimination(mat, rhs):
         assert all(isinstance(x, Fraction) for x in got)
 
 
-@given(matrices(rational=True), st.lists(ENTRY, min_size=14, max_size=14))
+@given(matrices(rational=True), ints(14, -4, 4))
 def test_solve_linear_rational_input(mat, rhs):
     _, rows = mat
     rhs = [Fraction(b, 3) for b in rhs[: len(rows)]]
@@ -227,21 +227,42 @@ def test_valid_on_system_rejects_a_bad_certificate(monkeypatch, bad):
         _simplex.valid_on_system(rows, (-1, 0, 0))
 
 
+def _interior(n, us, ks):
+    """Whether the basis vectors lie in the interior of the negated cone of
+    the differences u - k_i e_i, u = us[n i : n i + n]: whether the matrix
+    m with those negated differences as columns has an inverse with positive
+    entries (the rows of -m^-1 are the facet normals), read off the signs
+    of its cofactors and determinant."""
+    m = [[ks[i] if i == j else -us[n * j + i] for j in range(n)] for i in range(n)]
+    det = _det(m)
+    minor = lambda i, j: [r[:j] + r[j + 1 :] for k, r in enumerate(m) if k != i]
+    return all(
+        (-1) ** (i + j) * _det(minor(i, j)) * det > 0 for i in range(n) for j in range(n)
+    )
+
+
 @st.composite
 def stabilized_systems(draw, n, k_max, u_max, corner):
     """(support, order cone) in n coordinates: binomials x^u >= x_i^k, one
-    per coordinate i, with k <= k_max, u_i = 0 and u_j <= u_max, kept when
+    per coordinate i, with k <= k_max, u_i = 0 and u_j <= u_max, such that
     the negated order cone has the basis vectors in its interior.  The
-    support lies in [0, corner]^n."""
+    support lies in [0, corner]^n.  Most exponents fail that hypothesis, so
+    up to 16 tries come from one drawn generator and the first that holds
+    is taken."""
+    rng = draw(st.randoms(use_true_random=True))
+    for _ in range(16):
+        us = [rng.randint(0, u_max) for _ in range(n * n)]
+        ks = [rng.randint(1, k_max) for _ in range(n)]
+        if _interior(n, us, ks):
+            break
+    else:
+        assume(False)
     gens = []
     for i in range(n):
-        u = [draw(st.integers(0, u_max)) for _ in range(n)]
-        u[i] = 0
-        minus = [0] * n
-        minus[i] = draw(st.integers(1, k_max))
-        gens.append((u, minus))
+        u = [0 if j == i else us[n * i + j] for j in range(n)]
+        gens.append((u, [ks[i] if j == i else 0 for j in range(n)]))
     c = order_cone(SemialgSpec.binomials(n, gens))
-    assume(c.is_pointed() and all(a < 0 for row in c.ineqs for a in row))
+    assert c.is_pointed() and all(a < 0 for row in c.ineqs for a in row)
     pts = st.tuples(*[st.integers(0, corner)] * n)
     support = draw(st.lists(pts, min_size=1, max_size=4, unique=True))
     return PointConfig(support), c
@@ -305,9 +326,10 @@ def test_a_hat_of_the_origin_is_the_origin(n, data):
 def pointed_binomials(draw, n, top):
     """Binomial systems in n variables, exponents up to top, with a pointed
     order cone."""
-    exps = st.tuples(*[st.integers(0, top)] * n)
-    pair = st.tuples(exps, exps).filter(lambda ab: ab[0] != ab[1])
-    spec = SemialgSpec.binomials(n, draw(st.lists(pair, min_size=1, max_size=n + 1)))
+    pairs = [(v[:n], v[n:]) for v in draw(vectors(1, n + 1, 2 * n, 0, top))]
+    pairs = [(a, b) for a, b in pairs if a != b]
+    assume(pairs)
+    spec = SemialgSpec.binomials(n, pairs)
     assume(order_cone(spec).is_pointed())
     return spec
 
@@ -356,11 +378,10 @@ def hull_vertices(draw):
     nonnegative orthant."""
     n = draw(st.integers(1, 3))
     k = draw(st.integers(0, n))
-    dirs = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n), min_size=k, max_size=k))
-    coef = st.tuples(*[st.integers(0, 2)] * k)
+    dirs = draw(vectors(k, k, n, -2, 2))
     pts = [
         tuple(sum(c * d[i] for c, d in zip(cs, dirs)) for i in range(n))
-        for cs in draw(st.lists(coef, min_size=1, max_size=5))
+        for cs in draw(vectors(1, 5, k, 0, 2))
     ]
     lo = [min(p[i] for p in pts) for i in range(n)]
     return [tuple(x - m for x, m in zip(p, lo)) for p in pts]
@@ -373,9 +394,9 @@ def test_lattice_points_match_box_filter(vertices):
     assert lattice_points_size(vertices) == len(listed)
 
 
-@given(st.lists(st.tuples(*[st.integers(0, 5)] * 3), min_size=1, max_size=4, unique=True))
+@given(vectors(1, 4, 3, 0, 5))
 def test_cubical_hull_size_is_its_length(points):
-    cfg = PointConfig(points)
+    cfg = PointConfig(dict.fromkeys(points))
     assert cubical_hull_size(cfg) == len(cubical_hull(cfg))
 
 

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from tropmom import lattice
 from tropmom.errors import PreconditionError
 from tropmom.lattice import (
     AlmostEmptySimplex,
@@ -13,6 +14,7 @@ from tropmom.lattice import (
     delta_simplex,
     graded_lex_sorted,
     lattice_points,
+    lattice_points_size,
     mediated_set,
     midpoint_triples,
 )
@@ -53,6 +55,17 @@ def test_lattice_points_v2_triangle():
     got = lattice_points([(0, 3), (1, 0), (3, 1)])
     assert len(got) == 6
     assert set(got.points) == {(0, 3), (1, 0), (3, 1), (1, 1), (1, 2), (2, 1)}
+
+
+def test_thin_hull_reads_only_the_columns_over_its_shadow():
+    # the first two coordinates of conv{(0,0,0), (s,s,0), (0,0,1)} span the
+    # diagonal segment, s + 1 lattice points, inside an (s + 1)^2 box
+    s = 400
+    verts = [(0, 0, 0), (s, s, 0), (0, 0, 1)]
+    columns = list(lattice._hull_columns(verts))
+    assert [p for p, _, _ in columns] == [(t, t) for t in range(s + 1)]
+    assert lattice_points_size(verts) == s + 2
+    assert len(lattice_points(verts)) == s + 2
 
 
 def test_midpoint_triples():

@@ -1,10 +1,11 @@
 import pytest
 
+from tropmom import pseudo
 from tropmom.cones import Cone, cone_equal
 from tropmom.errors import PreconditionError, ResourceLimitError
 from tropmom.funcones import cone_M
-from tropmom.lattice import PointConfig, cubical_hull
-from tropmom.moments import SemialgSpec, trop_moment_cone
+from tropmom.lattice import PointConfig, a_hat, cubical_hull
+from tropmom.moments import SemialgSpec, order_cone, trop_moment_cone
 from tropmom.pseudo import (
     clamp_extension,
     f_s_d,
@@ -120,6 +121,23 @@ def test_general_stabilization_square():
         (2, 0, -3, 1),
     }
     assert len(st.extension_support) == 13
+
+
+def test_extension_support_is_read_once_per_projection(monkeypatch):
+    # the guard sizes, and the projection lists, the parts of one reading
+    calls = []
+    parts = pseudo._a_hat_parts
+    monkeypatch.setattr(
+        pseudo, "_a_hat_parts", lambda *args: calls.append(args) or parts(*args)
+    )
+    square = PointConfig([(0, 0), (1, 0), (0, 1), (1, 1)])
+    s1 = SemialgSpec.binomials(2, [((0, 1), (2, 0)), ((1, 0), (0, 2))])
+    st = trop_pseudomoment_stable(square, s1)
+    assert len(calls) == 1
+    assert st.extension_support == a_hat(square, order_cone(s1))
+    with pytest.raises(ResourceLimitError, match="13 points"):
+        trop_pseudomoment_stable(square, s1, max_extension_points=12)
+    assert len(calls) == 2
 
 
 def test_general_stabilization_motzkin():
