@@ -131,6 +131,43 @@ def constraint_rows(
     return rows
 
 
+def binding_rows(
+    e: PointConfig,
+    a: PointConfig,
+    triples: Sequence[MidpointTriple],
+    pairs: Sequence[tuple[int, int]],
+) -> tuple[PointConfig, list[IntVec]]:
+    """The points of E that can bind the projection of the system onto A,
+    in E's order, and constraint_rows on them.
+
+    A point outside A that the rows meet with one sign only, positive as
+    a1, a2 or the first index of a pair and negative as b or the second,
+    satisfies every row it is in at a large enough value of that sign, so
+    projecting it out drops those rows and leaves the others (Fourier-
+    Motzkin elimination with nothing to pair).  Such points are dropped
+    until none is left; the image on A is unchanged.
+    """
+    pts = e.points
+    live = set(pts)
+    while True:
+        pos = {t.a1 for t in triples}
+        pos.update([t.a2 for t in triples], [pts[i] for i, _ in pairs])
+        neg = {t.b for t in triples}
+        neg.update([pts[j] for _, j in pairs])
+        gone = {p for p in live - (pos & neg) if p not in a}
+        if not gone:
+            break
+        live -= gone
+        triples = [t for t in triples if gone.isdisjoint(t)]
+        pairs = [(i, j) for i, j in pairs if pts[i] in live and pts[j] in live]
+    if len(live) < len(pts):
+        kept = [p for p in pts if p in live]
+        index = {p: i for i, p in enumerate(kept)}
+        pairs = [(index[pts[i]], index[pts[j]]) for i, j in pairs]
+        e = PointConfig(kept)
+    return e, constraint_rows(e, triples, pairs)
+
+
 def comparable_pairs(a: PointConfig, c: Cone) -> list[tuple[int, int]]:
     """Index pairs (i, j), i != j, with p_i - p_j in C, sorted.
 

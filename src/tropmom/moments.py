@@ -18,7 +18,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .cones import Cone
 from .errors import PreconditionError
@@ -276,19 +276,48 @@ def semigroup_generation_check(s: SemialgSpec) -> bool:
                 path.pop()
         return False
 
-    for base in itertools.combinations(vs, r):
-        if rank(base) < r:
-            continue
-        rows = list(zip(*base))  # the matrix with columns b_i
-        box = [
-            range(sum(min(x, 0) for x in row), sum(max(x, 0) for x in row) + 1)
-            for row in rows
-        ]
-        for z in itertools.product(*box):
-            lam = solve_linear(rows, z)
-            if lam is not None and all(0 <= x < 1 for x in lam) and not reachable(z):
-                return False
-    return True
+    return all(
+        reachable(z)
+        for base in itertools.combinations(vs, r)
+        if rank(base) == r
+        for z in _parallelepiped_points(base)
+    )
+
+
+def _parallelepiped_points(base: Sequence[IntVec]) -> Iterator[IntVec]:
+    """The lattice points of {sum l_i b_i : 0 <= l_i < 1} for independent
+    integer vectors b_i, read off their coefficients l.
+
+    On r coordinates where the b_i are independent, the square matrix B_I
+    is inverted once.  Each integer point z_I there has the coefficients
+    B_I^-1 z_I, taken modulo 1 for the point's class modulo the lattice of
+    the b_i; these classes are the sums of B_I^-1's columns modulo 1, found
+    by closing {0} under adding them, in integers over the common
+    denominator d.  A class's point sum l_i b_i on all coordinates is
+    yielded, as the class is found, when it is integral.
+    """
+    r = len(base)
+    rows = list(zip(*base))  # the matrix with columns b_i
+    square: list = []
+    for row in rows:
+        if rank(square + [row]) > len(square):
+            square.append(row)
+    # the columns of B_I^-1
+    inverse = [solve_linear(square, [int(i == j) for i in range(r)]) for j in range(r)]
+    d = math.lcm(*(x.denominator for col in inverse for x in col))
+    steps = [tuple([int(x * d) % d for x in col]) for col in inverse]
+    classes = {(0,) * r}
+    todo = [(0,) * r]
+    while todo:
+        lam = todo.pop()  # d times the coefficients l
+        z = [dot(row, lam) for row in rows]
+        if all(x % d == 0 for x in z):
+            yield tuple([x // d for x in z])
+        for step in steps:
+            mu = tuple([(x + y) % d for x, y in zip(lam, step)])
+            if mu not in classes:
+                classes.add(mu)
+                todo.append(mu)
 
 
 def trop_moment_cone(a: PointConfig, s: SemialgSpec) -> GeneralizedConvexityCone:

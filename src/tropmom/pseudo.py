@@ -27,9 +27,9 @@ from .cones import Cone, project_hrep
 from .errors import PreconditionError, ResourceLimitError
 from .funcones import (
     GeneralizedConvexityCone,
+    binding_rows,
     comparable_pairs,
     cone_M,
-    constraint_rows,
     cover_pairs,
 )
 from .lattice import (
@@ -141,12 +141,19 @@ def _projected(
     triple and every comparable pair among A's points is one of E's, so
     the restriction to A of a point of the E-system satisfies M(A)'s
     system, and the projection lies in M(A).  Its A-local facets then
-    need no LP.  When E = A no LP runs and M(A) is not built.
+    need no LP.
+
+    Only the points of E that can bind are projected (binding_rows): the
+    others are met by the rows with one sign only, and dropping them with
+    their rows leaves the image as it is.  When only A is left, the rows
+    are the image's H-representation: no LP runs and M(A) is not built.
     """
-    rows = constraint_rows(e, midpoint_triples(e), cover_pairs(comparable_pairs(e, c)))
-    if outer is None and len(e) > len(a):
-        outer = cone_M(a, c).cone
+    e, rows = binding_rows(e, a, midpoint_triples(e), cover_pairs(comparable_pairs(e, c)))
     coords = [e.index(p) for p in a]
+    if len(e) == len(a):
+        return project_hrep(len(e), rows, coords, outer=outer)
+    if outer is None:
+        outer = cone_M(a, c).cone
     inner = _linear(e, c)
     pool = _maxima(coords, *inner)
     return project_hrep(len(e), rows, coords, outer=outer, inner=inner, pool=pool)
@@ -242,14 +249,14 @@ def sigma_dual_trop(
     hull of A, projected onto A with the kernel of those rows, which holds
     the affine functions, as head start."""
     _guard_size(lattice_points_size(a.points), max_extension_points)
-    e = lattice_points(a.points)
+    full = lattice_points(a.points)
     even = lambda p: not any(x % 2 for x in p)
-    triples = [t for t in midpoint_triples(e) if even(t.a1) and even(t.a2)]
-    rows = constraint_rows(e, triples, ())
+    triples = [t for t in midpoint_triples(full) if even(t.a1) and even(t.a2)]
+    e, rows = binding_rows(full, a, triples, ())
     coords = [e.index(p) for p in a]
     cone = project_hrep(len(e), rows, coords, inner=((), kernel_basis(rows, len(e))))
     return PseudoMomentTrop(
-        a, SemialgSpec.full_space(a.n), None, True, cone, e
+        a, SemialgSpec.full_space(a.n), None, True, cone, full
     )
 
 

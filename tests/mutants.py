@@ -217,6 +217,20 @@ MUTANTS = [
         ["tests/test_kernels_differential.py::test_semigroup_check_matches_brute_force"],
     ),
     (
+        "semigroup check closes the parallelepiped classes without the first step",
+        "moments.py",
+        "        for step in steps:",
+        "        for step in steps[1:]:",
+        ["tests/test_kernels_differential.py::test_semigroup_check_matches_brute_force"],
+    ),
+    (
+        "binding points drop a point met with both signs, negative as a midpoint",
+        "funcones.py",
+        "neg = {t.b for t in triples}",
+        "neg = set()",
+        ["tests/test_binding_differential.py::test_binding_points_project_as_the_whole_system"],
+    ),
+    (
         "hull columns cover the bounding box",
         "lattice.py",
         "    if n > 2:",

@@ -14,7 +14,9 @@ same sets.
 The midpoint and monotone row lists are the three separate loops that
 built them before one builder did: the projected system, the midpoint
 cone's defining system and the even-midpoint system of the sums of
-squares dual.
+squares dual.  The elimination of the columns that the rows meet with
+one sign works on the rows, a column at a time, where the library reads
+the signs off the triples and pairs and drops every such point at once.
 
 The cleaned rows are the library's before each row made one gcd pass:
 every entry went through int() and every row was made primitive again.
@@ -440,6 +442,25 @@ def even_midpoint_rows(e: PointConfig) -> list[tuple[int, ...]]:
             row[e.index(mid)] -= 2
             rows.append(tuple(row))
     return rows
+
+
+def one_signed_eliminated(dim: int, rows, keep: Sequence[int]):
+    """Fourier-Motzkin elimination, one column at a time, of each column
+    outside keep whose nonzero entries in the rows share one sign, with
+    the rows it is in, until none is left: the columns kept, in order, and
+    the remaining rows restricted to them."""
+    rows = [tuple(r) for r in rows]
+    live = list(range(dim))
+    dropped = True
+    while dropped:
+        dropped = False
+        for c in live:
+            if c not in keep and len({r[c] > 0 for r in rows if r[c]}) < 2:
+                live.remove(c)
+                rows = [r for r in rows if not r[c]]
+                dropped = True
+                break
+    return live, [tuple(r[c] for c in live) for r in rows]
 
 
 def clean_rows(rows):

@@ -2,7 +2,6 @@ import contextlib
 import json
 import signal
 import warnings
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -594,9 +593,9 @@ def test_a_hat_guard_trips_before_building(capsys, tmp_path, monkeypatch):
 
 
 def test_semigroup_refusal_by_lattice_index(capsys, tmp_path, monkeypatch):
-    # the differences (-400, 1) and (1, -400) have lattice index 159999;
-    # the brute-force box would have 1601^2 points
-    monkeypatch.setattr(moments, "itertools", SimpleNamespace(product=_not_built))
+    # the differences (-400, 1) and (1, -400) have lattice index 159999, so
+    # no parallelepiped is listed; its bounding box has 1601^2 points
+    monkeypatch.setattr(moments, "_parallelepiped_points", _not_built)
     gens = [
         {"plus": [0, 1], "minus": [400, 0]},
         {"plus": [1, 0], "minus": [0, 400]},

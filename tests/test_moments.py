@@ -90,15 +90,38 @@ def test_semigroup_generation_check():
 
 def test_semigroup_check_unimodular_without_the_box(monkeypatch):
     """{y^200 >= x, x >= y^199}: the differences (-1, 200) and (1, -199)
-    are independent with determinant -1, so the answer needs no box."""
+    are independent with determinant -1, so the answer needs no
+    parallelepiped."""
 
     def no_box(*args, **kwargs):
-        raise AssertionError("the brute-force box was built")
+        raise AssertionError("a parallelepiped was listed")
 
-    monkeypatch.setattr(moments.itertools, "product", no_box)
+    monkeypatch.setattr(moments, "_parallelepiped_points", no_box)
     k = 200
     spec = SemialgSpec.binomials(2, [((0, k), (1, 0)), ((1, 0), (0, k - 1))])
     assert semigroup_generation_check(spec) is True
+
+
+def test_semigroup_check_inverts_each_base_once(monkeypatch):
+    """(1, 0), (0, 1), (1, k): the bases have determinants 1, k and -1, so
+    their parallelepipeds hold k + 2 lattice points, and each base is
+    inverted by one solve per coordinate.  The bounding boxes of those
+    parallelepipeds held 5011 points at k = 1000, each solved for."""
+    calls = []
+    solve = moments.solve_linear
+    monkeypatch.setattr(
+        moments, "solve_linear", lambda *args: calls.append(args) or solve(*args)
+    )
+    k = 1000
+    spec = SemialgSpec.binomials(
+        2, [((1, 0), (0, 0)), ((0, 1), (0, 0)), ((1, k), (0, 0))]
+    )
+    assert semigroup_generation_check(spec) is True
+    assert len(calls) == 3 * 2
+    bases = [((1, 0), (0, 1)), ((1, 0), (1, k)), ((0, 1), (1, k))]
+    points = [list(moments._parallelepiped_points(b)) for b in bases]
+    assert [len(p) for p in points] == [1, k, 1]
+    assert sorted(points[1]) == [(0, 0)] + [(1, j) for j in range(1, k)]
 
 
 def test_semigroup_check_dependent_index_one_set_goes_to_the_box():

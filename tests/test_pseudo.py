@@ -1,5 +1,10 @@
-import pytest
+import itertools
 
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from draws import vectors
 from tropmom import pseudo
 from tropmom.cones import Cone, cone_equal
 from tropmom.errors import PreconditionError, ResourceLimitError
@@ -225,3 +230,40 @@ def test_moment_cone_inside_pseudomoment_cone():
         mom = trop_moment_cone(MOTZKIN, spec).cone
         psd = stabilized_pseudomoment(MOTZKIN, spec).cone
         assert psd.contains_cone(mom)
+
+
+# S1-like sets {y^p >= x^q, x^r >= y^s}: their negated order cone strictly
+# surrounds the nonnegative orthant exactly when qs > pr
+S1_LIKE = [
+    SemialgSpec.binomials(2, [((0, p), (q, 0)), ((r, 0), (0, s))])
+    for p, q, r, s in itertools.product(range(1, 4), repeat=4)
+    if q * s > p * r
+]
+
+
+@st.composite
+def stabilized_cases(draw):
+    """(a, spec): at most 4 points over the cube, with coordinates at most
+    3 in one or two dimensions and at most 1 in three, or at most 4 points
+    with coordinates at most 2 over an S1-like set."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 3))
+        points = draw(vectors(1, 4, n, 0, 3 if n < 3 else 1))
+        return PointConfig(dict.fromkeys(points)), SemialgSpec.cube(n)
+    points = draw(vectors(1, 4, 2, 0, 2))
+    return PointConfig(dict.fromkeys(points)), draw(st.sampled_from(S1_LIKE))
+
+
+@settings(max_examples=80)
+@given(stabilized_cases())
+def test_moment_cone_inside_stabilized_cone_inside_midpoint_cone(case):
+    # K, the tropicalized moment cone, lies in the stabilized pseudo-moment
+    # cone, which is a projection of M(E) and so lies in M(A)
+    a, spec = case
+    try:
+        psd = stabilized_pseudomoment(a, spec).cone
+    except ResourceLimitError:
+        assume(False)
+    mom = trop_moment_cone(a, spec).cone
+    assert psd.contains_cone(mom)
+    assert cone_M(a, order_cone(spec)).cone.contains_cone(psd)

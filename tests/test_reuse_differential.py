@@ -505,13 +505,14 @@ def test_tropical_maxima_leave_the_projection_as_it_is(case):
 
 
 def test_seed_one_corpus_lp_counts(tmp_path):
-    # total (refuted) LPs of the seed-1 projection and scan corpora; 68
-    # (44) and 40 (28) before the pool of tropical maxima refuted
-    # candidates, 98 (75) and 73 (61) before each projection started from
-    # the linear functions of the order cone's dual, and 137 (75) and 93
-    # (61) before the cold projections had M(A) as outer cone
+    # total (refuted) LPs of the seed-1 projection and scan corpora; 38
+    # (14) and 19 (7) before the points of E met with one sign were
+    # dropped, 68 (44) and 40 (28) before the pool of tropical maxima
+    # refuted candidates, 98 (75) and 73 (61) before each projection
+    # started from the linear functions of the order cone's dual, and 137
+    # (75) and 93 (61) before the cold projections had M(A) as outer cone
     corpus = _corpus()
-    for workload, lps in (("projection", (38, 14)), ("scan", (19, 7))):
+    for workload, lps in (("projection", (37, 13)), ("scan", (16, 4))):
         argvs = corpus.write(corpus.build(workload, 1), tmp_path / workload)
 
         def run():
