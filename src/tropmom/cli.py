@@ -40,6 +40,9 @@ from .pseudo import (
 
 _quote = json.encoder.encode_basestring_ascii
 _EXIT_CODES = {SchemaError: 2, PreconditionError: 3, ResourceLimitError: 4}
+# mediated's default guard: a simplex of side 100 in the plane holds 5151
+# lattice points, listed in about 0.1 s
+MEDIATED_LIMIT = 10000
 
 
 class Problem(NamedTuple):
@@ -307,7 +310,10 @@ def _parse_vertices(text: str) -> list[tuple[int, ...]]:
 
 
 def _cmd_mediated(args) -> dict:
-    med, discarded = mediated_split(_parse_vertices(args.vertices))
+    vertices = _parse_vertices(args.vertices)
+    if args.max_extension_points < 1:
+        raise SchemaError("--max-extension-points: expected a positive integer")
+    med, discarded = mediated_split(vertices, args.max_extension_points)
     return {
         "mediated": [list(p) for p in med],
         "discarded": [list(p) for p in discarded],
@@ -417,6 +423,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help='affinely independent lattice points, e.g. "0,0;2,4;4,2"',
     )
     _format_flag(mediated, "point")
+    mediated.add_argument(
+        "--max-extension-points", type=int, default=MEDIATED_LIMIT, metavar="N",
+        help="resource guard on the lattice points of the simplex",
+    )
     mediated.set_defaults(handler=_cmd_mediated)
 
     scan = sub.add_parser(

@@ -25,7 +25,8 @@ same dimension and the same minimal H-rep, and they print identically.
 The tropical hull of a cone Y is computed from its definition as the
 intersection of the Minkowski sums Y + V_i, where V_i is the cone of
 vectors whose i-th coordinate is minimal, each sum continuing one double
-description of the generators of Y, and the hull the largest sum's; the
+description of the generators of Y, and the hull the largest sum's, cut
+by the other sums' facets that no two-term cancellation implies; the
 dual route sums the slices of the dual cone over the opposite orthant
 sectors.  Both routes are kept because they check each other.
 """
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from ._dd import DoubleDescription, _clean_rows, _maximal, _reduce_mod, _unit
+from ._dd import Described, DoubleDescription, _clean_rows, _maximal, _reduce_mod, _unit
 from .linalg import IntVec, dot, kernel_basis, primitive
 
 Rows = tuple[IntVec, ...]
@@ -271,7 +272,12 @@ def tropical_hull(y: Cone) -> Cone:
     continues a copy that takes the other half's unit vectors.  Every sum
     is full-dimensional (ArithmeticError otherwise); the hull's double
     description starts from the one with the most facets and takes the
-    others' facets, most first (a stable sort), so they mostly cut nothing.
+    others' facets, most first (a stable sort), so they mostly cut nothing,
+    but none that a two-term cancellation implies (``_uncancelled``).  Such
+    a row is no facet of a full-dimensional hull, whose dual is pointed.
+    The rays of the cone the other rows cut out sum to a point strictly
+    inside every sum's facet exactly when the hull is full-dimensional;
+    otherwise the double description runs again and takes every row.
     """
     n = y.dim
     if n == 0:
@@ -279,6 +285,7 @@ def tropical_hull(y: Cone) -> Cone:
     gens, lins = y._sides[1] or y._side(1)
     shared = DoubleDescription(n, [*lins, (1,) * n])
     shared.add(gens)
+    tight_gens = len(shared.added)  # the first bits of every sum's masks
     sums = []
 
     def grow(state: DoubleDescription, coords: list[int]) -> None:
@@ -295,12 +302,55 @@ def tropical_hull(y: Cone) -> Cone:
     grow(shared, list(range(n)))
     if any(out[1] for out, _ in sums):
         raise ArithmeticError("a sum y + V_i is not full-dimensional")
-    sums.sort(key=lambda s: len(s[0][0]), reverse=True)
-    state = DoubleDescription.seeded(n, *sums[0])
-    state.add([a for out, _ in sums[1:] for a in out[0]])
-    hull = Cone.from_hrep(n, [a for out, _ in sums for a in out[0]])
-    hull._described(1, state.result())
+    # the largest sum first, then the others, most facets first (stable)
+    order = sorted(range(n), key=lambda i: -len(sums[i][0][0]))
+    rows = [a for i in order[1:] for a in sums[i][0][0]]
+    kept = _uncancelled(sums, tight_gens, order[1:])
+
+    def final(rows: list[IntVec]) -> tuple[DoubleDescription, Described]:
+        state = DoubleDescription.seeded(n, *sums[order[0]])
+        state.add(rows)
+        return state, state.result()
+
+    state, out = final(kept)
+    x = [sum(col) for col in zip(*out[0])] or [0] * n
+    if len(kept) < len(rows) and any(dot(a, x) <= 0 for s, _ in sums for a in s[0]):
+        state, out = final(rows)
+    hull = Cone.from_hrep(n, state.added)
+    hull._described(1, out)
     return hull
+
+
+def _uncancelled(sums: list, gens: int, order: list[int]) -> list[IntVec]:
+    """The facets of the sums y + V_i for i in order, but each a with a
+    certificate a = primitive(|c[k]| b + b[k] c): a[k] = 0, b a facet of
+    a's sum with b[k] > 0 and c one of sum k's, both valid on the hull, so
+    a is no facet of it if it is full-dimensional.  With Z(v) the zero
+    coordinates of v and the first ``gens`` rows of its sum (y's
+    generators) tight on it, Z(a) = Z(b) & Z(c) | {k} then: only pairs
+    with Z(a) - Z(b) = Z(a) - Z(c) = {k} are tried."""
+    n = len(sums)
+    zeros = [
+        [
+            (a, (m & (1 << gens) - 1) << n | sum(1 << k for k, x in enumerate(a) if not x))
+            for a, m in zip(out[0], out.masks)
+        ]
+        for out, _ in sums
+    ]
+
+    def cancels(a: IntVec, za: int, facets: list) -> bool:
+        for b, zb in facets:
+            bit = za & ~zb
+            if 0 < bit < 1 << n and not bit & bit - 1:
+                k = bit.bit_length() - 1
+                for c, zc in zeros[k]:
+                    if za & ~zc == bit and a == primitive(
+                        [-c[k] * x + b[k] * y for x, y in zip(b, c)]
+                    ):
+                        return True
+        return False
+
+    return [a for i in order for a, za in zeros[i] if not cancels(a, za, zeros[i])]
 
 
 def tropical_hull_dual(y: Cone) -> Cone:

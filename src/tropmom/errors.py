@@ -18,3 +18,14 @@ class PreconditionError(ValueError):
 
 class ResourceLimitError(RuntimeError):
     pass
+
+
+def guard_size(size: int, limit: int) -> None:
+    """Refuse a set of points of the given exact size above the limit.
+    Where the size has a closed form it is checked before the set is
+    built."""
+    if size > limit:
+        raise ResourceLimitError(
+            f"extension support has {size} points, exceeding the limit "
+            f"of {limit}; raise max_extension_points to proceed"
+        )

@@ -17,10 +17,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Collection, Iterable, NamedTuple, Sequence
+from typing import Collection, Iterable, NamedTuple, Optional, Sequence
 
 from .cones import Cone
-from .errors import PreconditionError
+from .errors import PreconditionError, guard_size
 from .linalg import IntVec, barycentric_coords, dot, rank
 
 _glex = lambda p: (sum(p), p)
@@ -217,13 +217,17 @@ def midpoint_fixpoint(
 
 
 def mediated_split(
-    vertices: Sequence[Sequence[int]],
+    vertices: Sequence[Sequence[int]], max_points: Optional[int] = None
 ) -> tuple[PointConfig, tuple[IntVec, ...]]:
     """The mediated set of the vertices and the lattice points of their
-    hull it discards, both graded-lex, from one listing of the hull."""
+    hull it discards, both graded-lex, from one listing of the hull,
+    refused (ResourceLimitError) before it when the hull holds more than
+    max_points lattice points."""
     verts = [tuple(int(a) for a in v) for v in vertices]
     if rank([v + (1,) for v in verts]) < len(verts):
         raise PreconditionError("mediated_set requires affinely independent vertices")
+    if max_points is not None:
+        guard_size(lattice_points_size(verts), max_points)
     hull = lattice_points(verts).points
     core = midpoint_fixpoint(hull, set(verts))
     return (

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .cones import Cone, project_hrep
-from .errors import PreconditionError, ResourceLimitError
+from .errors import PreconditionError, guard_size
 from .funcones import (
     GeneralizedConvexityCone,
     binding_rows,
@@ -90,16 +90,6 @@ class ScanReport:
     first_stable: int
     closed_form: Optional[PseudoMomentTrop]
     matches_closed_form: Optional[bool]
-
-
-def _guard_size(size: int, limit: int) -> None:
-    """Refuse an extension support of the given exact size.  Where the
-    size has a closed form it is checked before the support is built."""
-    if size > limit:
-        raise ResourceLimitError(
-            f"extension support has {size} points, exceeding the limit "
-            f"of {limit}; raise max_extension_points to proceed"
-        )
 
 
 def _linear(e: PointConfig, c: Cone) -> tuple[list[IntVec], list[IntVec]]:
@@ -193,7 +183,7 @@ def trop_pseudomoment(
                 f"support point {p} has total degree {sum(p)}, above the "
                 f"truncation degree {d}"
             )
-    _guard_size(delta_simplex_size(a.n, d), max_extension_points)
+    guard_size(delta_simplex_size(a.n, d), max_extension_points)
     e = delta_simplex(a.n, d)
     cone = _projected(a, e, order_cone(spec))
     return PseudoMomentTrop(a, spec, d, False, cone, e)
@@ -205,7 +195,7 @@ def trop_pseudomoment_cube_stable(
     """Stabilized pseudo-moment tropicalization over the unit cube: the
     truncated cones coincide with this one for every large enough degree,
     with the cubical hull of A as the extension support."""
-    _guard_size(cubical_hull_size(a), max_extension_points)
+    guard_size(cubical_hull_size(a), max_extension_points)
     e = cubical_hull(a)
     cone = _projected(a, e, Cone.nonpos_orthant(a.n))
     return PseudoMomentTrop(a, SemialgSpec.cube(a.n), None, True, cone, e)
@@ -235,7 +225,7 @@ def trop_pseudomoment_stable(
     _require_same_dim(a, spec)
     c = order_cone(spec)
     parts = _a_hat_parts(a, c)  # sized, then listed, from one reading of D
-    _guard_size(_a_hat_size(*parts), max_extension_points)
+    guard_size(_a_hat_size(*parts), max_extension_points)
     e = _a_hat_points(*parts)
     cone = _projected(a, e, c)
     return PseudoMomentTrop(a, spec, None, True, cone, e)
@@ -248,7 +238,7 @@ def sigma_dual_trop(
     all of R^n: midpoint inequalities between even points of the lattice
     hull of A, projected onto A with the kernel of those rows, which holds
     the affine functions, as head start."""
-    _guard_size(lattice_points_size(a.points), max_extension_points)
+    guard_size(lattice_points_size(a.points), max_extension_points)
     full = lattice_points(a.points)
     even = lambda p: not any(x % 2 for x in p)
     triples = [t for t in midpoint_triples(full) if even(t.a1) and even(t.a2)]
@@ -310,7 +300,7 @@ def stabilization_scan(
     _require_same_dim(a, spec)
     degrees = range(d_min, d_max + 1)
     for d in degrees:
-        _guard_size(delta_simplex_size(a.n, d), max_extension_points)
+        guard_size(delta_simplex_size(a.n, d), max_extension_points)
     try:
         closed = stabilized_pseudomoment(a, spec, max_extension_points)
     except PreconditionError:

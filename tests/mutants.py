@@ -49,6 +49,20 @@ MUTANTS = [
         ["tests/test_cones.py::test_tropical_hull_matches_dual_route_and_index_order"],
     ),
     (
+        "tropical hull leaves out cancelled rows without the full-dimension check",
+        "cones.py",
+        "len(kept) < len(rows) and any(",
+        "False and any(",
+        ["tests/test_cones.py::test_tropical_hull_keeps_every_row_unless_full_dimensional"],
+    ),
+    (
+        "tropical hull checks full dimension on the rows it kept only",
+        "cones.py",
+        "for s, _ in sums for a in s[0]",
+        "for a in state.added",
+        ["tests/test_cones.py::test_tropical_hull_keeps_every_row_unless_full_dimensional"],
+    ),
+    (
         "minimal forms skip the kernel of a cone that is not full-dimensional",
         "cones.py",
         "cone_dim == dim",

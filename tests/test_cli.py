@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropmom import cli, moments, pseudo
+from tropmom import cli, lattice, moments, pseudo
 from tropmom.cli import main
 from tropmom.cones import Cone, tropical_hull_dual
 from tropmom.funcones import cone_K
@@ -555,6 +555,22 @@ def test_lattice_guard_trips_before_listing(capsys, tmp_path, monkeypatch):
     )
     with within_seconds(5):
         assert run(capsys, ["pseudomoment", path]) == (4, "", GUARD.format(4504501, 40))
+
+
+def test_mediated_guard_trips_before_listing(capsys, monkeypatch):
+    # the side-200 triangle holds 201 * 202 / 2 lattice points, counted
+    # column by column without listing them; it ran 1.2 s unguarded
+    monkeypatch.setattr(lattice, "lattice_points", _not_built)
+    argv = ["mediated", "--vertices", "0,0;200,0;0,200"]
+    assert run(capsys, argv) == (4, "", GUARD.format(20301, 10000))
+    argv += ["--max-extension-points", "20300"]
+    assert run(capsys, argv) == (4, "", GUARD.format(20301, 20300))
+    argv[-1] = "0"
+    code, _, err = run(capsys, argv)
+    assert code == 2 and "--max-extension-points" in err
+    # a triangle with vertices in [0, 8]^2 holds at most 45 points
+    argv = ["mediated", "--vertices", "0,0;8,0;0,8", "--max-extension-points", "44"]
+    assert run(capsys, argv) == (4, "", GUARD.format(45, 44))
 
 
 def test_scan_a_hat_guard_trips_before_projecting(capsys, square_s1, monkeypatch):

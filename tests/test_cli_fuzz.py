@@ -156,7 +156,7 @@ def _argvs(path, flags, vertices):
         + (["--degree", str(degree)] if degree is not None else []),
         ["gap", path, *common, *semigroup],
         ["scan", path, "--dmax", str(dmax), *common],
-        ["mediated", "--vertices", vertices] + (["--format", "text"] if text else []),
+        ["mediated", "--vertices", vertices, *common],
     ]
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from draws import vectors
 
 from tropmom.cones import (
     Cone,
@@ -147,6 +148,18 @@ def test_tropical_hull_anchors():
     assert cone_equal(hull.dual(), want_dual)
 
 
+def test_tropical_hull_keeps_every_row_unless_full_dimensional():
+    # a row that a two-term cancellation implies is sure to be no facet
+    # only of a full-dimensional hull, and neither hull here is one:
+    # leaving such rows out unchecked gave the facets (0, 0, 1, -1),
+    # (0, 1, 1, -2) for the first, and checking only the rows kept gave
+    # the cone x_1, x_2 >= x_0 for the second
+    hull = tropical_hull(Cone.from_vrep(4, [(1, 0, 2, 1)]))
+    assert hull.ineqs == ((0, -1, 0, 1), (0, 1, 1, -2))
+    assert hull.eqs == ((1, 0, 0, -1),)
+    assert tropical_hull(Cone.origin(3)) == Cone.from_vrep(3, [], [(1, 1, 1)])
+
+
 def test_tropical_hull_dual_anchors():
     assert cone_equal(tropical_hull_dual(Cone.full_space(2)), Cone.origin(2))
     y = Cone.from_vrep(4, [(0, -1, -1, -2), (0, -1, -2, -1)])
@@ -217,20 +230,22 @@ def test_tropical_dual_ray_shape():
         assert sum(1 for x in r if x < 0) == 1
 
 
-def test_fourier_motzkin_matches_vrep_projection():
-    rng = random.Random(99)
-    for _ in range(15):
-        dim = rng.randrange(2, 5)
-        ineqs = [
-            tuple(rng.randrange(-3, 4) for _ in range(dim))
-            for _ in range(rng.randrange(1, 5))
-        ]
-        c = Cone.from_hrep(dim, ineqs)
-        k = rng.randrange(1, dim)
-        coords = sorted(rng.sample(range(dim), k))
-        assert cone_equal(
-            fourier_motzkin_project(c, coords), c.project(coords)
-        )
+@st.composite
+def hrep_projections(draw):
+    """A cone in 2 to 4 coordinates cut out by 1 to 4 inequalities and at
+    most one equation, entries in [-3, 3], and 1 to dim - 1 coordinates to
+    keep."""
+    dim = draw(st.integers(2, 4))
+    ineqs, eqs = draw(vectors(1, 4, dim, -3, 3)), draw(vectors(0, 1, dim, -3, 3))
+    coords = st.lists(st.integers(0, dim - 1), min_size=1, max_size=dim - 1, unique=True)
+    return Cone.from_hrep(dim, ineqs, eqs), sorted(draw(coords))
+
+
+@settings(max_examples=100)
+@given(hrep_projections())
+def test_fourier_motzkin_matches_vrep_projection(case):
+    c, coords = case
+    assert fourier_motzkin_project(c, coords) == c.project(coords)
 
 
 def test_project_hrep_fast_paths():

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from draws import vectors
 from tropmom.cones import Cone, cone_equal
 from tropmom.errors import PreconditionError
 from tropmom.funcones import (
@@ -32,16 +35,22 @@ def test_cone_K_motzkin_cube():
     }
 
 
-def test_simplex_facet_route_agrees():
-    for pts in [
-        [(0, 0), (1, 1), (1, 2), (2, 1)],
-        [(0,), (1,), (2,), (4,)],
-        [(0, 0), (1, 0), (0, 1), (1, 1)],
-    ]:
-        a = PointConfig(pts)
-        k = cone_K(a, Cone.origin(a.n))
-        via = cone_K_facets_via_simplices(a)
-        assert cone_equal(k.cone, Cone.from_hrep(len(a), via))
+# 1 to 7 distinct points with coordinates at most 4, in one or two
+# dimensions
+SUPPORTS = st.integers(1, 2).flatmap(lambda n: vectors(1, 7, n, 0, 4)).map(
+    lambda pts: PointConfig(dict.fromkeys(pts))
+)
+
+
+@settings(max_examples=60)
+@given(SUPPORTS)
+@example(PointConfig([(0, 0), (1, 1), (1, 2), (2, 1)]))
+@example(PointConfig([(0,), (1,), (2,), (4,)]))
+@example(PointConfig([(0, 0), (1, 0), (0, 1), (1, 1)]))
+def test_simplex_facet_route_agrees(a):
+    k = cone_K(a, Cone.origin(a.n))
+    via = cone_K_facets_via_simplices(a)
+    assert k.cone == Cone.from_hrep(len(a), via)
 
 
 def test_cone_K_even():

@@ -19,7 +19,7 @@ projection as it is and run no more LPs, and a pool function off the
 source must raise when it is taken.  The work counts of two scans, of
 the 9-point cubical-hull projection and of the seed-1 ``projection`` and
 ``scan`` corpora, the fresh double descriptions of a moment cone and a
-scan, the rows the tropical hulls of two moment cones hand to double
+scan, the rows the tropical hulls of three moment cones hand to double
 description and the kernels their minimal forms compute, and the LPs of
 the sums-of-squares dual on two supports whose kernel exceeds the affine
 functions, are pinned, so that losing the reuse shows up as a changed
@@ -28,6 +28,7 @@ count.
 
 import contextlib
 import io
+import random
 from collections import Counter
 
 import pytest
@@ -257,8 +258,8 @@ def test_pool_function_off_the_source_raises_when_taken():
 def _work(run) -> Counter:
     """LPs, refuted LPs, column builds, projections, fresh double
     descriptions, double descriptions seeded from a cone's generators and
-    the facets they seed, rows handed to a double description's ``add`` and
-    kernels computed by ``cones`` in run()."""
+    the facets they seed, rows handed to a double description's ``add``
+    (and to its last call) and kernels computed by ``cones`` in run()."""
     counts: Counter = Counter()
     lp, columns, project, dd, seeded, add, kernel = (
         _simplex.nonneg_combination,
@@ -279,6 +280,7 @@ def _work(run) -> Counter:
     def spy_add(state, ineqs):
         ineqs = list(ineqs)
         counts["rows"] += len(ineqs)
+        counts["last_rows"] = len(ineqs)
         return add(state, ineqs)
 
     def spy_seeded(cls, dim, out, gens):
@@ -372,12 +374,13 @@ def _ten_point_cube(tmp_path):
 @pytest.mark.parametrize(
     "run, rows, before",
     [
-        # (24, 0, 3, 0) and (190, 0, 3, 0) in the order (rows added,
-        # rows seeded, fresh, seeded double descriptions) before the final
-        # one started from the largest sum's generators and y's generators
-        # were read as given
-        (lambda tmp_path: trop_moment_cone(MOTZKIN, CUBE2).cone.ineqs, (18, 4), 28),
-        (_ten_point_cube, (152, 36), 246),
+        # (18, 4) and (152, 36) before the final double description left
+        # out the rows a two-term cancellation implies; (24, 0, 3, 0) and
+        # (190, 0, 3, 0) in the order (rows added, rows seeded, fresh,
+        # seeded double descriptions) before it started from the largest
+        # sum's generators and y's generators were read as given
+        (lambda tmp_path: trop_moment_cone(MOTZKIN, CUBE2).cone.ineqs, (14, 4), 28),
+        (_ten_point_cube, (65, 36), 246),
     ],
     ids=["motzkin-cube-moment", "ten-point-cube"],
 )
@@ -392,6 +395,19 @@ def test_hull_work_counts(run, rows, before, tmp_path):
     assert (counts["rows"], counts["seeded_rows"]) == rows
     assert (counts["kernel"], counts["dd"], counts["seeded"]) == (0, 1, 1)
     assert sum(rows) < before
+
+
+def test_fourteen_point_hull_work_counts():
+    # the 14-point support over the cube that seed 1 draws; all 344 rows
+    # of the sums but the largest reached the hull's final double
+    # description, in 0.83 s, before the rows a two-term cancellation
+    # implies were left out: 38 remain, the hull's facets that the largest
+    # sum lacks
+    support = _corpus()._support(random.Random(1), 14, (6, 6), must=((0, 0),))
+    got = []
+    counts = _work(lambda: got.append(trop_moment_cone(PointConfig(support), CUBE2).cone))
+    assert (counts["last_rows"], counts["seeded_rows"], counts["seeded"]) == (38, 105, 1)
+    assert (len(got[0].ineqs), len(got[0].rays), len(got[0].lineality)) == (72, 780, 1)
 
 
 @pytest.mark.parametrize(
