@@ -144,10 +144,6 @@ class Cone:
         return cls.from_vrep(dim, (), ())
 
     @classmethod
-    def nonneg_orthant(cls, dim: int) -> "Cone":
-        return cls.from_hrep(dim, [_unit(dim, i) for i in range(dim)])
-
-    @classmethod
     def nonpos_orthant(cls, dim: int) -> "Cone":
         return cls.from_hrep(
             dim, [tuple(-x for x in _unit(dim, i)) for i in range(dim)]
@@ -245,16 +241,6 @@ class Cone:
         c._sides = [self._side(1), self._side(0)]
         c._minimal = [True, True]
         return c
-
-    def project(self, coords: Sequence[int]) -> "Cone":
-        """Image under the coordinate projection x -> (x[c] for c in coords)."""
-        for c in coords:
-            if not 0 <= c < self.dim:
-                raise ValueError("projection coordinate out of range")
-        take = lambda v: tuple([v[c] for c in coords])
-        return Cone.from_vrep(
-            len(coords), [take(r) for r in self.rays], [take(l) for l in self.lineality]
-        )
 
 
 def cone_equal(a: Cone, b: Cone) -> bool:
@@ -378,7 +364,7 @@ def tropical_hull_dual(y: Cone) -> Cone:
 def fourier_motzkin_project(cone: Cone, coords: Sequence[int]) -> Cone:
     """Coordinate projection computed by Fourier-Motzkin elimination.
 
-    Cross-check oracle for the generator-based Cone.project; quadratic
+    Cross-check oracle for the generator projection; quadratic
     blowup per eliminated variable restricts it to small ambient
     dimension (<= 12).
     """
@@ -437,23 +423,26 @@ def project_hrep(
     the image coincide.  Suited to sources of high ambient dimension whose
     image is small, where double description on the source is infeasible.
     It starts from the origin, or from the images of ``inner = (points,
-    lines)`` of the source cone, each checked in integers against every
-    row (ArithmeticError if one fails): a head start, not a premise.  The
-    system's sparse columns are built once for all of its LPs, and one
-    resumable double description of the approximation takes each round's
-    new members.  A candidate negative on a member found earlier in its
-    round is no facet of the image and waits for the next round untested.
+    lines)`` of the source cone, each line with both signs: a head start,
+    not a premise.  The system's sparse columns are built once for all of
+    its LPs.  A candidate negative on a member found earlier in its round
+    is no facet of the image and waits for the next round untested.
     Before its LP, any other candidate takes the first ``pool`` function
-    (more members of the source, in R^dim) whose image is negative on it;
-    that one leaves the pool, is checked in integers against every row
-    (ArithmeticError if it fails) and stands in for the LP's refutation.
+    (more members of the source, in R^dim) whose image is negative on it,
+    which leaves the pool and stands in for the LP's refutation.
 
     Given a cone ``outer`` in R^len(coords), such as M(A) for the cold
     pseudo-moment projections, the result is the image met with ``outer``
-    or the call raises ValueError.  A candidate valid on ``outer`` needs
-    no LP.  The images of the inner points and lines and of each member an
-    LP or the pool finds must lie in ``outer``, so the approximation stays
-    in both cones and every final candidate is valid on their intersection.
+    or the call raises ValueError; a candidate valid on ``outer`` needs
+    no LP.  Every member, inner, pooled or an LP's certificate, is
+    admitted by one check: in integers against every row (ArithmeticError
+    if it fails), then its primitive image against ``outer``.  So the
+    approximation stays in both cones, and every final candidate is valid
+    on their intersection.  Each image is held once, in the one resumable
+    double description of the approximation (a line's as an equation,
+    which keeps the masks free of rows tight on every ray), whose rays
+    are the candidates; one held already makes no progress
+    (ArithmeticError).
     """
     from ._simplex import RowSystem, row_values, valid_on_system
 
@@ -466,16 +455,23 @@ def project_hrep(
     k = len(coords)
     if outer is not None and outer.dim != k:
         raise ValueError("outer cone dimension does not match the projection")
-    points, lines = inner
     system = RowSystem(rows)
-    if any(min(row_values(system, h), default=0) < 0 for h in points) or any(
-        any(row_values(system, v)) for v in lines
-    ):
-        raise ArithmeticError("inner point or line is not in the source cone")
     take = lambda v: tuple([v[c] for c in coords])
     where = {c: j for j, c in enumerate(coords)}
     lift = lambda nu: tuple([nu[where[i]] if i in where else 0 for i in range(dim)])
     missed = "outer cone does not contain the projection"
+
+    def admit(h: Sequence[int], what: str) -> IntVec:
+        """The primitive image of h, a member of the source cone in outer."""
+        if min(row_values(system, h), default=0) < 0:
+            raise ArithmeticError(f"{what} is not in the source cone")
+        y = primitive(take(h))
+        if outer is not None and not outer.contains_point(y):
+            raise ValueError(missed)
+        return y
+
+    lines = [admit([s * x for x in v], "inner line") for v in inner[1] for s in (1, -1)]
+    points = [admit(h, "inner point") for h in inner[0]]
     if not rows or k == dim:
         # the whole space, or a permutation of coordinates transports the
         # H-rep directly
@@ -483,19 +479,11 @@ def project_hrep(
         if outer is not None and not outer.contains_cone(image):
             raise ValueError(missed)
         return image
-    lins = [take(v) for v in lines]
     # the normals valid on outer are the members of its dual
     outer_dual = None if outer is None else outer.dual()
-    normals = () if outer is None else outer.ineqs + outer.eqs
-    if any(dot(a, v) for a in normals for v in lins):
-        raise ValueError(missed)  # a line of the image is no line of outer
-    rays = _clean_rows(take(h) for h in points)
-    if outer is not None and not all(outer.contains_point(y) for y in rays):
-        raise ValueError(missed)
-    approx = DoubleDescription(k, lins)
-    approx.add(rays)
+    approx = DoubleDescription(k, lines)
+    approx.add(points)
     certified: set[IntVec] = set()
-    members = set(rays)
     pool = {take(h): h for h in pool}
     for _ in range(100000):
         out = approx.result()
@@ -503,7 +491,7 @@ def project_hrep(
         for e in out[1]:
             candidates.append(e)
             candidates.append(tuple([-x for x in e]))
-        found: list[IntVec] = []
+        found: dict[IntVec, None] = {}
         for nu in candidates:
             if nu in certified:
                 continue
@@ -514,29 +502,21 @@ def project_hrep(
                 continue
             hit = next((y for y in pool if dot(nu, y) < 0), None)
             if hit is not None:
-                w = pool.pop(hit)
-                if min(row_values(system, w), default=0) < 0:
-                    raise ArithmeticError("pool function is not in the source cone")
+                y = admit(pool.pop(hit), "pool function")
             else:
                 ok, w = valid_on_system(system, lift(nu))
                 if ok:
                     certified.add(nu)
                     continue
-            y = primitive(take(w))
-            if not any(y):
-                raise ArithmeticError("projection certificate vanished")
-            if outer is not None and not outer.contains_point(y):
-                raise ValueError(missed)
-            if y in members:
+                y = admit(w, "projection certificate")
+            if y in approx.added or y in found:
                 # nu is valid on every earlier member, and a member of this
                 # round negative on nu would have spared the LP
                 raise ArithmeticError("projection oracle made no progress")
-            members.add(y)
-            found.append(y)
+            found[y] = None
         if not found:
-            image = Cone.from_vrep(k, rays, lins)
+            image = Cone.from_vrep(k, approx.added, lines)
             image._described(0, out)
             return image
         approx.add(found)
-        rays.extend(found)
     raise ArithmeticError("projection oracle did not converge")

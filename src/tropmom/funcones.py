@@ -54,9 +54,6 @@ class GeneralizedConvexityCone:
     cone: Cone
     defining_ineqs: tuple[IntVec, ...]
 
-    def facet_normals(self) -> tuple[IntVec, ...]:
-        return self.cone.ineqs
-
 
 def _simplex_normals(
     a: PointConfig, simplices: Sequence[AlmostEmptySimplex]

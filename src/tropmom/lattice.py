@@ -21,13 +21,13 @@ from typing import Collection, Iterable, NamedTuple, Optional, Sequence
 
 from .cones import Cone
 from .errors import PreconditionError, guard_size
-from .linalg import IntVec, barycentric_coords, dot, rank
+from .linalg import IntVec, barycentric_coords, dot, intvec, rank
 
 _glex = lambda p: (sum(p), p)
 
 
 def graded_lex_sorted(points: Iterable[Sequence[int]]) -> list[IntVec]:
-    return sorted({tuple(int(a) for a in p) for p in points}, key=_glex)
+    return sorted({intvec(p) for p in points}, key=_glex)
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ class PointConfig:
     points: tuple[IntVec, ...]
 
     def __init__(self, points: Iterable[Sequence[int]]):
-        pts = tuple(tuple(int(a) for a in p) for p in points)
+        pts = tuple([intvec(p) for p in points])
         if not pts:
             raise ValueError("a point configuration must be nonempty")
         n = len(pts[0])
@@ -99,7 +99,7 @@ def _hull_columns(vertices: Sequence[Sequence[int]]):
     read off the hull's facets, each equation taken as two opposite
     inequalities.  The projection is the hull of the projected vertices;
     in one coordinate it is their bounding box."""
-    verts = [tuple(int(a) for a in v) for v in vertices]
+    verts = [intvec(v) for v in vertices]
     hull = _hull_cone(verts)
     n = len(verts[0])
     rows = hull.ineqs + hull.eqs + tuple(tuple(-x for x in e) for e in hull.eqs)
@@ -223,7 +223,7 @@ def mediated_split(
     hull it discards, both graded-lex, from one listing of the hull,
     refused (ResourceLimitError) before it when the hull holds more than
     max_points lattice points."""
-    verts = [tuple(int(a) for a in v) for v in vertices]
+    verts = [intvec(v) for v in vertices]
     if rank([v + (1,) for v in verts]) < len(verts):
         raise PreconditionError("mediated_set requires affinely independent vertices")
     if max_points is not None:

@@ -18,8 +18,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd
-from operator import mul
-from typing import Optional, Sequence
+from operator import index, mul
+from typing import Iterable, Optional, Sequence
 
 IntVec = tuple[int, ...]
 RatVec = tuple[Fraction, ...]
@@ -28,6 +28,15 @@ RatVec = tuple[Fraction, ...]
 def dot(u: Sequence, v: Sequence):
     assert len(u) == len(v)
     return sum(map(mul, u, v))
+
+
+def intvec(v: Iterable) -> IntVec:
+    """v as a tuple of ints; any other entry raises ValueError, never
+    truncated."""
+    try:
+        return tuple([index(a) for a in v])
+    except TypeError:
+        raise ValueError(f"entries must be integers, not {v!r}") from None
 
 
 def primitive(v: Sequence[int]) -> IntVec:
@@ -126,12 +135,8 @@ def rref_int(rows: Sequence[Sequence[int]]) -> list[IntVec]:
     return [tuple(row) for row in _echelon(rows)]
 
 
-def kernel_basis(rows: Sequence[Sequence[int]], n: Optional[int] = None) -> list[IntVec]:
-    """Canonical primitive basis of {x : row . x = 0 for every row}."""
-    if n is None:
-        if not rows:
-            raise ValueError("kernel_basis needs rows or an explicit dimension")
-        n = len(rows[0])
+def kernel_basis(rows: Sequence[Sequence[int]], n: int) -> list[IntVec]:
+    """Canonical primitive basis of {x : row . x = 0 for every row} in R^n."""
     reduced = rref_int(rows)
     pivots = [next(j for j, a in enumerate(row) if a != 0) for row in reduced]
     # x_j = scale, x_pivot = -scale * row[j] / row[pivot]: integral once

@@ -24,7 +24,9 @@ from .cones import Cone
 from .errors import PreconditionError
 from .funcones import GeneralizedConvexityCone, cone_K, cone_K_even
 from .lattice import AlmostEmptySimplex, PointConfig
-from .linalg import IntVec, dot, integerize, lattice_index, primitive, rank, solve_linear
+from .linalg import (
+    IntVec, dot, integerize, intvec, lattice_index, primitive, rank, solve_linear
+)
 
 # in the order the command line's schema error lists them
 SET_KINDS = ("orthant", "cube", "full_space", "toric_cube", "binomials")
@@ -34,10 +36,6 @@ class RegularSupportWarning(UserWarning):
     """The binomial system cuts out a lower-dimensional cone, so the
     tropicalization of the set may be strictly smaller than the cone of
     the exponent differences."""
-
-
-def _intvec(v: Sequence[int]) -> IntVec:
-    return tuple(int(x) for x in v)
 
 
 @dataclass(frozen=True)
@@ -62,7 +60,7 @@ class SemialgSpec:
         if self.kind not in SET_KINDS:
             raise ValueError(f"unknown set kind {self.kind!r}")
         gens = tuple(
-            (_intvec(a), _intvec(b)) for a, b in self.generators
+            (intvec(a), intvec(b)) for a, b in self.generators
         )
         if self.kind == "cube" and not gens:
             gens = tuple(
@@ -84,7 +82,7 @@ class SemialgSpec:
         if self.kind == "toric_cube":
             if self.q_matrix is None:
                 raise ValueError("toric_cube requires an exponent matrix")
-            q = tuple(_intvec(row) for row in self.q_matrix)
+            q = tuple(intvec(row) for row in self.q_matrix)
             if not q or any(len(row) != self.n for row in q):
                 raise ValueError("exponent matrix must have n columns")
             if any(x < 0 for row in q for x in row):
@@ -109,7 +107,7 @@ class SemialgSpec:
 
     @classmethod
     def toric_cube(cls, q: Sequence[Sequence[int]]) -> "SemialgSpec":
-        q = tuple(_intvec(row) for row in q)
+        q = tuple(intvec(row) for row in q)
         if not q:
             raise ValueError("exponent matrix must be nonempty")
         return cls(len(q[0]), "toric_cube", q_matrix=q)
@@ -118,7 +116,7 @@ class SemialgSpec:
     def binomials(
         cls, n: int, gens: Sequence[tuple[Sequence[int], Sequence[int]]]
     ) -> "SemialgSpec":
-        return cls(n, "binomials", tuple((_intvec(a), _intvec(b)) for a, b in gens))
+        return cls(n, "binomials", tuple((intvec(a), intvec(b)) for a, b in gens))
 
     def exponent_differences(self) -> tuple[IntVec, ...]:
         return tuple(
@@ -163,7 +161,7 @@ def render_binomial(support: PointConfig, normal: Sequence[int]) -> BinomialIneq
     """The binomial inequality of a valid inequality normal on R^A."""
     if len(normal) != len(support):
         raise ValueError("normal length does not match the support")
-    v = primitive(_intvec(normal))
+    v = primitive(intvec(normal))
     if not any(v):
         raise ValueError("the zero vector has no binomial form")
     plus = tuple((p, c) for p, c in zip(support.points, v) if c > 0)

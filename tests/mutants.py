@@ -189,25 +189,32 @@ MUTANTS = [
         ["tests/test_kernels_differential.py::test_a_hat_size_reads_columns_in_one_pass"],
     ),
     (
-        "projection skips the outer cone's lineality check",
+        "projection admits an inner line with one sign only",
         "cones.py",
-        "    if any(dot(a, v) for a in normals for v in lins):",
-        "    if False:",
+        "for v in inner[1] for s in (1, -1)]",
+        "for v in inner[1] for s in (1,)]",
         ["tests/test_reuse_differential.py::test_outer_cone_missing_a_member_raises"],
     ),
     (
-        "inner point check forgives -1",
+        "projection's row check forgives -1",
         "cones.py",
         "min(row_values(system, h), default=0) < 0",
         "min(row_values(system, h), default=0) < -1",
         ["tests/test_reuse_differential.py::test_inner_point_or_line_off_the_source_raises"],
     ),
     (
-        "pool function taken without its row check",
+        "pool function taken without its admission",
         "cones.py",
-        "if min(row_values(system, w), default=0) < 0:",
-        "if False:",
+        'y = admit(pool.pop(hit), "pool function")',
+        "y = primitive(take(pool.pop(hit)))",
         ["tests/test_reuse_differential.py::test_pool_function_off_the_source_raises_when_taken"],
+    ),
+    (
+        "projection admits a member without its outer check",
+        "cones.py",
+        "if outer is not None and not outer.contains_point(y):",
+        "if False:",
+        ["tests/test_reuse_differential.py::test_outer_cone_missing_a_member_raises"],
     ),
     (
         "cold projections take an outer cone that misses the image",

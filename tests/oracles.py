@@ -46,7 +46,9 @@ sum y + V_i, taking the n - 1 unit vectors away from i, and the sums'
 facets in coordinate order.
 
 Cone equality is mutual containment, the rule the library used before a
-cone's identity became its canonical minimal H-rep.
+cone's identity became its canonical minimal H-rep.  The generator
+projection, the image of a cone's rays and lineality, is the reference
+for the library's projections of an H-representation.
 """
 
 from __future__ import annotations
@@ -93,6 +95,17 @@ def cone_equal(a: Cone, b: Cone) -> bool:
     """a and b as sets: each contains the other's generators (ValueError if
     their dimensions differ)."""
     return a.contains_cone(b) and b.contains_cone(a)
+
+
+def project(cone: Cone, coords: Sequence[int]) -> Cone:
+    """Image of the cone under x -> (x[c] for c in coords), from its
+    V-representation."""
+    if not all(0 <= c < cone.dim for c in coords):
+        raise ValueError("projection coordinate out of range")
+    take = lambda v: tuple([v[c] for c in coords])
+    return Cone.from_vrep(
+        len(coords), [take(r) for r in cone.rays], [take(l) for l in cone.lineality]
+    )
 
 
 def integerize(v: Sequence[Fraction]) -> tuple[int, ...]:

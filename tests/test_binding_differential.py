@@ -82,7 +82,7 @@ def test_binding_points_project_as_the_whole_system(case):
     kept, rows = binding_rows(e, a, midpoint_triples(e), cover_pairs(comparable_pairs(e, c)))
     _check_kept(a, e, kept, rows, whole)
     got = pseudo._projected(a, e, c)
-    image = Cone.from_hrep(len(e), whole).project([e.index(p) for p in a])
+    image = oracles.project(Cone.from_hrep(len(e), whole), [e.index(p) for p in a])
     assert (got.ineqs, got.eqs) == (image.ineqs, image.eqs)
 
 
@@ -98,7 +98,7 @@ def test_sums_of_squares_dual_projects_as_the_whole_system(points):
     _check_kept(a, e, kept, rows, whole)
     got = pseudo.sigma_dual_trop(a)
     assert got.extension_support == e
-    image = Cone.from_hrep(len(e), whole).project([e.index(p) for p in a])
+    image = oracles.project(Cone.from_hrep(len(e), whole), [e.index(p) for p in a])
     assert (got.cone.ineqs, got.cone.eqs) == (image.ineqs, image.eqs)
 
 

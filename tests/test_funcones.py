@@ -23,7 +23,6 @@ def test_cone_K_motzkin_plain():
     k = cone_K(MOTZKIN, Cone.origin(2))
     assert k.kind == "K"
     assert k.cone.ineqs == ((1, -3, 1, 1),)
-    assert k.facet_normals() == k.cone.ineqs
 
 
 def test_cone_K_motzkin_cube():

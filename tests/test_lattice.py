@@ -16,6 +16,7 @@ from tropmom.lattice import (
     lattice_points,
     lattice_points_size,
     mediated_set,
+    mediated_split,
     midpoint_triples,
 )
 from tropmom.moments import SemialgSpec, order_cone
@@ -39,6 +40,22 @@ def test_point_config_validation():
         PointConfig([(0, 0), (1,)])
     with pytest.raises(ValueError):
         PointConfig([])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: PointConfig([(0.5, 1), (1, 1)]),
+        lambda: graded_lex_sorted([(0, 1), (Fraction(3, 2), 0)]),
+        lambda: lattice_points_size([(0, 0), (1.5, 0), (0, 1)]),
+        lambda: mediated_split([(0, 0), (2, 0), (0, 2.5)]),
+    ],
+    ids=["PointConfig", "graded_lex_sorted", "hull_columns", "mediated_split"],
+)
+def test_non_integer_coordinates_raise(build):
+    # each was truncated by int(): (0.5, 1) became (0, 1)
+    with pytest.raises(ValueError, match="integers"):
+        build()
 
 
 def test_graded_lex_sorted():

@@ -1,4 +1,5 @@
 import warnings
+from fractions import Fraction
 
 import pytest
 
@@ -184,6 +185,15 @@ def test_render_binomial():
     assert str(render_binomial(MOTZKIN, (0, -1, 0, 1))) == "m(2,1) >= m(1,1)"
     with pytest.raises(ValueError):
         render_binomial(MOTZKIN, (0, 0, 0, 0))
+
+
+def test_non_integer_exponents_and_normals_raise():
+    # int() truncated them: the pair kept (0, 1), and the normal (1/2, -1)
+    # on (0, 0), (1, 1) rendered as the wrong 1 >= m(1,1)
+    with pytest.raises(ValueError, match="integers"):
+        SemialgSpec.binomials(2, [((0.9, 1), (2, 0))])
+    with pytest.raises(ValueError, match="integers"):
+        render_binomial(PointConfig([(0, 0), (1, 1)]), (Fraction(1, 2), -1))
 
 
 def test_amgm_moment_cone():

@@ -39,7 +39,7 @@ import oracles
 from test_corpus_digests import _corpus
 from test_kernels_differential import projection_systems, systems
 from tropmom import _dd, _simplex, cli, cones, pseudo
-from tropmom.cones import Cone, project_hrep
+from tropmom.cones import Cone, project_hrep, tropical_hull
 from tropmom.errors import PreconditionError
 from tropmom.funcones import comparable_pairs, cone_M, constraint_rows, cover_pairs
 from tropmom.lattice import PointConfig, cubical_hull, delta_simplex, midpoint_triples
@@ -239,6 +239,14 @@ def test_inner_point_or_line_off_the_source_raises():
     assert project_hrep(2, rows, [0], inner=([(2, 1)], ())) == project_hrep(2, rows, [0])
 
 
+def test_projection_generated_by_its_members_and_inner_lines():
+    # the image of {x0 >= 0} in R^3 is the half-plane x0 >= 0, whose line
+    # (0, 1) is given; the tropical hull reads the generators as given
+    image = project_hrep(3, [(1, 0, 0)], [0, 1], inner=((), [(0, 1, 0)]))
+    fresh = Cone.from_hrep(2, image.ineqs, image.eqs)
+    assert tropical_hull(image) == tropical_hull(fresh)
+
+
 def test_pool_function_off_the_source_raises_when_taken():
     # the source is {x0 >= x1 >= 0}; (-1, 0) is -1 on its first row, and its
     # image refutes the normal (1,) of the origin's span, so it is taken
@@ -253,6 +261,30 @@ def test_pool_function_off_the_source_raises_when_taken():
     got = []
     work = _work(lambda: got.append(project_hrep(2, rows, [0], pool=[(1, 0)])))
     assert got == [image] and (work["lp"], work["refuted"]) == (1, 0)
+
+
+def test_pool_function_outside_the_outer_cone_raises():
+    # the image of {x0 >= 0} in R^3 is the half-plane x0 >= 0, the outer
+    # cone the ray (1, 0); the pool function (1, 1, 0) is in the source and
+    # refutes the origin's span normal (-1, 0), but its image leaves the ray
+    ray = Cone.from_vrep(2, [(1, 0)])
+    call = lambda: project_hrep(3, [(1, 0, 0)], [0, 1], outer=ray, pool=[(1, 1, 0)])
+    work = _work(lambda: pytest.raises(ValueError, call).match("outer cone"))
+    assert work["lp"] == 0
+
+
+def test_member_already_held_makes_no_progress(monkeypatch):
+    # an LP certificate whose image is a member the approximation holds,
+    # from an earlier round (here the image (1,) of the inner point) or from
+    # this one
+    monkeypatch.setattr(_simplex, "valid_on_system", lambda system, nu: (False, (1, 0, 0)))
+    rows = [(1, -1, 0), (0, 1, 0)]
+    with pytest.raises(ArithmeticError, match="made no progress"):
+        project_hrep(3, rows, [0], inner=([(1, 0, 0)], ()))
+    # from the origin the normal (1, 0) finds (1, 0); (-1, 0) is negative on
+    # it and waits, and (0, 1) is handed the same certificate
+    with pytest.raises(ArithmeticError, match="made no progress"):
+        project_hrep(3, rows, [0, 2])
 
 
 def _work(run) -> Counter:

@@ -3,14 +3,19 @@
 perfbench/tracing.py looks up every function in its WRAPPED table by name
 and perfbench/checks.py imports tropmom.cones.tropical_hull_dual, so these
 must stay in their modules even where they are not exported from the
-package.
+package.  The surface only tests used is gone: the generator projection
+lives in tests/oracles.py.
 """
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import tropmom
+from tropmom.cones import Cone
+from tropmom.funcones import GeneralizedConvexityCone
+from tropmom.linalg import kernel_basis
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -46,3 +51,11 @@ def test_cross_check_routes_are_not_exported():
                  "cone_K_facets_via_simplices", "rref_int", "kernel_basis"):
         assert name not in tropmom.__all__
         assert not hasattr(tropmom, name)
+
+
+def test_surface_only_tests_used_is_gone():
+    assert not hasattr(Cone, "project")
+    assert not hasattr(Cone, "nonneg_orthant")
+    assert not hasattr(GeneralizedConvexityCone, "facet_normals")
+    n = inspect.signature(kernel_basis).parameters["n"]
+    assert n.default is inspect.Parameter.empty
