@@ -10,14 +10,12 @@ tolerances anywhere.
 
 from .cones import (
     Cone,
-    cone_equal,
     double_description,
     project_hrep,
     tropical_hull,
 )
 from .errors import PreconditionError, ResourceLimitError, SchemaError
 from .funcones import (
-    GeneralizedConvexityCone,
     cone_K,
     cone_K_even,
     cone_M,
@@ -50,7 +48,6 @@ from .moments import (
     trop_of_set,
 )
 from .pseudo import (
-    PseudoMomentTrop,
     ScanReport,
     clamp_extension,
     f_s_d,
@@ -70,11 +67,9 @@ __all__ = [
     "AlmostEmptySimplex",
     "BinomialIneq",
     "Cone",
-    "GeneralizedConvexityCone",
     "MidpointTriple",
     "PointConfig",
     "PreconditionError",
-    "PseudoMomentTrop",
     "RegularSupportWarning",
     "ResourceLimitError",
     "ScanReport",
@@ -88,7 +83,6 @@ __all__ = [
     "cone_K",
     "cone_K_even",
     "cone_M",
-    "cone_equal",
     "cubical_hull",
     "delta_simplex",
     "double_description",

@@ -242,13 +242,13 @@ def _stabilized(prob: Problem) -> tuple[Cone, list[str]]:
                 "their cone as a semigroup; pass --assume-semigroup-generated to "
                 "proceed anyway"
             )
-    pm = stabilized_pseudomoment(prob.support, prob.spec, prob.max_extension_points)
-    return pm.cone, notes
+    cone = stabilized_pseudomoment(prob.support, prob.spec, prob.max_extension_points)
+    return cone, notes
 
 
 def _cmd_moment(args) -> dict:
     prob = _problem(args)
-    cone = trop_moment_cone(prob.support, prob.spec).cone
+    cone = trop_moment_cone(prob.support, prob.spec)
     return _result(prob.support, cone.ineqs, cone, [])
 
 
@@ -258,16 +258,16 @@ def _cmd_pseudomoment(args) -> dict:
         cone, notes = _stabilized(prob)
         notes.append("stable (closed form)")
     else:
-        pm = trop_pseudomoment(
+        cone = trop_pseudomoment(
             prob.support, prob.spec, prob.degree, prob.max_extension_points
         )
-        cone, notes = pm.cone, []
+        notes = []
     return _result(prob.support, cone.ineqs, cone, notes)
 
 
 def _cmd_gap(args) -> dict:
     prob = _problem(args)
-    facets = trop_moment_cone(prob.support, prob.spec).cone.ineqs
+    facets = trop_moment_cone(prob.support, prob.spec).ineqs
     if not facets:
         notes = ["moment cone has no facets; pseudo-moment side not computed"]
         return _result(prob.support, [], None, notes)
@@ -286,7 +286,7 @@ def _cmd_scan(args) -> dict:
     if report.closed_form is not None:
         verdict = "matches" if report.matches_closed_form else "does not match"
         notes.append(f"stabilized formula {verdict} the scan result")
-    stable = report.results[-1].cone
+    stable = report.results[-1]
     return _result(prob.support, stable.ineqs, stable, notes, report.first_stable)
 
 

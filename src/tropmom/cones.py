@@ -243,6 +243,7 @@ class Cone:
         return c
 
 
+# a == b; kept only for the WRAPPED table of perfbench/tracing.py
 def cone_equal(a: Cone, b: Cone) -> bool:
     return a == b
 

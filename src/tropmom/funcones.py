@@ -1,16 +1,16 @@
 """Cones of convex and midpoint-convex functions on a finite support.
 
-For a point configuration A in Z^n and a partial order cone C, the two
-function cones in R^A are:
+For a point configuration A in Z^n and a partial order cone C, three
+cones in R^A, each returned as a Cone:
 
-* kind "K": functions h with sum(l_i h(a_i)) >= h(b) for every convex
+* cone_K: functions h with sum(l_i h(a_i)) >= h(b) for every convex
   combination sum(l_i a_i) with sum(l_i a_i) - b in C.  Computed as the
   tropical conical hull of the evaluation image of the dual cone of C,
   so its facets are exactly the irredundant binomial certificates.
-* kind "M": the midpoint relaxation, keeping only the constraints
+* cone_M: the midpoint relaxation, keeping only the constraints
   h(a1) + h(a2) >= 2 h(b) over configuration triples a1 + a2 = 2b and
   h(a1) >= h(a2) over pairs with a1 - a2 in C.
-* kind "K_even": convexity constraints of the almost-empty simplices
+* cone_K_even: convexity constraints of the almost-empty simplices
   whose vertices are all even.
 
 K is always contained in M.  Coordinates of all function cones follow the
@@ -19,10 +19,9 @@ order of the configuration points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import ge
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .cones import Cone, tropical_hull
 from .errors import PreconditionError
@@ -36,23 +35,6 @@ from .lattice import (
     midpoint_triples,
 )
 from .linalg import IntVec, dot, integerize, primitive
-
-
-@dataclass(frozen=True)
-class GeneralizedConvexityCone:
-    """A cone of functions on a configuration, coordinates in support order.
-
-    ``defining_ineqs`` is the literal inequality system the cone is defined
-    by: the facet list for kind K, the full midpoint plus order system for
-    kind M (the ``cone`` may be built from an equivalent irredundant
-    subsystem), and the even-simplex system for kind K_even.
-    """
-
-    kind: str
-    support: PointConfig
-    partial_order_cone: Optional[Cone]
-    cone: Cone
-    defining_ineqs: tuple[IntVec, ...]
 
 
 def _simplex_normals(
@@ -69,7 +51,7 @@ def _simplex_normals(
     return out
 
 
-def cone_K(a: PointConfig, c: Cone) -> GeneralizedConvexityCone:
+def cone_K(a: PointConfig, c: Cone) -> Cone:
     """The cone of C-convex functions on the configuration.
 
     The dual cone of C is mapped through u -> (<a, u>)_{a in A}; the result
@@ -82,8 +64,7 @@ def cone_K(a: PointConfig, c: Cone) -> GeneralizedConvexityCone:
     y = Cone.from_vrep(
         len(a), [image(u) for u in cd.rays], [image(l) for l in cd.lineality]
     )
-    hull = tropical_hull(y)
-    return GeneralizedConvexityCone("K", a, c, hull, hull.ineqs)
+    return tropical_hull(y)
 
 
 def cone_K_facets_via_simplices(a: PointConfig) -> tuple[IntVec, ...]:
@@ -95,15 +76,14 @@ def cone_K_facets_via_simplices(a: PointConfig) -> tuple[IntVec, ...]:
     return tuple(_simplex_normals(a, almost_empty_simplices(a)))
 
 
-def cone_K_even(a: PointConfig) -> GeneralizedConvexityCone:
+def cone_K_even(a: PointConfig) -> Cone:
     """Convexity constraints of the all-even almost-empty simplices.
 
     This is the tropicalization of the moment cone of measures on all of
     R^n, where only even powers certify nonnegativity.
     """
     normals = _simplex_normals(a, almost_empty_simplices(a, even_only=True))
-    cone = Cone.from_hrep(len(a), normals)
-    return GeneralizedConvexityCone("K_even", a, None, cone, tuple(normals))
+    return Cone.from_hrep(len(a), normals)
 
 
 def constraint_rows(
@@ -194,21 +174,16 @@ def cover_pairs(pairs: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
     return [(i, j) for i, j in pairs if not any((k, j) in rel for k in above[i])]
 
 
-def cone_M(a: PointConfig, c: Cone) -> GeneralizedConvexityCone:
+def cone_M(a: PointConfig, c: Cone) -> Cone:
     """The midpoint relaxation of cone_K: only the constraints from
-    configuration midpoint triples and from C-comparable pairs.
-
-    The defining system lists every triple and every comparable pair; the
-    cone itself is built from the comparable pairs' covering relation,
-    which generates the same cone by transitivity.
+    configuration midpoint triples and from C-comparable pairs.  The
+    comparable pairs' covering relation stands for all of them, as it
+    generates the same cone by transitivity.
     """
     if c.dim != a.n:
         raise ValueError("order cone dimension does not match the configuration")
-    triples = midpoint_triples(a)
-    pairs = comparable_pairs(a, c)
-    cone = Cone.from_hrep(len(a), constraint_rows(a, triples, cover_pairs(pairs)))
-    defining = constraint_rows(a, triples, pairs)
-    return GeneralizedConvexityCone("M", a, c, cone, tuple(defining))
+    pairs = cover_pairs(comparable_pairs(a, c))
+    return Cone.from_hrep(len(a), constraint_rows(a, midpoint_triples(a), pairs))
 
 
 def _segment_members(a: PointConfig, p: IntVec, q: IntVec) -> list[IntVec]:

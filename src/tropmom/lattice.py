@@ -389,9 +389,13 @@ def a_hat_size(cfg: PointConfig, order_cone: Cone) -> int:
     return _a_hat_size(*_a_hat_parts(cfg, order_cone))
 
 
-def a_hat(cfg: PointConfig, order_cone: Cone) -> PointConfig:
+def a_hat(
+    cfg: PointConfig, order_cone: Cone, max_points: Optional[int] = None
+) -> PointConfig:
     """Finite extension support for configurations monotone against a cone
-    whose negative strictly contains the nonnegative orthant.
+    whose negative strictly contains the nonnegative orthant, refused
+    (ResourceLimitError) before it is listed when it holds more than
+    max_points points; it is sized, then listed, from one reading of D.
 
     K is the intersection of the translates a - C over configuration
     points a.  With W = (Z^n_{>=0} \\ K) union the configuration, the
@@ -420,4 +424,7 @@ def a_hat(cfg: PointConfig, order_cone: Cone) -> PointConfig:
     with 2v - u >= 0, ceil((2v - u)/2) = v - floor(u/2) <= v lies in D, so
     2v - u is in D's completion; for v in A \\ D it is the 2u - v of (v, u).
     """
-    return _a_hat_points(*_a_hat_parts(cfg, order_cone))
+    parts = _a_hat_parts(cfg, order_cone)
+    if max_points is not None:
+        guard_size(_a_hat_size(*parts), max_points)
+    return _a_hat_points(*parts)

@@ -17,12 +17,12 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .cones import Cone
 from .errors import PreconditionError
-from .funcones import GeneralizedConvexityCone, cone_K, cone_K_even
+from .funcones import cone_K, cone_K_even
 from .lattice import AlmostEmptySimplex, PointConfig
 from .linalg import (
     IntVec, dot, integerize, intvec, lattice_index, primitive, rank, solve_linear
@@ -318,7 +318,7 @@ def _parallelepiped_points(base: Sequence[IntVec]) -> Iterator[IntVec]:
                 todo.append(mu)
 
 
-def trop_moment_cone(a: PointConfig, s: SemialgSpec) -> GeneralizedConvexityCone:
+def trop_moment_cone(a: PointConfig, s: SemialgSpec) -> Cone:
     """The tropicalized moment cone of the support over the specified set.
 
     Measures on all of R^n only certify through even powers, so the full
@@ -339,13 +339,14 @@ def trop_moment_cone(a: PointConfig, s: SemialgSpec) -> GeneralizedConvexityCone
                 "exponent matrix maps two support points to the same monomial"
             )
         # the image keeps the support's order, so its cone is the answer
-        return replace(cone_K(PointConfig(image), Cone.nonpos_orthant(d)), support=a)
+        return cone_K(PointConfig(image), Cone.nonpos_orthant(d))
     return cone_K(a, order_cone(s))
 
 
-def binomial_facets(gc: GeneralizedConvexityCone) -> tuple[BinomialIneq, ...]:
-    """The facets of a function cone as binomial moment inequalities."""
-    return tuple(render_binomial(gc.support, v) for v in gc.cone.ineqs)
+def binomial_facets(support: PointConfig, cone: Cone) -> tuple[BinomialIneq, ...]:
+    """The facets of a function cone on the support as binomial moment
+    inequalities."""
+    return tuple(render_binomial(support, v) for v in cone.ineqs)
 
 
 def amgm_moment_cone(t: AlmostEmptySimplex) -> BinomialIneq:

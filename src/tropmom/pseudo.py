@@ -3,9 +3,9 @@
 The degree-d pseudo-moment relaxation of a binomial-defined set S
 tropicalizes to a polyhedral cone cut out on the monomials of degree at
 most d by midpoint inequalities h(a1) + h(a2) >= 2h(b) and monotonicity
-inequalities h(a) >= h(b) for a - b in the order cone of S.  Restricting
-to a support A means projecting that cone onto the A-coordinates; the
-projection is computed by the certified-oracle method, never by ray
+inequalities h(a) >= h(b) for a - b in the order cone of S.  Each entry
+point returns the projection of that cone onto a support A, as a Cone in
+A's coordinate order, computed by the certified-oracle method, never by ray
 enumeration of the high-dimensional cone.  Members known in closed
 form, linear functions and their tropical maxima, spare it most LPs.
 
@@ -26,7 +26,6 @@ from typing import Optional, Sequence
 from .cones import Cone, project_hrep
 from .errors import PreconditionError, guard_size
 from .funcones import (
-    GeneralizedConvexityCone,
     binding_rows,
     comparable_pairs,
     cone_M,
@@ -34,9 +33,7 @@ from .funcones import (
 )
 from .lattice import (
     PointConfig,
-    _a_hat_parts,
-    _a_hat_points,
-    _a_hat_size,
+    a_hat,
     cubical_hull,
     cubical_hull_size,
     delta_simplex,
@@ -54,41 +51,20 @@ DEFAULT_EXTENSION_LIMIT = 40
 
 
 @dataclass(frozen=True)
-class PseudoMomentTrop:
-    """A tropicalized pseudo-moment cone on a support.
-
-    ``cone`` lives in R^A with coordinates in the order of ``support``;
-    ``extension_support`` records the larger configuration E the
-    constraints were written on before projecting.  ``degree`` is None for
-    the stabilized constructions, which hold for every sufficiently large
-    truncation degree.
-    """
-
-    support: PointConfig
-    spec: SemialgSpec
-    degree: Optional[int]
-    stabilized: bool
-    cone: Cone
-    extension_support: PointConfig
-
-
-@dataclass(frozen=True)
 class ScanReport:
-    """Degree-by-degree truncation results and the observed stabilization.
+    """Degree-by-degree truncated cones, from degree d_min on, and the
+    observed stabilization.
 
     ``first_stable`` is the smallest scanned degree whose cone equals
     every later scanned cone; ``matches_closed_form`` compares that final
-    cone against the stabilized construction when one exists for the set
-    kind (None otherwise).
+    cone against the stabilized construction ``closed_form`` when one
+    exists for the set kind (None otherwise).
     """
 
-    support: PointConfig
-    spec: SemialgSpec
     d_min: int
-    d_max: int
-    results: tuple[PseudoMomentTrop, ...]
+    results: tuple[Cone, ...]
     first_stable: int
-    closed_form: Optional[PseudoMomentTrop]
+    closed_form: Optional[Cone]
     matches_closed_form: Optional[bool]
 
 
@@ -143,7 +119,7 @@ def _projected(
     if len(e) == len(a):
         return project_hrep(len(e), rows, coords, outer=outer)
     if outer is None:
-        outer = cone_M(a, c).cone
+        outer = cone_M(a, c)
     inner = _linear(e, c)
     pool = _maxima(coords, *inner)
     return project_hrep(len(e), rows, coords, outer=outer, inner=inner, pool=pool)
@@ -161,7 +137,7 @@ def _require_same_dim(a: PointConfig, spec: SemialgSpec) -> None:
         raise ValueError("set specification dimension does not match the support")
 
 
-def f_s_d(spec: SemialgSpec, d: int) -> GeneralizedConvexityCone:
+def f_s_d(spec: SemialgSpec, d: int) -> Cone:
     """The degree-d pseudo-moment constraint cone on all monomials of
     degree at most d: midpoint-convexity plus order-cone monotonicity."""
     _require_truncated(spec)
@@ -173,7 +149,7 @@ def trop_pseudomoment(
     spec: SemialgSpec,
     d: int,
     max_extension_points: int = DEFAULT_EXTENSION_LIMIT,
-) -> PseudoMomentTrop:
+) -> Cone:
     """Projection of the degree-d constraint cone onto the A-coordinates."""
     _require_truncated(spec)
     _require_same_dim(a, spec)
@@ -184,21 +160,17 @@ def trop_pseudomoment(
                 f"truncation degree {d}"
             )
     guard_size(delta_simplex_size(a.n, d), max_extension_points)
-    e = delta_simplex(a.n, d)
-    cone = _projected(a, e, order_cone(spec))
-    return PseudoMomentTrop(a, spec, d, False, cone, e)
+    return _projected(a, delta_simplex(a.n, d), order_cone(spec))
 
 
 def trop_pseudomoment_cube_stable(
     a: PointConfig, max_extension_points: int = DEFAULT_EXTENSION_LIMIT
-) -> PseudoMomentTrop:
+) -> Cone:
     """Stabilized pseudo-moment tropicalization over the unit cube: the
     truncated cones coincide with this one for every large enough degree,
     with the cubical hull of A as the extension support."""
     guard_size(cubical_hull_size(a), max_extension_points)
-    e = cubical_hull(a)
-    cone = _projected(a, e, Cone.nonpos_orthant(a.n))
-    return PseudoMomentTrop(a, SemialgSpec.cube(a.n), None, True, cone, e)
+    return _projected(a, cubical_hull(a), Cone.nonpos_orthant(a.n))
 
 
 def clamp_extension(box: PointConfig, values: Sequence, alpha: Sequence[int]):
@@ -214,7 +186,7 @@ def clamp_extension(box: PointConfig, values: Sequence, alpha: Sequence[int]):
 
 def trop_pseudomoment_stable(
     a: PointConfig, spec: SemialgSpec, max_extension_points: int = DEFAULT_EXTENSION_LIMIT
-) -> PseudoMomentTrop:
+) -> Cone:
     """Stabilized pseudo-moment tropicalization for sets whose negated
     order cone strictly surrounds the nonnegative orthant; the extension
     support is the finite midpoint-completion A-hat."""
@@ -224,16 +196,12 @@ def trop_pseudomoment_stable(
         )
     _require_same_dim(a, spec)
     c = order_cone(spec)
-    parts = _a_hat_parts(a, c)  # sized, then listed, from one reading of D
-    guard_size(_a_hat_size(*parts), max_extension_points)
-    e = _a_hat_points(*parts)
-    cone = _projected(a, e, c)
-    return PseudoMomentTrop(a, spec, None, True, cone, e)
+    return _projected(a, a_hat(a, c, max_extension_points), c)
 
 
 def sigma_dual_trop(
     a: PointConfig, max_extension_points: int = DEFAULT_EXTENSION_LIMIT
-) -> PseudoMomentTrop:
+) -> Cone:
     """Tropicalized dual of the sums-of-squares cone on A, for measures on
     all of R^n: midpoint inequalities between even points of the lattice
     hull of A, projected onto A with the kernel of those rows, which holds
@@ -244,15 +212,12 @@ def sigma_dual_trop(
     triples = [t for t in midpoint_triples(full) if even(t.a1) and even(t.a2)]
     e, rows = binding_rows(full, a, triples, ())
     coords = [e.index(p) for p in a]
-    cone = project_hrep(len(e), rows, coords, inner=((), kernel_basis(rows, len(e))))
-    return PseudoMomentTrop(
-        a, SemialgSpec.full_space(a.n), None, True, cone, full
-    )
+    return project_hrep(len(e), rows, coords, inner=((), kernel_basis(rows, len(e))))
 
 
 def stabilized_pseudomoment(
     a: PointConfig, spec: SemialgSpec, max_extension_points: int = DEFAULT_EXTENSION_LIMIT
-) -> PseudoMomentTrop:
+) -> Cone:
     """The stabilized construction appropriate to the set kind.  For a
     ``binomials`` set it assumes, without checking, that the exponent
     differences generate the lattice points of their cone as a semigroup;
@@ -306,17 +271,16 @@ def stabilization_scan(
     except PreconditionError:
         closed = None
     c = order_cone(spec)
-    results: list[PseudoMomentTrop] = []
+    results: list[Cone] = []
     cone = None
     for d in degrees:
-        e = delta_simplex(a.n, d)
-        cone = _projected(a, e, c, cone)
-        results.append(PseudoMomentTrop(a, spec, d, False, cone, e))
+        cone = _projected(a, delta_simplex(a.n, d), c, cone)
+        results.append(cone)
     first = d_max
-    while first > d_min and results[first - 1 - d_min].cone == cone:
+    while first > d_min and results[first - 1 - d_min] == cone:
         first -= 1
-    matches = None if closed is None else cone == closed.cone
-    return ScanReport(a, spec, d_min, d_max, tuple(results), first, closed, matches)
+    matches = None if closed is None else cone == closed
+    return ScanReport(d_min, tuple(results), first, closed, matches)
 
 
 def normal_valid_on(cone: Cone, normal: Sequence[int]) -> bool:
@@ -331,10 +295,9 @@ def gap_report(
     pseudo-moment cone: binomial moment inequalities with no
     sum-of-squares certificate at any degree.  Like stabilized_pseudomoment
     it assumes the semigroup hypothesis of a ``binomials`` set unchecked."""
-    moment = trop_moment_cone(a, spec)
-    facets = moment.cone.ineqs
+    facets = trop_moment_cone(a, spec).ineqs
     if not facets:
         return ()
     pseudo = stabilized_pseudomoment(a, spec, max_extension_points)
-    gaps = [nu for nu in facets if not normal_valid_on(pseudo.cone, nu)]
+    gaps = [nu for nu in facets if not normal_valid_on(pseudo, nu)]
     return tuple(render_binomial(a, nu) for nu in gaps)

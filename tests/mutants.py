@@ -219,8 +219,8 @@ MUTANTS = [
     (
         "cold projections take an outer cone that misses the image",
         "pseudo.py",
-        "outer = cone_M(a, c).cone",
-        "outer = cone_M(a, c).cone.dual()",
+        "outer = cone_M(a, c)",
+        "outer = cone_M(a, c).dual()",
         ["tests/test_pseudo.py", "tests/test_corpus_digests.py"],
     ),
     (

@@ -373,7 +373,7 @@ def comparable_pairs(a: PointConfig, c: Cone) -> list[tuple[int, int]]:
 
 def cold_scan_cones(a: PointConfig, spec: SemialgSpec, d_min: int, d_max: int) -> list:
     """The truncated cone of each degree, each projected with no outer cone."""
-    return [trop_pseudomoment(a, spec, d).cone for d in range(d_min, d_max + 1)]
+    return [trop_pseudomoment(a, spec, d) for d in range(d_min, d_max + 1)]
 
 
 def _cover_pairs(points, c):

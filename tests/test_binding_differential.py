@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import oracles
 from draws import vectors
-from test_reuse_differential import _work
+from test_reuse_differential import _work, built_supports
 from tropmom import pseudo
 from tropmom.cones import Cone
 from tropmom.funcones import binding_rows, comparable_pairs, cover_pairs
@@ -96,10 +96,10 @@ def test_sums_of_squares_dual_projects_as_the_whole_system(points):
     triples = [t for t in midpoint_triples(e) if even(t.a1) and even(t.a2)]
     kept, rows = binding_rows(e, a, triples, ())
     _check_kept(a, e, kept, rows, whole)
-    got = pseudo.sigma_dual_trop(a)
-    assert got.extension_support == e
+    got, built = built_supports(lambda: pseudo.sigma_dual_trop(a))
+    assert built == [("lattice_points", e)]
     image = oracles.project(Cone.from_hrep(len(e), whole), [e.index(p) for p in a])
-    assert (got.cone.ineqs, got.cone.eqs) == (image.ineqs, image.eqs)
+    assert (got.ineqs, got.eqs) == (image.ineqs, image.eqs)
 
 
 def test_orthant_truncation_keeping_only_the_support_runs_no_lp(monkeypatch):
@@ -111,7 +111,8 @@ def test_orthant_truncation_keeping_only_the_support_runs_no_lp(monkeypatch):
     monkeypatch.setattr(pseudo, "cone_M", not_built)
     got = []
     orthant = SemialgSpec.orthant(2)
-    counts = _work(lambda: got.append(pseudo.trop_pseudomoment(MOTZKIN, orthant, 6)))
+    run = lambda: pseudo.trop_pseudomoment(MOTZKIN, orthant, 6)
+    counts = _work(lambda: got.extend(built_supports(run)))
     assert (counts["lp"], counts["project"]) == (0, 1)
-    assert got[0].extension_support == delta_simplex(2, 6)
-    assert got[0].cone == Cone.full_space(4)
+    assert got[1] == [("delta_simplex", delta_simplex(2, 6))]
+    assert got[0] == Cone.full_space(4)

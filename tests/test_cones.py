@@ -10,7 +10,6 @@ from draws import vectors
 
 from tropmom.cones import (
     Cone,
-    cone_equal,
     double_description,
     fourier_motzkin_project,
     project_hrep,
@@ -44,8 +43,8 @@ def test_two_halfplane_rays():
 
 
 def test_dual_anchors():
-    assert cone_equal(Cone.nonpos_orthant(2).dual(), Cone.nonpos_orthant(2))
-    assert cone_equal(Cone.full_space(3).dual(), Cone.origin(3))
+    assert Cone.nonpos_orthant(2).dual() == Cone.nonpos_orthant(2)
+    assert Cone.full_space(3).dual() == Cone.origin(3)
     c = Cone.from_vrep(2, [(-2, -1), (-1, -2)])
     assert set(c.dual().rays) == {(-2, 1), (1, -2)}
 
@@ -81,7 +80,7 @@ def test_dual_involution():
             for _ in range(rng.randrange(0, 2))
         ]
         c = Cone.from_vrep(dim, rays, lins)
-        assert cone_equal(c.dual().dual(), c)
+        assert c.dual().dual() == c
 
 
 def test_cones_from_concatenated_sides():
@@ -107,9 +106,9 @@ def test_dimension_mismatch():
 
 
 def test_project():
-    assert cone_equal(oracles.project(QUAD, [0]), Cone.from_hrep(1, [(1,)]))
+    assert oracles.project(QUAD, [0]) == Cone.from_hrep(1, [(1,)])
     diag = Cone.from_vrep(2, [], [(1, 1)])
-    assert cone_equal(oracles.project(diag, [1]), Cone.full_space(1))
+    assert oracles.project(diag, [1]) == Cone.full_space(1)
     with pytest.raises(ValueError):
         oracles.project(QUAD, [2])
 
@@ -131,21 +130,21 @@ def test_dd_round_trip():
         ]
         c = Cone.from_hrep(dim, ineqs)
         back = Cone.from_vrep(dim, c.rays, c.lineality)
-        assert cone_equal(c, back)
+        assert c == back
 
 
 def test_tropical_hull_anchors():
     z = Cone.origin(2)
-    assert cone_equal(tropical_hull(z), Cone.from_vrep(2, [], [(1, 1)]))
+    assert tropical_hull(z) == Cone.from_vrep(2, [], [(1, 1)])
     full = Cone.full_space(3)
-    assert cone_equal(tropical_hull(full), full)
+    assert tropical_hull(full) == full
     y = Cone.from_vrep(4, [(0, -1, -1, -2), (0, -1, -2, -1)])
     hull = tropical_hull(y)
     assert set(hull.ineqs) == {(0, 1, -1, 0), (0, 1, 0, -1), (1, -3, 1, 1)}
     want_dual = Cone.from_vrep(
         4, [(0, 1, -1, 0), (0, 1, 0, -1), (1, -3, 1, 1)]
     )
-    assert cone_equal(hull.dual(), want_dual)
+    assert hull.dual() == want_dual
 
 
 def test_tropical_hull_keeps_every_row_unless_full_dimensional():
@@ -161,12 +160,12 @@ def test_tropical_hull_keeps_every_row_unless_full_dimensional():
 
 
 def test_tropical_hull_dual_anchors():
-    assert cone_equal(tropical_hull_dual(Cone.full_space(2)), Cone.origin(2))
+    assert tropical_hull_dual(Cone.full_space(2)) == Cone.origin(2)
     y = Cone.from_vrep(4, [(0, -1, -1, -2), (0, -1, -2, -1)])
     want = Cone.from_vrep(4, [(0, 1, -1, 0), (0, 1, 0, -1), (1, -3, 1, 1)])
-    assert cone_equal(tropical_hull_dual(y), want)
+    assert tropical_hull_dual(y) == want
     line = Cone.from_vrep(2, [], [(1, 1)])
-    assert cone_equal(tropical_hull_dual(line), tropical_hull(line).dual())
+    assert tropical_hull_dual(line) == tropical_hull(line).dual()
 
 
 @st.composite
@@ -249,9 +248,9 @@ def test_fourier_motzkin_matches_vrep_projection(case):
 
 
 def test_project_hrep_fast_paths():
-    assert cone_equal(project_hrep(3, [], [0, 1]), Cone.full_space(2))
+    assert project_hrep(3, [], [0, 1]) == Cone.full_space(2)
     c = project_hrep(2, [(1, 0), (0, 1)], [0, 1])
-    assert cone_equal(c, QUAD)
+    assert c == QUAD
 
 
 def test_project_hrep_rejects_bad_coords():
@@ -273,7 +272,7 @@ def test_project_hrep_matches_vrep_projection():
         coords = sorted(rng.sample(range(dim), k))
         got = project_hrep(dim, ineqs, coords)
         want = oracles.project(Cone.from_hrep(dim, ineqs), coords)
-        assert cone_equal(got, want), (dim, ineqs, coords)
+        assert got == want, (dim, ineqs, coords)
 
 
 def test_double_description_lineality():

@@ -2,14 +2,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from draws import vectors
-from tropmom.cones import Cone, cone_equal
+from tropmom.cones import Cone
 from tropmom.errors import PreconditionError
 from tropmom.funcones import (
+    comparable_pairs,
     cone_K,
     cone_K_even,
     cone_K_facets_via_simplices,
     cone_M,
+    constraint_rows,
     is_midpoint_facet,
     projection_equality_KM,
 )
@@ -21,13 +24,12 @@ MOTZKIN = PointConfig([(0, 0), (1, 1), (1, 2), (2, 1)])
 
 def test_cone_K_motzkin_plain():
     k = cone_K(MOTZKIN, Cone.origin(2))
-    assert k.kind == "K"
-    assert k.cone.ineqs == ((1, -3, 1, 1),)
+    assert k.ineqs == ((1, -3, 1, 1),)
 
 
 def test_cone_K_motzkin_cube():
     k = cone_K(MOTZKIN, Cone.nonpos_orthant(2))
-    assert set(k.cone.ineqs) == {
+    assert set(k.ineqs) == {
         (0, 1, -1, 0),
         (0, 1, 0, -1),
         (1, -3, 1, 1),
@@ -49,25 +51,25 @@ SUPPORTS = st.integers(1, 2).flatmap(lambda n: vectors(1, 7, n, 0, 4)).map(
 def test_simplex_facet_route_agrees(a):
     k = cone_K(a, Cone.origin(a.n))
     via = cone_K_facets_via_simplices(a)
-    assert k.cone == Cone.from_hrep(len(a), via)
+    assert k == Cone.from_hrep(len(a), via)
 
 
 def test_cone_K_even():
     doubled = PointConfig([(0, 0), (2, 2), (2, 4), (4, 2)])
     k = cone_K_even(doubled)
-    assert k.kind == "K_even"
-    assert k.cone.ineqs == ((1, -3, 1, 1),)
+    assert k.ineqs == ((1, -3, 1, 1),)
     # odd support points admit no even-weight certificates at all
     k2 = cone_K_even(MOTZKIN)
-    assert cone_equal(k2.cone, Cone.full_space(4))
+    assert k2 == Cone.full_space(4)
 
 
 def test_cone_M_segment():
     seg = PointConfig([(0,), (1,), (2,)])
-    m = cone_M(seg, Cone.nonpos_orthant(1))
-    assert m.kind == "M"
-    assert set(m.cone.ineqs) == {(0, 1, -1), (1, -2, 1)}
-    rows = set(m.defining_ineqs)
+    c = Cone.nonpos_orthant(1)
+    m = cone_M(seg, c)
+    assert set(m.ineqs) == {(0, 1, -1), (1, -2, 1)}
+    rows = set(constraint_rows(seg, midpoint_triples(seg), comparable_pairs(seg, c)))
+    assert rows == set(oracles.cone_m_defining_rows(seg, c))
     assert (1, -2, 1) in rows
     assert (0, 1, -1) in rows
 
@@ -81,7 +83,7 @@ def test_cone_M_contains_cone_K():
         a = PointConfig(pts)
         k = cone_K(a, c)
         m = cone_M(a, c)
-        assert m.cone.contains_cone(k.cone)
+        assert m.contains_cone(k)
 
 
 def test_convexity_needs_more_than_pairs_and_combinations():
@@ -89,10 +91,10 @@ def test_convexity_needs_more_than_pairs_and_combinations():
     # comparable, yet the midpoint-style facet is still a valid inequality
     a = PointConfig([(3, 0), (0, 3), (2, 2)])
     k = cone_K(a, Cone.nonpos_orthant(2))
-    assert set(k.cone.ineqs) == {(1, 2, -3), (2, 1, -3)}
+    assert set(k.ineqs) == {(1, 2, -3), (2, 1, -3)}
     nu = (1, 1, -2)
-    assert all(dot(nu, r) >= 0 for r in k.cone.rays)
-    assert all(dot(nu, l) == 0 for l in k.cone.lineality)
+    assert all(dot(nu, r) >= 0 for r in k.rays)
+    assert all(dot(nu, l) == 0 for l in k.lineality)
 
 
 def test_is_midpoint_facet_anchors():
@@ -118,7 +120,7 @@ def test_midpoint_facets_match_cone_M_irredundancy():
     for pts in [[(0,), (1,), (2,), (3,), (4,)], [(0,), (2,), (3,), (4,), (6,)]]:
         a = PointConfig(pts)
         m = cone_M(a, Cone.origin(1))
-        facets = set(m.cone.ineqs)
+        facets = set(m.ineqs)
         for t in midpoint_triples(a):
             row = [0] * len(a)
             row[a.index(t.a1)] += 1

@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 
 import oracles
 from draws import vectors
-from tropmom import pseudo
-from tropmom.cones import Cone, cone_equal
+from tropmom import lattice, pseudo
+from tropmom.cones import Cone
 from tropmom.errors import PreconditionError, ResourceLimitError
-from tropmom.funcones import cone_M
-from tropmom.lattice import PointConfig, a_hat, cubical_hull
+from tropmom.funcones import comparable_pairs, cone_M, constraint_rows
+from tropmom.lattice import PointConfig, a_hat, cubical_hull, delta_simplex, midpoint_triples
 from tropmom.moments import SemialgSpec, order_cone, trop_moment_cone
 from tropmom.pseudo import (
     clamp_extension,
@@ -33,19 +33,22 @@ S2 = SemialgSpec.binomials(2, [((0, 2), (1, 0)), ((1, 0), (0, 3))])
 
 def test_f_s_d_orthant_line():
     f = f_s_d(SemialgSpec.orthant(1), 2)
-    assert f.cone.ineqs == ((1, -2, 1),)
+    assert f.ineqs == ((1, -2, 1),)
 
 
 def test_f_s_d_cube_line():
     f = f_s_d(SemialgSpec.cube(1), 2)
-    assert cone_equal(f.cone, Cone.from_hrep(3, [(1, -1, 0), (0, 1, -1), (1, -2, 1)]))
+    assert f == Cone.from_hrep(3, [(1, -1, 0), (0, 1, -1), (1, -2, 1)])
     # h(0) >= h(1) follows from the midpoint row plus h(1) >= h(2)
-    assert set(f.cone.ineqs) == {(0, 1, -1), (1, -2, 1)}
+    assert set(f.ineqs) == {(0, 1, -1), (1, -2, 1)}
 
 
 def test_f_s_d_defining_rows():
-    f = f_s_d(CUBE2, 2)
-    rows = set(f.defining_ineqs)
+    e, c = delta_simplex(2, 2), order_cone(CUBE2)
+    rows = constraint_rows(e, midpoint_triples(e), comparable_pairs(e, c))
+    assert rows == oracles.cone_m_defining_rows(e, c)
+    assert f_s_d(CUBE2, 2) == Cone.from_hrep(len(e), rows)
+    rows = set(rows)
     # degree-2 simplex in graded-lex order: (0,0),(0,1),(1,0),(0,2),(1,1),(2,0)
     assert (1, 0, -2, 0, 0, 1) in rows
     assert (0, 0, 1, 0, -1, 0) in rows
@@ -58,18 +61,15 @@ def test_f_s_d_rejects_full_space():
 
 def test_truncated_projection_low_degrees_are_free():
     p = trop_pseudomoment(MOTZKIN, ORTHANT2, 3)
-    assert cone_equal(p.cone, Cone.full_space(4))
-    assert p.degree == 3 and not p.stabilized
-    assert cone_equal(trop_pseudomoment(MOTZKIN, ORTHANT2, 4).cone, Cone.full_space(4))
+    assert p == Cone.full_space(4)
+    assert trop_pseudomoment(MOTZKIN, ORTHANT2, 4) == Cone.full_space(4)
     seg = PointConfig([(0,), (2,)])
-    assert cone_equal(
-        trop_pseudomoment(seg, SemialgSpec.orthant(1), 2).cone, Cone.full_space(2)
-    )
+    assert trop_pseudomoment(seg, SemialgSpec.orthant(1), 2) == Cone.full_space(2)
 
 
 def test_truncated_projection_cube_degree_6():
     p = trop_pseudomoment(MOTZKIN, CUBE2, 6)
-    assert set(p.cone.ineqs) == {
+    assert set(p.ineqs) == {
         (0, 1, -1, 0),
         (0, 1, 0, -1),
         (1, -2, 1, 0),
@@ -87,24 +87,23 @@ def test_truncated_projection_errors():
 
 def test_cube_stabilization():
     cs = trop_pseudomoment_cube_stable(MOTZKIN)
-    assert set(cs.cone.ineqs) == {
+    assert set(cs.ineqs) == {
         (0, 1, -1, 0),
         (0, 1, 0, -1),
         (1, -2, 1, 0),
         (1, -2, 0, 1),
     }
-    assert cs.degree is None and cs.stabilized
-    assert len(cs.extension_support) == 9
+    assert len(cubical_hull(MOTZKIN)) == 9
 
     single = PointConfig([(3, 2)])
-    assert cone_equal(trop_pseudomoment_cube_stable(single).cone, Cone.full_space(1))
+    assert trop_pseudomoment_cube_stable(single) == Cone.full_space(1)
 
 
 def test_cube_stabilization_against_direct_projection():
     c04 = trop_pseudomoment_cube_stable(PointConfig([(0,), (4,)]))
-    assert c04.cone.ineqs == ((1, -1),)
+    assert c04.ineqs == ((1, -1),)
     hull = cone_M(PointConfig([(0,), (1,), (2,), (3,), (4,)]), Cone.nonpos_orthant(1))
-    assert cone_equal(c04.cone, oracles.project(hull.cone, [0, 4]))
+    assert c04 == oracles.project(hull, [0, 4])
 
 
 def test_clamp_extension():
@@ -118,7 +117,7 @@ def test_general_stabilization_square():
     square = PointConfig([(0, 0), (1, 0), (0, 1), (1, 1)])
     s1 = SemialgSpec.binomials(2, [((0, 1), (2, 0)), ((1, 0), (0, 2))])
     st = trop_pseudomoment_stable(square, s1)
-    assert set(st.cone.ineqs) == {
+    assert set(st.ineqs) == {
         (0, 1, 0, -1),
         (0, 0, 1, -1),
         (1, 1, -2, 0),
@@ -126,21 +125,25 @@ def test_general_stabilization_square():
         (2, -3, 0, 1),
         (2, 0, -3, 1),
     }
-    assert len(st.extension_support) == 13
+    assert len(a_hat(square, order_cone(s1))) == 13
 
 
 def test_extension_support_is_read_once_per_projection(monkeypatch):
     # the guard sizes, and the projection lists, the parts of one reading
-    calls = []
-    parts = pseudo._a_hat_parts
-    monkeypatch.setattr(
-        pseudo, "_a_hat_parts", lambda *args: calls.append(args) or parts(*args)
-    )
     square = PointConfig([(0, 0), (1, 0), (0, 1), (1, 1)])
     s1 = SemialgSpec.binomials(2, [((0, 1), (2, 0)), ((1, 0), (0, 2))])
-    st = trop_pseudomoment_stable(square, s1)
+    want = a_hat(square, order_cone(s1))
+    calls, built = [], []
+    parts, listed = lattice._a_hat_parts, pseudo.a_hat
+    monkeypatch.setattr(
+        lattice, "_a_hat_parts", lambda *args: calls.append(args) or parts(*args)
+    )
+    monkeypatch.setattr(
+        pseudo, "a_hat", lambda *args: built.append(listed(*args)) or built[-1]
+    )
+    trop_pseudomoment_stable(square, s1)
     assert len(calls) == 1
-    assert st.extension_support == a_hat(square, order_cone(s1))
+    assert built == [want]
     with pytest.raises(ResourceLimitError, match="13 points"):
         trop_pseudomoment_stable(square, s1, max_extension_points=12)
     assert len(calls) == 2
@@ -148,14 +151,14 @@ def test_extension_support_is_read_once_per_projection(monkeypatch):
 
 def test_general_stabilization_motzkin():
     st = trop_pseudomoment_stable(MOTZKIN, S2)
-    assert set(st.cone.ineqs) == {
+    assert set(st.ineqs) == {
         (1, -4, 3, 0),
         (4, -10, 1, 5),
         (0, 2, -3, 1),
         (0, 0, 1, -1),
     }
-    assert st.cone.lineality == ((1, 1, 1, 1),)
-    assert set(st.cone.rays) == {
+    assert st.lineality == ((1, 1, 1, 1),)
+    assert set(st.rays) == {
         (0, -15, -20, -26),
         (0, -4, -5, -7),
         (0, -3, -4, -4),
@@ -164,9 +167,7 @@ def test_general_stabilization_motzkin():
 
 
 def test_general_stabilization_edge_cases():
-    assert cone_equal(
-        trop_pseudomoment_stable(PointConfig([(0, 0)]), S2).cone, Cone.full_space(1)
-    )
+    assert trop_pseudomoment_stable(PointConfig([(0, 0)]), S2) == Cone.full_space(1)
     with pytest.raises(PreconditionError) as err:
         trop_pseudomoment_stable(MOTZKIN, CUBE2)
     assert "basis vector" in str(err.value)
@@ -175,13 +176,14 @@ def test_general_stabilization_edge_cases():
 def test_sigma_dual():
     dbl = PointConfig([(0, 0), (2, 4), (4, 2), (2, 2)])
     sg = sigma_dual_trop(dbl, max_extension_points=40)
-    assert cone_equal(sg.cone, Cone.full_space(4))
-    assert sigma_dual_trop(PointConfig([(0,), (2,), (4,)])).cone.ineqs == ((1, -2, 1),)
-    assert sigma_dual_trop(PointConfig([(0,), (1,), (2,)])).cone.ineqs == ((1, -2, 1),)
+    assert sg == Cone.full_space(4)
+    assert sigma_dual_trop(PointConfig([(0,), (2,), (4,)])).ineqs == ((1, -2, 1),)
+    assert sigma_dual_trop(PointConfig([(0,), (1,), (2,)])).ineqs == ((1, -2, 1),)
 
 
 def test_stabilized_dispatch():
-    assert stabilized_pseudomoment(MOTZKIN, CUBE2).stabilized
+    cube = trop_pseudomoment_cube_stable(MOTZKIN)
+    assert stabilized_pseudomoment(MOTZKIN, CUBE2) == cube
     for bad in (ORTHANT2, SemialgSpec.toric_cube([[1, 2], [1, 3]])):
         with pytest.raises(PreconditionError):
             stabilized_pseudomoment(MOTZKIN, bad)
@@ -192,7 +194,7 @@ def test_scan_cube():
     rep = stabilization_scan(MOTZKIN, CUBE2, 8, max_extension_points=45)
     assert rep.d_min == 3 and rep.first_stable == 3
     assert rep.matches_closed_form is True
-    assert all(cone_equal(r.cone, cs.cone) for r in rep.results)
+    assert all(r == cs for r in rep.results)
 
 
 def test_scan_orthant():
@@ -203,7 +205,7 @@ def test_scan_orthant():
 def test_scan_segment():
     rep = stabilization_scan(PointConfig([(0,), (1,), (2,)]), SemialgSpec.orthant(1), 4)
     assert rep.d_min == 2 and rep.first_stable == 2
-    assert all(r.cone.ineqs == ((1, -2, 1),) for r in rep.results)
+    assert all(r.ineqs == ((1, -2, 1),) for r in rep.results)
 
 
 def test_gap_reports():
@@ -228,8 +230,8 @@ def test_normal_valid_on():
 
 def test_moment_cone_inside_pseudomoment_cone():
     for spec in (CUBE2, S2):
-        mom = trop_moment_cone(MOTZKIN, spec).cone
-        psd = stabilized_pseudomoment(MOTZKIN, spec).cone
+        mom = trop_moment_cone(MOTZKIN, spec)
+        psd = stabilized_pseudomoment(MOTZKIN, spec)
         assert psd.contains_cone(mom)
 
 
@@ -262,9 +264,9 @@ def test_moment_cone_inside_stabilized_cone_inside_midpoint_cone(case):
     # cone, which is a projection of M(E) and so lies in M(A)
     a, spec = case
     try:
-        psd = stabilized_pseudomoment(a, spec).cone
+        psd = stabilized_pseudomoment(a, spec)
     except ResourceLimitError:
         assume(False)
-    mom = trop_moment_cone(a, spec).cone
+    mom = trop_moment_cone(a, spec)
     assert psd.contains_cone(mom)
-    assert cone_M(a, order_cone(spec)).cone.contains_cone(psd)
+    assert cone_M(a, order_cone(spec)).contains_cone(psd)

@@ -7,8 +7,9 @@ values on the order cone's H-representation must be the pairs the old
 per-pair membership loop found, in its order.  Every cone of a scan,
 where each degree's projection is given the previous degree's cone as an
 outer cone, must equal the cone projected from scratch, and so must the
-closed form the scan computes first.  A projection given any outer cone
-must raise or return the image met with it.  The midpoint cone M(A) of a
+closed form the scan computes first; each is projected from the support
+the lattice function lists (``built_supports``).  A projection given any
+outer cone must raise or return the image met with it.  The midpoint cone M(A) of a
 support, the outer cone of every cold projection, must contain the image
 and leave the projection and its refuted LPs as they are.  The linear
 functions of the order cone's dual, which seed every pseudo-moment
@@ -30,6 +31,7 @@ import contextlib
 import io
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -42,7 +44,7 @@ from tropmom import _dd, _simplex, cli, cones, pseudo
 from tropmom.cones import Cone, project_hrep, tropical_hull
 from tropmom.errors import PreconditionError
 from tropmom.funcones import comparable_pairs, cone_M, constraint_rows, cover_pairs
-from tropmom.lattice import PointConfig, cubical_hull, delta_simplex, midpoint_triples
+from tropmom.lattice import PointConfig, a_hat, cubical_hull, delta_simplex, midpoint_triples
 from tropmom.linalg import dot
 from tropmom.moments import SemialgSpec, order_cone, trop_moment_cone
 from tropmom.pseudo import (
@@ -132,23 +134,31 @@ def test_comparable_pairs_match_the_membership_loop(c, points):
 )
 def test_scan_cones_equal_cold_projections(a, spec, extra):
     d_min = max(sum(p) for p in a)
-    rep = stabilization_scan(a, spec, d_min + extra, max_extension_points=60)
+    rep, built = built_supports(
+        lambda: stabilization_scan(a, spec, d_min + extra, max_extension_points=60)
+    )
     cold = oracles.cold_scan_cones(a, spec, d_min, d_min + extra)
+    degrees = [
+        ("delta_simplex", delta_simplex(a.n, d)) for d in range(d_min, d_min + extra + 1)
+    ]
     for r, c in zip(rep.results, cold, strict=True):
-        assert r.cone == c
-        assert (r.cone.ineqs, r.cone.eqs, r.cone.rays, r.cone.lineality) == (
+        assert r == c
+        assert (r.ineqs, r.eqs, r.rays, r.lineality) == (
             c.ineqs, c.eqs, c.rays, c.lineality
         )
     try:
         closed = stabilized_pseudomoment(a, spec, max_extension_points=60)
     except PreconditionError:
         assert rep.closed_form is None and rep.matches_closed_form is None
+        assert built == degrees
         return
+    if spec.kind == "cube":
+        assert built == [("cubical_hull", cubical_hull(a))] + degrees
+    else:
+        assert built == [("a_hat", a_hat(a, order_cone(spec)))] + degrees
     got = rep.closed_form
-    assert (got.extension_support, got.cone.ineqs, got.cone.eqs) == (
-        closed.extension_support, closed.cone.ineqs, closed.cone.eqs
-    )
-    assert rep.matches_closed_form == (cold[-1] == closed.cone)
+    assert (got.ineqs, got.eqs) == (closed.ineqs, closed.eqs)
+    assert rep.matches_closed_form == (cold[-1] == closed)
 
 
 @st.composite
@@ -209,7 +219,7 @@ def test_outer_cone_missing_a_member_raises():
     # >= h(1,0) + h(0,1), finds (1, 1, 1, -1) and the call raises; with it,
     # the pool refutes every candidate that is not valid on t3, and the call
     # returns T_2 met with t3, which is t3 (it raised before the pool)
-    t3 = trop_pseudomoment(SQUARE, S1, 3).cone
+    t3 = trop_pseudomoment(SQUARE, S1, 3)
     backwards = lambda: pseudo._projected(SQUARE, delta_simplex(2, 2), order_cone(S1), t3)
     got = backwards()
     assert got == t3 and (got.ineqs, got.eqs) == (t3.ineqs, t3.eqs)
@@ -285,6 +295,26 @@ def test_member_already_held_makes_no_progress(monkeypatch):
     # it and waits, and (0, 1) is handed the same certificate
     with pytest.raises(ArithmeticError, match="made no progress"):
         project_hrep(3, rows, [0, 2])
+
+
+def built_supports(run) -> tuple:
+    """run()'s result and the extension supports pseudo built for it, as
+    (function name, points) in the order they were built."""
+    built = []
+
+    def spy(name, build):
+        def wrapped(*args):
+            e = build(*args)
+            built.append((name, e))
+            return e
+
+        return wrapped
+
+    with contextlib.ExitStack() as stack:
+        for name in ("delta_simplex", "cubical_hull", "a_hat", "lattice_points"):
+            patch = mock.patch.object(pseudo, name, spy(name, getattr(pseudo, name)))
+            stack.enter_context(patch)
+        return run(), built
 
 
 def _work(run) -> Counter:
@@ -377,7 +407,7 @@ def test_scan_work_counts(a, spec, d_max, lps):
         # description seeded from its largest sum; 3 fresh and none seeded
         # before that seeding, and before the hull read y's generators as
         # given
-        (lambda: trop_moment_cone(MOTZKIN, CUBE2).cone.ineqs, (1, 1), 7),
+        (lambda: trop_moment_cone(MOTZKIN, CUBE2).ineqs, (1, 1), 7),
         # the H-sides of the two order cones, and the V-side of the outer
         # cone M(A) of each cold projection (the first degree and the
         # closed form); 2 before M(A) was the outer cone
@@ -411,7 +441,7 @@ def _ten_point_cube(tmp_path):
         # (190, 0, 3, 0) in the order (rows added, rows seeded, fresh,
         # seeded double descriptions) before it started from the largest
         # sum's generators and y's generators were read as given
-        (lambda tmp_path: trop_moment_cone(MOTZKIN, CUBE2).cone.ineqs, (14, 4), 28),
+        (lambda tmp_path: trop_moment_cone(MOTZKIN, CUBE2).ineqs, (14, 4), 28),
         (_ten_point_cube, (65, 36), 246),
     ],
     ids=["motzkin-cube-moment", "ten-point-cube"],
@@ -437,7 +467,7 @@ def test_fourteen_point_hull_work_counts():
     # sum lacks
     support = _corpus()._support(random.Random(1), 14, (6, 6), must=((0, 0),))
     got = []
-    counts = _work(lambda: got.append(trop_moment_cone(PointConfig(support), CUBE2).cone))
+    counts = _work(lambda: got.append(trop_moment_cone(PointConfig(support), CUBE2)))
     assert (counts["last_rows"], counts["seeded_rows"], counts["seeded"]) == (38, 105, 1)
     assert (len(got[0].ineqs), len(got[0].rays), len(got[0].lineality)) == (72, 780, 1)
 
@@ -451,7 +481,7 @@ def test_sums_of_squares_dual_starts_from_the_kernel(points):
     # functions here; 2 refuted LPs found the missing lines before the
     # kernel started the projection
     got = []
-    counts = _work(lambda: got.append(pseudo.sigma_dual_trop(PointConfig(points)).cone))
+    counts = _work(lambda: got.append(pseudo.sigma_dual_trop(PointConfig(points))))
     assert (counts["lp"], counts["project"]) == (0, 1)
     assert got[0] == Cone.full_space(len(points))
 
@@ -462,7 +492,7 @@ def test_nine_point_cubical_hull_work_counts():
     # outer cone, (156, 120) before the linear functions seeded it, and
     # (141, 105) before the pool of tropical maxima refuted candidates
     got = []
-    counts = _work(lambda: got.append(trop_pseudomoment_cube_stable(NINE_POINTS).cone))
+    counts = _work(lambda: got.append(trop_pseudomoment_cube_stable(NINE_POINTS)))
     assert (counts["lp"], counts["refuted"], counts["project"]) == (140, 104, 1)
     assert len(got[0].ineqs) == 44 and not got[0].eqs
 
@@ -503,7 +533,7 @@ def _extension_projection(a, e, c):
 def test_midpoint_cone_of_the_support_is_an_outer_cone(case):
     a, e, c = case
     _, project = _extension_projection(a, e, c)
-    m = cone_M(a, c).cone
+    m = cone_M(a, c)
     image, plain = project()
     met, spared = project(outer=m)
     assert m.contains_cone(image)

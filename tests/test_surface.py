@@ -4,7 +4,8 @@ perfbench/tracing.py looks up every function in its WRAPPED table by name
 and perfbench/checks.py imports tropmom.cones.tropical_hull_dual, so these
 must stay in their modules even where they are not exported from the
 package.  The surface only tests used is gone: the generator projection
-lives in tests/oracles.py.
+lives in tests/oracles.py.  The entry points return the Cone they compute,
+so the records that wrapped it are gone too.
 """
 
 import importlib
@@ -14,7 +15,6 @@ from pathlib import Path
 
 import tropmom
 from tropmom.cones import Cone
-from tropmom.funcones import GeneralizedConvexityCone
 from tropmom.linalg import kernel_basis
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -48,7 +48,8 @@ def test_every_exported_name_resolves():
 
 def test_cross_check_routes_are_not_exported():
     for name in ("fourier_motzkin_project", "tropical_hull_dual",
-                 "cone_K_facets_via_simplices", "rref_int", "kernel_basis"):
+                 "cone_K_facets_via_simplices", "rref_int", "kernel_basis",
+                 "cone_equal"):
         assert name not in tropmom.__all__
         assert not hasattr(tropmom, name)
 
@@ -56,6 +57,13 @@ def test_cross_check_routes_are_not_exported():
 def test_surface_only_tests_used_is_gone():
     assert not hasattr(Cone, "project")
     assert not hasattr(Cone, "nonneg_orthant")
-    assert not hasattr(GeneralizedConvexityCone, "facet_normals")
     n = inspect.signature(kernel_basis).parameters["n"]
     assert n.default is inspect.Parameter.empty
+
+
+def test_cone_records_are_gone():
+    for module, name in (("funcones", "GeneralizedConvexityCone"),
+                         ("pseudo", "PseudoMomentTrop")):
+        assert not hasattr(importlib.import_module(f"tropmom.{module}"), name)
+        assert not hasattr(tropmom, name)
+        assert name not in tropmom.__all__
