@@ -283,10 +283,10 @@ def _cmd_scan(args) -> dict:
         prob.support, prob.spec, args.dmax, prob.max_extension_points
     )
     notes = []
-    if report.closed_form is not None:
-        verdict = "matches" if report.matches_closed_form else "does not match"
-        notes.append(f"stabilized formula {verdict} the scan result")
     stable = report.results[-1]
+    if report.closed_form is not None:
+        verdict = "matches" if report.closed_form == stable else "does not match"
+        notes.append(f"stabilized formula {verdict} the scan result")
     return _result(prob.support, stable.ineqs, stable, notes, report.first_stable)
 
 

@@ -7,6 +7,8 @@ ResourceLimitError: input exceeds a configured size guard.
 
 from __future__ import annotations
 
+from typing import Optional
+
 
 class SchemaError(ValueError):
     pass
@@ -20,11 +22,10 @@ class ResourceLimitError(RuntimeError):
     pass
 
 
-def guard_size(size: int, limit: int) -> None:
-    """Refuse a set of points of the given exact size above the limit.
-    Where the size has a closed form it is checked before the set is
-    built."""
-    if size > limit:
+def guard_size(size: int, limit: Optional[int]) -> None:
+    """Refuse a set of points of the given exact size above the limit, if
+    there is one.  The set's builder checks its size before listing it."""
+    if limit is not None and size > limit:
         raise ResourceLimitError(
             f"extension support has {size} points, exceeding the limit "
             f"of {limit}; raise max_extension_points to proceed"

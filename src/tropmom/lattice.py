@@ -5,7 +5,9 @@ the order fixes the coordinate order of every function cone built on top of
 it.  Sets produced by enumeration (lattice points of a polytope, boxes,
 degree truncations, extension supports) are returned in graded
 lexicographic order: by coordinate sum first, lexicographically within a
-degree.
+degree.  Each builder of an extension support takes max_points and refuses
+a larger support (ResourceLimitError) before listing it, sized from the
+same reading of it that the listing takes.
 
 Convex hull membership is decided exactly by homogenizing: a point p lies
 in conv(V) iff (p, 1) lies in the cone spanned by {(v, 1) : v in V}.
@@ -122,19 +124,23 @@ def _hull_columns(vertices: Sequence[Sequence[int]]):
         yield p, lo, hi
 
 
-def lattice_points(vertices: Sequence[Sequence[int]]) -> PointConfig:
+def lattice_points(
+    vertices: Sequence[Sequence[int]], max_points: Optional[int] = None
+) -> PointConfig:
     """All integer points of conv(vertices), graded-lex, listed column by
-    column along the last coordinate."""
+    column along the last coordinate, refused (ResourceLimitError) before
+    any is listed when there are more than max_points.  The columns are
+    read once: each is counted, and kept while the count is in the limit."""
+    size, kept = 0, []
+    for p, lo, hi in _hull_columns(vertices):
+        if hi >= lo:
+            size += hi - lo + 1
+            if max_points is None or size <= max_points:
+                kept.append((p, lo, hi))
+    guard_size(size, max_points)
     return PointConfig(
-        graded_lex_sorted(
-            p + (t,) for p, lo, hi in _hull_columns(vertices) for t in range(lo, hi + 1)
-        )
+        graded_lex_sorted(p + (t,) for p, lo, hi in kept for t in range(lo, hi + 1))
     )
-
-
-def lattice_points_size(vertices: Sequence[Sequence[int]]) -> int:
-    """len(lattice_points(vertices)), without listing them."""
-    return sum(max(0, hi - lo + 1) for _, lo, hi in _hull_columns(vertices))
 
 
 def midpoint_triples(cfg: PointConfig) -> tuple[MidpointTriple, ...]:
@@ -226,9 +232,7 @@ def mediated_split(
     verts = [intvec(v) for v in vertices]
     if rank([v + (1,) for v in verts]) < len(verts):
         raise PreconditionError("mediated_set requires affinely independent vertices")
-    if max_points is not None:
-        guard_size(lattice_points_size(verts), max_points)
-    hull = lattice_points(verts).points
+    hull = lattice_points(verts, max_points).points
     core = midpoint_fixpoint(hull, set(verts))
     return (
         PointConfig(graded_lex_sorted(core)),
@@ -246,44 +250,24 @@ def mediated_set(vertices: Sequence[Sequence[int]]) -> PointConfig:
     return mediated_split(vertices)[0]
 
 
-def _box_bounds(cfg: PointConfig) -> tuple[list[int], list[int]]:
-    n = cfg.n
-    lo = [min(p[i] for p in cfg) for i in range(n)]
-    hi = [max(p[i] for p in cfg) for i in range(n)]
-    return lo, hi
+def cubical_hull(cfg: PointConfig, max_points: Optional[int] = None) -> PointConfig:
+    """Lattice points of the smallest coordinate box containing the
+    configuration, refused (ResourceLimitError) before they are listed
+    when there are more than max_points."""
+    sides = [range(min(c), max(c) + 1) for c in zip(*cfg)]
+    guard_size(math.prod(map(len, sides)), max_points)
+    return PointConfig(graded_lex_sorted(itertools.product(*sides)))
 
 
-def cubical_hull(cfg: PointConfig) -> PointConfig:
-    """Lattice points of the smallest coordinate box containing the configuration."""
-    lo, hi = _box_bounds(cfg)
-    return PointConfig(
-        graded_lex_sorted(
-            itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi)))
-        )
-    )
-
-
-def cubical_hull_size(cfg: PointConfig) -> int:
-    """len(cubical_hull(cfg)), without building it."""
-    lo, hi = _box_bounds(cfg)
-    return math.prod(h - l + 1 for l, h in zip(lo, hi))
-
-
-def delta_simplex(n: int, d: int) -> PointConfig:
-    """Nonnegative integer vectors in n coordinates with coordinate sum <= d."""
+def delta_simplex(n: int, d: int, max_points: Optional[int] = None) -> PointConfig:
+    """Nonnegative integer vectors in n coordinates with coordinate sum <= d,
+    refused (ResourceLimitError) before they are listed when there are
+    more than max_points."""
     if n < 1 or d < 0:
         raise ValueError("need n >= 1 and d >= 0")
-    pts = [
-        p for p in itertools.product(range(d + 1), repeat=n) if sum(p) <= d
-    ]
+    guard_size(math.comb(n + d, n), max_points)
+    pts = (p for p in itertools.product(range(d + 1), repeat=n) if sum(p) <= d)
     return PointConfig(graded_lex_sorted(pts))
-
-
-def delta_simplex_size(n: int, d: int) -> int:
-    """len(delta_simplex(n, d)), without building it."""
-    if n < 1 or d < 0:
-        raise ValueError("need n >= 1 and d >= 0")
-    return math.comb(n + d, n)
 
 
 def _column_top(normals, bounds, prefix: Sequence[int]) -> int:
@@ -384,11 +368,6 @@ def _a_hat_points(tops, parities, extra) -> PointConfig:
     return PointConfig(graded_lex_sorted(itertools.chain(hat, extra)))
 
 
-def a_hat_size(cfg: PointConfig, order_cone: Cone) -> int:
-    """len(a_hat(cfg, order_cone)), without listing it."""
-    return _a_hat_size(*_a_hat_parts(cfg, order_cone))
-
-
 def a_hat(
     cfg: PointConfig, order_cone: Cone, max_points: Optional[int] = None
 ) -> PointConfig:
@@ -418,13 +397,12 @@ def a_hat(
     with a' >= 0 gives c mod 2 <= a'; D is a down-set.  Conversely
     c = 2 ceil(c/2) - (c mod 2).  As c mod 2 <= ceil(c/2) for c >= 0, the
     test reduces to ceil(c/2) in D.  So that part is the disjoint union,
-    over e in D cap {0,1}^n, of {2b - e : b in D, b >= e}, and a_hat_size
+    over e in D cap {0,1}^n, of {2b - e : b in D, b >= e}, and _a_hat_size
     counts it per column.  For u in A \\ D only 2u - v is completed, with v
     in A or in D cap [0, 2u], as 2u - v >= 0 forces v <= 2u: for v in D
     with 2v - u >= 0, ceil((2v - u)/2) = v - floor(u/2) <= v lies in D, so
     2v - u is in D's completion; for v in A \\ D it is the 2u - v of (v, u).
     """
     parts = _a_hat_parts(cfg, order_cone)
-    if max_points is not None:
-        guard_size(_a_hat_size(*parts), max_points)
+    guard_size(_a_hat_size(*parts), max_points)
     return _a_hat_points(*parts)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .cones import Cone, project_hrep
-from .errors import PreconditionError, guard_size
+from .errors import PreconditionError
 from .funcones import (
     binding_rows,
     comparable_pairs,
@@ -32,15 +32,7 @@ from .funcones import (
     cover_pairs,
 )
 from .lattice import (
-    PointConfig,
-    a_hat,
-    cubical_hull,
-    cubical_hull_size,
-    delta_simplex,
-    delta_simplex_size,
-    lattice_points,
-    lattice_points_size,
-    midpoint_triples,
+    PointConfig, a_hat, cubical_hull, delta_simplex, lattice_points, midpoint_triples
 )
 from .linalg import IntVec, dot, kernel_basis
 from .moments import BinomialIneq, SemialgSpec, order_cone, render_binomial, trop_moment_cone
@@ -52,20 +44,17 @@ DEFAULT_EXTENSION_LIMIT = 40
 
 @dataclass(frozen=True)
 class ScanReport:
-    """Degree-by-degree truncated cones, from degree d_min on, and the
-    observed stabilization.
+    """Degree-by-degree truncated cones, from the support degree on, and
+    the observed stabilization.
 
     ``first_stable`` is the smallest scanned degree whose cone equals
-    every later scanned cone; ``matches_closed_form`` compares that final
-    cone against the stabilized construction ``closed_form`` when one
-    exists for the set kind (None otherwise).
+    every later scanned cone; ``closed_form`` is the stabilized
+    construction when one exists for the set kind (None otherwise).
     """
 
-    d_min: int
     results: tuple[Cone, ...]
     first_stable: int
     closed_form: Optional[Cone]
-    matches_closed_form: Optional[bool]
 
 
 def _linear(e: PointConfig, c: Cone) -> tuple[list[IntVec], list[IntVec]]:
@@ -159,8 +148,7 @@ def trop_pseudomoment(
                 f"support point {p} has total degree {sum(p)}, above the "
                 f"truncation degree {d}"
             )
-    guard_size(delta_simplex_size(a.n, d), max_extension_points)
-    return _projected(a, delta_simplex(a.n, d), order_cone(spec))
+    return _projected(a, delta_simplex(a.n, d, max_extension_points), order_cone(spec))
 
 
 def trop_pseudomoment_cube_stable(
@@ -169,8 +157,7 @@ def trop_pseudomoment_cube_stable(
     """Stabilized pseudo-moment tropicalization over the unit cube: the
     truncated cones coincide with this one for every large enough degree,
     with the cubical hull of A as the extension support."""
-    guard_size(cubical_hull_size(a), max_extension_points)
-    return _projected(a, cubical_hull(a), Cone.nonpos_orthant(a.n))
+    return _projected(a, cubical_hull(a, max_extension_points), Cone.nonpos_orthant(a.n))
 
 
 def clamp_extension(box: PointConfig, values: Sequence, alpha: Sequence[int]):
@@ -206,8 +193,7 @@ def sigma_dual_trop(
     all of R^n: midpoint inequalities between even points of the lattice
     hull of A, projected onto A with the kernel of those rows, which holds
     the affine functions, as head start."""
-    guard_size(lattice_points_size(a.points), max_extension_points)
-    full = lattice_points(a.points)
+    full = lattice_points(a.points, max_extension_points)
     even = lambda p: not any(x % 2 for x in p)
     triples = [t for t in midpoint_triples(full) if even(t.a1) and even(t.a2)]
     e, rows = binding_rows(full, a, triples, ())
@@ -240,10 +226,10 @@ def stabilization_scan(
     max_extension_points: int = DEFAULT_EXTENSION_LIMIT,
 ) -> ScanReport:
     """Truncated cones from the support degree up to d_max, the first
-    degree whose cone persists through the end of the scan, and agreement
-    with the stabilized construction when the kind has one.  Every
-    degree's extension support is checked, and the closed form computed,
-    before any degree is projected.
+    degree whose cone persists through the end of the scan, and the
+    stabilized construction when the kind has one.  Every degree's
+    extension support is built, and the closed form computed, before any
+    degree is projected, so a support past the limit is refused first.
 
     The cones nest, T_{d+1} inside T_d: the degree-d simplex lies in the
     degree-(d+1) one, and every midpoint triple and comparable pair of the
@@ -263,9 +249,7 @@ def stabilization_scan(
         )
     _require_truncated(spec)
     _require_same_dim(a, spec)
-    degrees = range(d_min, d_max + 1)
-    for d in degrees:
-        guard_size(delta_simplex_size(a.n, d), max_extension_points)
+    supports = [delta_simplex(a.n, d, max_extension_points) for d in range(d_min, d_max + 1)]
     try:
         closed = stabilized_pseudomoment(a, spec, max_extension_points)
     except PreconditionError:
@@ -273,14 +257,13 @@ def stabilization_scan(
     c = order_cone(spec)
     results: list[Cone] = []
     cone = None
-    for d in degrees:
-        cone = _projected(a, delta_simplex(a.n, d), c, cone)
+    for e in supports:
+        cone = _projected(a, e, c, cone)
         results.append(cone)
-    first = d_max
-    while first > d_min and results[first - 1 - d_min] == cone:
+    first = len(results) - 1
+    while first > 0 and results[first - 1] == cone:
         first -= 1
-    matches = None if closed is None else cone == closed
-    return ScanReport(d_min, tuple(results), first, closed, matches)
+    return ScanReport(tuple(results), d_min + first, closed)
 
 
 def normal_valid_on(cone: Cone, normal: Sequence[int]) -> bool:

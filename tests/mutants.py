@@ -258,6 +258,37 @@ MUTANTS = [
         "    if False:",
         ["tests/test_lattice.py::test_thin_hull_reads_only_the_columns_over_its_shadow"],
     ),
+    (
+        "cubical hull lists its box before it refuses",
+        "lattice.py",
+        "    guard_size(math.prod(map(len, sides)), max_points)\n"
+        "    return PointConfig(graded_lex_sorted(itertools.product(*sides)))",
+        "    pts = graded_lex_sorted(itertools.product(*sides))\n"
+        "    guard_size(len(pts), max_points)\n"
+        "    return PointConfig(pts)",
+        ["tests/test_cli.py::test_cube_box_guard_trips_before_building"],
+    ),
+    (
+        "degree simplex lists its points before it refuses",
+        "lattice.py",
+        "    guard_size(math.comb(n + d, n), max_points)\n"
+        "    pts = (p for p in itertools.product(range(d + 1), repeat=n) if sum(p) <= d)\n"
+        "    return PointConfig(graded_lex_sorted(pts))",
+        "    pts = (p for p in itertools.product(range(d + 1), repeat=n) if sum(p) <= d)\n"
+        "    pts = graded_lex_sorted(pts)\n"
+        "    guard_size(len(pts), max_points)\n"
+        "    return PointConfig(pts)",
+        ["tests/test_cli.py::test_degree_guard_trips_before_building"],
+    ),
+    (
+        "hull lists its lattice points before it refuses",
+        "lattice.py",
+        "    guard_size(size, max_points)",
+        "    pts = (p + (t,) for p, lo, hi in _hull_columns(vertices) for t in range(lo, hi + 1))\n"
+        "    guard_size(len(graded_lex_sorted(pts)), max_points)",
+        ["tests/test_cli.py::test_lattice_guard_trips_before_listing",
+         "tests/test_cli.py::test_mediated_guard_trips_before_listing"],
+    ),
 ]
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import json
 import signal
 import warnings
@@ -506,8 +507,22 @@ def _not_built(*args):
     raise AssertionError("built before the guard")
 
 
+def _lists_at_most(monkeypatch, limit):
+    """Let lattice list no set of more than limit points: a listing takes
+    at most limit + 1 points and raises past that."""
+    listed = lattice.graded_lex_sorted
+
+    def bounded(points):
+        taken = list(itertools.islice(points, limit + 1))
+        if len(taken) > limit:
+            raise AssertionError("listed before the guard")
+        return listed(taken)
+
+    monkeypatch.setattr(lattice, "graded_lex_sorted", bounded)
+
+
 def test_cube_box_guard_trips_before_building(capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr(pseudo, "cubical_hull", _not_built)
+    _lists_at_most(monkeypatch, 40)
     path = problem_file(
         tmp_path,
         "box.json",
@@ -517,7 +532,7 @@ def test_cube_box_guard_trips_before_building(capsys, tmp_path, monkeypatch):
 
 
 def test_degree_guard_trips_before_building(capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr(pseudo, "delta_simplex", _not_built)
+    _lists_at_most(monkeypatch, 40)
     path = problem_file(
         tmp_path,
         "ball.json",
@@ -531,6 +546,7 @@ def test_degree_guard_trips_before_building(capsys, tmp_path, monkeypatch):
     argv = ["scan", path, "--dmax", "100000"]
     assert run(capsys, argv) == (4, "", GUARD.format(56, 40))
     # degree 3 fits (10 points) but the closed form's 4 x 4 box does not
+    _lists_at_most(monkeypatch, 12)
     path = problem_file(
         tmp_path,
         "corners.json",
@@ -543,7 +559,7 @@ def test_degree_guard_trips_before_building(capsys, tmp_path, monkeypatch):
 def test_lattice_guard_trips_before_listing(capsys, tmp_path, monkeypatch):
     # the side-3000 triangle holds 3001 * 3002 / 2 lattice points, counted
     # column by column without listing them
-    monkeypatch.setattr(pseudo, "lattice_points", _not_built)
+    _lists_at_most(monkeypatch, 40)
     path = problem_file(
         tmp_path,
         "triangle.json",
@@ -559,8 +575,9 @@ def test_lattice_guard_trips_before_listing(capsys, tmp_path, monkeypatch):
 
 def test_mediated_guard_trips_before_listing(capsys, monkeypatch):
     # the side-200 triangle holds 201 * 202 / 2 lattice points, counted
-    # column by column without listing them; it ran 1.2 s unguarded
-    monkeypatch.setattr(lattice, "lattice_points", _not_built)
+    # column by column without listing them; it ran 1.2 s unguarded.  No
+    # hull of more points than the smallest limit below is listed
+    _lists_at_most(monkeypatch, 44)
     argv = ["mediated", "--vertices", "0,0;200,0;0,200"]
     assert run(capsys, argv) == (4, "", GUARD.format(20301, 10000))
     argv += ["--max-extension-points", "20300"]

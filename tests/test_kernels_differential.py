@@ -7,11 +7,12 @@ same canonical bases, ranks and solutions as rational elimination.  Â read off 
 and by completing W pair by pair, the lattice points of a hull listed
 column by column must equal those found by filtering its bounding box,
 the semigroup check by lattice index and parallelepipeds must agree with
-brute force, and the closed-form support sizes the guards read must
-equal the sizes of the supports.
+brute force, and each builder of a support must list it under a limit of
+its own size and refuse it, naming that size, under one point less.
 """
 
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import assume, given, settings
@@ -21,18 +22,8 @@ import oracles
 from draws import ints, vectors
 from tropmom import _simplex, lattice
 from tropmom.cones import Cone, project_hrep
-from tropmom.errors import PreconditionError
-from tropmom.lattice import (
-    PointConfig,
-    a_hat,
-    a_hat_size,
-    cubical_hull,
-    cubical_hull_size,
-    delta_simplex,
-    delta_simplex_size,
-    lattice_points,
-    lattice_points_size,
-)
+from tropmom.errors import PreconditionError, ResourceLimitError
+from tropmom.lattice import PointConfig, a_hat, cubical_hull, delta_simplex, lattice_points
 from tropmom.linalg import _det, dot, kernel_basis, rank, rref_int, solve_linear
 from tropmom.moments import SemialgSpec, order_cone, semigroup_generation_check
 
@@ -269,10 +260,18 @@ def stabilized_systems(draw, n, k_max, u_max, corner):
     return PointConfig(support), c
 
 
+def check_guard_boundary(build, built):
+    """build(max_points=...) lists built under a limit of its size and
+    refuses it, naming the size, under one point less."""
+    assert build(max_points=len(built)) == built
+    with pytest.raises(ResourceLimitError, match=f" has {len(built)} points"):
+        build(max_points=len(built) - 1)
+
+
 def _check_a_hat(support, c):
     built = a_hat(support, c)
     assert built == oracles.a_hat_pairwise(support, c)
-    assert a_hat_size(support, c) == len(built)
+    check_guard_boundary(partial(a_hat, support, c), built)
     return built
 
 
@@ -319,8 +318,7 @@ def test_a_hat_of_the_origin_is_the_origin(n, data):
     # A = {0} gives K = Z^n_{>=0}, so D is empty and Â = {0}
     _, c = data.draw(SYSTEMS[n])
     origin = PointConfig([(0,) * n])
-    assert a_hat_size(origin, c) == 1
-    _check_a_hat(origin, c)
+    assert len(_check_a_hat(origin, c)) == 1
 
 
 @st.composite
@@ -392,19 +390,19 @@ def hull_vertices(draw):
 def test_lattice_points_match_box_filter(vertices):
     listed = lattice_points(vertices)
     assert listed == oracles.lattice_points(vertices)
-    assert lattice_points_size(vertices) == len(listed)
+    check_guard_boundary(partial(lattice_points, vertices), listed)
 
 
 @given(vectors(1, 4, 3, 0, 5))
 def test_cubical_hull_size_is_its_length(points):
     cfg = PointConfig(dict.fromkeys(points))
-    assert cubical_hull_size(cfg) == len(cubical_hull(cfg))
+    check_guard_boundary(partial(cubical_hull, cfg), cubical_hull(cfg))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("d", [0, 1, 2, 5, 7])
 def test_delta_simplex_size_is_its_length(n, d):
-    assert delta_simplex_size(n, d) == len(delta_simplex(n, d))
+    check_guard_boundary(partial(delta_simplex, n, d), delta_simplex(n, d))
 
 
 def test_a_hat_refuses_before_listing_columns(monkeypatch):
@@ -450,7 +448,7 @@ def test_a_hat_closes_up_by_its_axis_tops_alone(monkeypatch):
     spec = SemialgSpec.binomials(2, [((0, 1), (k, 0)), ((1, 0), (0, k))])
     support = PointConfig([(0, 0), (3, 0), (0, 1), (1, 1)])
     with pytest.raises(Listed):
-        a_hat_size(support, order_cone(spec))
+        a_hat(support, order_cone(spec), max_points=0)
     assert calls[:2] == [k + 1, 3 * k]
 
 
@@ -465,13 +463,13 @@ def test_a_hat_in_one_variable(support, expected):
     built = a_hat(cfg, c)
     assert built.points == tuple((t,) for t in expected)
     assert built == oracles.a_hat(cfg, c)
-    assert a_hat_size(cfg, c) == len(built)
+    check_guard_boundary(partial(a_hat, cfg, c), built)
 
 
 def test_a_hat_size_reads_columns_in_one_pass(monkeypatch):
-    """Over the unit square, y >= x^k, x >= y^k gives |Â| = 4k + 5, and the
-    column tops are read in one pass per normal: _column_top is called as
-    often for k = 50 000 as for k = 200."""
+    """Over the unit square, y >= x^k, x >= y^k gives |Â| = 4k + 5, which a
+    limit of 4k + 4 refuses, and the column tops are read in one pass per
+    normal: _column_top is called as often for k = 50 000 as for k = 200."""
     top = lattice._column_top
     calls = []
 
@@ -485,6 +483,7 @@ def test_a_hat_size_reads_columns_in_one_pass(monkeypatch):
     for k in (200, 50000):
         spec = SemialgSpec.binomials(2, [((0, 1), (k, 0)), ((1, 0), (0, k))])
         calls.clear()
-        assert a_hat_size(square, order_cone(spec)) == 4 * k + 5
+        with pytest.raises(ResourceLimitError, match=f" has {4 * k + 5} points"):
+            a_hat(square, order_cone(spec), max_points=4 * k + 4)
         counts.append(len(calls))
     assert counts[0] == counts[1]

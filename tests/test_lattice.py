@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from tropmom import lattice
-from tropmom.errors import PreconditionError
+from tropmom.errors import PreconditionError, ResourceLimitError
 from tropmom.lattice import (
     AlmostEmptySimplex,
     MidpointTriple,
@@ -14,12 +14,12 @@ from tropmom.lattice import (
     delta_simplex,
     graded_lex_sorted,
     lattice_points,
-    lattice_points_size,
     mediated_set,
     mediated_split,
     midpoint_triples,
 )
 from tropmom.moments import SemialgSpec, order_cone
+from tropmom.pseudo import sigma_dual_trop
 
 
 def test_point_config_keeps_input_order():
@@ -47,7 +47,7 @@ def test_point_config_validation():
     [
         lambda: PointConfig([(0.5, 1), (1, 1)]),
         lambda: graded_lex_sorted([(0, 1), (Fraction(3, 2), 0)]),
-        lambda: lattice_points_size([(0, 0), (1.5, 0), (0, 1)]),
+        lambda: lattice_points([(0, 0), (1.5, 0), (0, 1)]),
         lambda: mediated_split([(0, 0), (2, 0), (0, 2.5)]),
     ],
     ids=["PointConfig", "graded_lex_sorted", "hull_columns", "mediated_split"],
@@ -81,8 +81,29 @@ def test_thin_hull_reads_only_the_columns_over_its_shadow():
     verts = [(0, 0, 0), (s, s, 0), (0, 0, 1)]
     columns = list(lattice._hull_columns(verts))
     assert [p for p, _, _ in columns] == [(t, t) for t in range(s + 1)]
-    assert lattice_points_size(verts) == s + 2
-    assert len(lattice_points(verts)) == s + 2
+    listed = lattice_points(verts)
+    assert len(listed) == s + 2
+    assert lattice_points(verts, max_points=s + 2) == listed
+    with pytest.raises(ResourceLimitError, match=f" has {s + 2} points"):
+        lattice_points(verts, max_points=s + 1)
+
+
+def test_hull_is_read_once_per_listing(monkeypatch):
+    # the size the guard reads and the points listed come from one double
+    # description of the hull
+    hull = lattice._hull_cone
+    calls = []
+
+    def counted(vertices):
+        calls.append(vertices)
+        return hull(vertices)
+
+    monkeypatch.setattr(lattice, "_hull_cone", counted)
+    triangle = [(0, 0), (4, 0), (0, 4)]
+    mediated_split(triangle, max_points=15)
+    assert len(calls) == 1
+    sigma_dual_trop(PointConfig(triangle), max_extension_points=15)
+    assert len(calls) == 2
 
 
 def test_midpoint_triples():

@@ -192,19 +192,19 @@ def test_stabilized_dispatch():
 def test_scan_cube():
     cs = trop_pseudomoment_cube_stable(MOTZKIN)
     rep = stabilization_scan(MOTZKIN, CUBE2, 8, max_extension_points=45)
-    assert rep.d_min == 3 and rep.first_stable == 3
-    assert rep.matches_closed_form is True
+    assert len(rep.results) == 6 and rep.first_stable == 3
+    assert rep.closed_form == rep.results[-1]
     assert all(r == cs for r in rep.results)
 
 
 def test_scan_orthant():
     rep = stabilization_scan(MOTZKIN, ORTHANT2, 6)
-    assert rep.first_stable == 3 and rep.matches_closed_form is None
+    assert rep.first_stable == 3 and rep.closed_form is None
 
 
 def test_scan_segment():
     rep = stabilization_scan(PointConfig([(0,), (1,), (2,)]), SemialgSpec.orthant(1), 4)
-    assert rep.d_min == 2 and rep.first_stable == 2
+    assert len(rep.results) == 3 and rep.first_stable == 2
     assert all(r.ineqs == ((1, -2, 1),) for r in rep.results)
 
 

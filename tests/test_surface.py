@@ -5,11 +5,14 @@ and perfbench/checks.py imports tropmom.cones.tropical_hull_dual, so these
 must stay in their modules even where they are not exported from the
 package.  The surface only tests used is gone: the generator projection
 lives in tests/oracles.py.  The entry points return the Cone they compute,
-so the records that wrapped it are gone too.
+so the records that wrapped it are gone too.  Each support builder guards
+its own size, so the size functions are gone, and a scan reports only what
+its caller cannot compute.
 """
 
 import importlib
 import importlib.util
+import dataclasses
 import inspect
 from pathlib import Path
 
@@ -67,3 +70,15 @@ def test_cone_records_are_gone():
         assert not hasattr(importlib.import_module(f"tropmom.{module}"), name)
         assert not hasattr(tropmom, name)
         assert name not in tropmom.__all__
+
+
+def test_size_functions_are_gone():
+    lattice = importlib.import_module("tropmom.lattice")
+    for name in ("lattice_points_size", "cubical_hull_size", "delta_simplex_size",
+                 "a_hat_size"):
+        assert not hasattr(lattice, name)
+
+
+def test_scan_report_holds_only_what_the_caller_cannot_compute():
+    fields = [f.name for f in dataclasses.fields(tropmom.ScanReport)]
+    assert fields == ["results", "first_stable", "closed_form"]
