@@ -8,10 +8,13 @@ and a copy continues from a shared prefix without touching the original;
 after any split of a sequence of rows into calls, the result is that of
 inserting the whole sequence at once.
 
-Rows enter through ``_clean_rows``: ints only (any other number raises
-TypeError, never truncated), made primitive with one gcd.  Every ray is
-such a row, a lineality vector or built by ``primitive``, so ``result()``
-reduces rays only modulo a nonempty basis; modulo none it is canonical.
+The lineality basis starts from the unit vectors and is cut by each
+equation and row with ``linalg._lineality_step``, which ``kernel_basis``
+runs too.  Rows enter through ``_clean_rows``: ints only (any other
+number raises TypeError, never truncated), made primitive with one gcd.
+Every ray is such a row, a lineality vector or built by ``primitive``, so
+``result()`` reduces rays only modulo a nonempty basis; modulo none it
+is canonical.
 Bit k of a tight mask stands for the k-th of the cleaned rows added, and
 is set when the ray is tight on that row.  A ray made from a positive and
 a negative one is tight exactly where both are, so the masks are the
@@ -34,11 +37,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Collection, Iterable, Sequence
 
-from .linalg import IntVec, dot, primitive, rank, rref_int
-
-
-def _unit(n: int, i: int) -> IntVec:
-    return tuple([1 if j == i else 0 for j in range(n)])
+from .linalg import IntVec, _lineality_step, _unit, dot, primitive, rank, rref_int
 
 
 def _clean_rows(rows: Iterable[Sequence[int]]) -> list[IntVec]:
@@ -68,25 +67,6 @@ def _reduce_mod(basis: Sequence[IntVec], vec: Sequence[int]) -> IntVec:
         if c:
             v = [row[p] * x - c * y for x, y in zip(v, row)]
     return primitive(v)
-
-
-def _lineality_step(lin: list[IntVec], a: IntVec) -> tuple:
-    """Cut the lineality basis by <a, x> = 0.  Returns (basis, b0, s): b0 is
-    the first basis vector off the hyperplane, signed so that <a, b0> = s > 0,
-    and the basis is the rest with b0 eliminated; (lin, None, 0) if none is."""
-    vals = [dot(a, b) for b in lin]
-    j = next((i for i, t in enumerate(vals) if t != 0), None)
-    if j is None:
-        return lin, None, 0
-    b0, s = lin[j], vals[j]
-    if s < 0:
-        b0, s = tuple([-x for x in b0]), -s
-    rest = [
-        primitive([s * x - t * y for x, y in zip(b, b0)])
-        for b, t in zip(lin, vals)
-        if b is not lin[j]
-    ]
-    return [b for b in rest if any(b)], b0, s
 
 
 def _maximal(rows: Collection[IntVec], masks: Sequence[int]) -> tuple:

@@ -16,7 +16,6 @@ import argparse
 import functools
 import json
 import sys
-import warnings
 from typing import Any, NamedTuple, Optional, Sequence
 
 from .cones import Cone
@@ -446,14 +445,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        with warnings.catch_warnings(record=True) as rec:
-            warnings.simplefilter("always")
-            doc = args.handler(args)
+        doc = args.handler(args)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CODES[type(exc)]
-    if "warnings" in doc:
-        doc["warnings"][:0] = [str(w.message) for w in rec]
     _emit(doc, args.format)
     return 0
 

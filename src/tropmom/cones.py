@@ -348,8 +348,6 @@ def tropical_hull_dual(y: Cone) -> Cone:
     sum zero: one double description of every slice's generators.
     """
     n = y.dim
-    if n == 0:
-        return Cone.origin(0)
     rays, lins = [], []
     for i in range(n):
         sector = [_unit(n, j) for j in range(n)]
@@ -365,44 +363,27 @@ def tropical_hull_dual(y: Cone) -> Cone:
 def fourier_motzkin_project(cone: Cone, coords: Sequence[int]) -> Cone:
     """Coordinate projection computed by Fourier-Motzkin elimination.
 
-    Cross-check oracle for the generator projection; quadratic
-    blowup per eliminated variable restricts it to small ambient
-    dimension (<= 12).
+    Cross-check oracle for the generator projection.  Each equation enters
+    as two opposite inequalities, each other coordinate is eliminated by
+    pairing every row positive on it with every row negative on it, and
+    the image's minimal forms recover its equations.  The quadratic
+    blowup per eliminated coordinate restricts it to dimension <= 12.
     """
     n = cone.dim
     if n > 12:
         raise ValueError("fourier_motzkin_project is limited to dimension <= 12")
     keep = list(coords)
-    ineqs, eqs = cone.ineqs, cone.eqs
+    rows = [*cone.ineqs, *cone.eqs, *(tuple([-x for x in e]) for e in cone.eqs)]
     for j in range(n):
         if j in keep:
             continue
-        pivot = next((e for e in eqs if e[j] != 0), None)
-        if pivot is not None:
-            s = pivot[j]
-            sign = 1 if s > 0 else -1
-            mag = abs(s)
-            eqs = [
-                [mag * x - sign * e[j] * y for x, y in zip(e, pivot)]
-                for e in eqs
-                if e is not pivot
-            ]
-            ineqs = [
-                [mag * x - sign * a[j] * y for x, y in zip(a, pivot)]
-                for a in ineqs
-            ]
-        else:
-            pos = [a for a in ineqs if a[j] > 0]
-            neg = [a for a in ineqs if a[j] < 0]
-            zero = [a for a in ineqs if a[j] == 0]
-            ineqs = zero + [
-                [p[j] * x - q[j] * y for x, y in zip(q, p)]
-                for p in pos
-                for q in neg
-            ]
-        ineqs, eqs = _clean_rows(ineqs), _clean_rows(eqs)
-    take = lambda v: tuple([v[c] for c in keep])
-    return Cone.from_hrep(len(keep), [take(a) for a in ineqs], [take(e) for e in eqs])
+        pos = [a for a in rows if a[j] > 0]
+        neg = [a for a in rows if a[j] < 0]
+        rows = _clean_rows(
+            [a for a in rows if a[j] == 0]
+            + [[p[j] * x - q[j] * y for x, y in zip(q, p)] for p in pos for q in neg]
+        )
+    return Cone.from_hrep(len(keep), [tuple([a[c] for c in keep]) for a in rows])
 
 
 def project_hrep(

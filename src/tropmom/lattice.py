@@ -100,7 +100,8 @@ def _hull_columns(vertices: Sequence[Sequence[int]]):
     conv(vertices) over it are (prefix, t) for lo <= t <= hi, the range
     read off the hull's facets, each equation taken as two opposite
     inequalities.  The projection is the hull of the projected vertices;
-    in one coordinate it is their bounding box."""
+    in one coordinate it is their bounding box.  A row free of t holds on
+    the hull, so on its projection too, and bounds no column."""
     verts = [intvec(v) for v in vertices]
     hull = _hull_cone(verts)
     n = len(verts[0])
@@ -119,8 +120,6 @@ def _hull_columns(vertices: Sequence[Sequence[int]]):
                 lo = max(lo, -(c // k))
             elif k < 0:
                 hi = min(hi, c // -k)
-            elif c < 0:
-                hi = lo - 1
         yield p, lo, hi
 
 

@@ -6,6 +6,8 @@ vectors.  Nothing here ever rounds.  Elimination is fraction-free: one
 Gauss-Jordan routine scales rational rows to integer rows and keeps every
 row a primitive integer vector, so integer vectors stay in primitive
 form (content 1) wherever a scale-invariant object is represented.
+Null spaces have one elimination, the lineality cut, which both
+``kernel_basis`` and the double description run.
 
 Vectors on the hot paths are built as tuple([...]) rather than from a
 generator: a tuple grown from a generator is resized, which bypasses
@@ -135,25 +137,35 @@ def rref_int(rows: Sequence[Sequence[int]]) -> list[IntVec]:
     return [tuple(row) for row in _echelon(rows)]
 
 
+def _unit(n: int, i: int) -> IntVec:
+    return tuple([1 if j == i else 0 for j in range(n)])
+
+
+def _lineality_step(lin: list[IntVec], a: Sequence[int]) -> tuple:
+    """Cut the basis lin by <a, x> = 0.  Returns (basis, b0, s): b0 is the
+    first basis vector off the hyperplane, signed so that <a, b0> = s > 0,
+    and the basis is the rest with b0 eliminated; (lin, None, 0) if none is."""
+    vals = [dot(a, b) for b in lin]
+    j = next((i for i, t in enumerate(vals) if t != 0), None)
+    if j is None:
+        return lin, None, 0
+    b0, s = lin[j], vals[j]
+    if s < 0:
+        b0, s = tuple([-x for x in b0]), -s
+    rest = [
+        primitive([s * x - t * y for x, y in zip(b, b0)])
+        for b, t in zip(lin, vals)
+        if b is not lin[j]
+    ]
+    return [b for b in rest if any(b)], b0, s
+
+
 def kernel_basis(rows: Sequence[Sequence[int]], n: int) -> list[IntVec]:
-    """Canonical primitive basis of {x : row . x = 0 for every row} in R^n."""
-    reduced = rref_int(rows)
-    pivots = [next(j for j, a in enumerate(row) if a != 0) for row in reduced]
-    # x_j = scale, x_pivot = -scale * row[j] / row[pivot]: integral once
-    # scale is a common multiple of the (positive) pivots
-    scale = 1
-    for row, pj in zip(reduced, pivots):
-        scale = scale // gcd(scale, row[pj]) * row[pj]
-    pivot_set = set(pivots)
-    basis = []
-    for j in range(n):
-        if j in pivot_set:
-            continue
-        x = [0] * n
-        x[j] = scale
-        for row, pj in zip(reduced, pivots):
-            x[pj] = -(scale // row[pj]) * row[j]
-        basis.append(x)
+    """Canonical primitive basis of {x : row . x = 0 for every row} in R^n:
+    the unit vectors cut by each row in turn, in reduced echelon form."""
+    basis = [_unit(n, i) for i in range(n)]
+    for row in rows:
+        basis = _lineality_step(basis, row)[0]
     return rref_int(basis)
 
 

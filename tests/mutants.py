@@ -35,6 +35,20 @@ MUTANTS = [
         ["tests/test_dd_differential.py"],
     ),
     (
+        "lineality cut keeps the first vector's sign",
+        "linalg.py",
+        "    if s < 0:\n        b0, s = tuple([-x for x in b0]), -s\n",
+        "",
+        ["tests/test_dd_differential.py"],
+    ),
+    (
+        "Fourier-Motzkin pairs each positive row with the first negative only",
+        "cones.py",
+        "for q in neg]",
+        "for q in neg[:1]]",
+        ["tests/test_cones.py::test_fourier_motzkin_matches_vrep_projection"],
+    ),
+    (
         "certificate check forgives -1",
         "_simplex.py",
         "if min(row_values(system, w), default=0) < 0:",

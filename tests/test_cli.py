@@ -2,7 +2,6 @@ import contextlib
 import itertools
 import json
 import signal
-import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -250,20 +249,6 @@ def test_pseudomoment_stabilized_cube(capsys, motz_cube):
     assert doc["lineality_dim"] == 1
     assert doc["warnings"] == ["stable (closed form)"]
     assert doc["stabilized_at"] is None
-
-
-def test_library_warnings_precede_notes(capsys, monkeypatch, motz_cube):
-    original = cli.stabilized_pseudomoment
-
-    def warned(*args):
-        warnings.warn("probe")
-        return original(*args)
-
-    monkeypatch.setattr(cli, "stabilized_pseudomoment", warned)
-    doc, _ = run_json(capsys, ["pseudomoment", motz_cube])
-    assert doc["warnings"] == ["probe", "stable (closed form)"]
-    code, _, err = run(capsys, ["pseudomoment", motz_cube, "--format", "text"])
-    assert (code, err.splitlines()) == (0, ["warning: probe", "warning: stable (closed form)"])
 
 
 def test_pseudomoment_degree_flag(capsys, motz_cube):
@@ -727,6 +712,53 @@ def test_schema_errors(capsys, tmp_path):
         code, _, err = run(capsys, ["moment", path])
         assert code == 2, (doc, err)
         assert err.startswith("error: "), err
+
+
+# gens (1,0) >= (0,1) and (0,1) >= (1,0): the differences span a line
+OPPOSED = {
+    "kind": "binomials",
+    "gens": [{"plus": [1, 0], "minus": [0, 1]}, {"plus": [0, 1], "minus": [1, 0]}],
+}
+COLLAPSED = [[1, 0], [0, 1], [0, 0]]  # Q = [[1, 1]] maps (1,0) and (0,1) together
+
+
+@pytest.mark.parametrize(
+    "command, support, kind, options, code, message",
+    [
+        ("moment", COLLAPSED, {"kind": "toric_cube", "Q": [[1, 1]]}, {}, 3,
+         "exponent matrix maps two support points to the same monomial"),
+        ("gap", COLLAPSED, {"kind": "toric_cube", "Q": [[1, 1]]}, {}, 3,
+         "exponent matrix maps two support points to the same monomial"),
+        ("pseudomoment", MOTZKIN_SUPPORT, OPPOSED, {}, 3,
+         "semigroup generation check requires a pointed order cone"),
+        ("gap", MOTZKIN_SUPPORT, OPPOSED, {}, 3,
+         "semigroup generation check requires a pointed order cone"),
+        ("moment", MOTZKIN_SUPPORT, OPPOSED, {}, 0, None),
+        ("moment", MOTZKIN_SUPPORT, {"kind": "toric_cube", "Q": [[1, 0]]}, {}, 2,
+         "problem.set: exponent matrix has a zero column"),
+        ("moment", MOTZKIN_SUPPORT,
+         {"kind": "binomials", "gens": [{"plus": [1, 0], "minus": [1, 0]}]}, {}, 2,
+         "problem.set: generator pair with equal exponents"),
+        ("moment", MOTZKIN_SUPPORT,
+         {"kind": "binomials", "gens": [{"plus": [-1, 0], "minus": [0, 1]}]}, {}, 2,
+         "problem.set: generator exponents must be nonnegative"),
+        ("moment", MOTZKIN_SUPPORT, "cube", {}, 2, "problem.set: expected an object"),
+        ("moment", MOTZKIN_SUPPORT, {"kind": "toric_cube", "Q": []}, {}, 2,
+         "problem.set.Q: expected a non-empty list of rows"),
+        ("moment", MOTZKIN_SUPPORT, {"kind": "binomials", "gens": []}, {}, 2,
+         "problem.set.gens: expected a non-empty list of generators"),
+        ("moment", MOTZKIN_SUPPORT, {"kind": "cube"},
+         {"assume_semigroup_generated": 1}, 2,
+         "problem.options.assume_semigroup_generated: expected a boolean"),
+    ],
+)
+def test_refusals(capsys, tmp_path, command, support, kind, options, code, message):
+    doc = {"ambient_dim": 2, "support": support, "set": kind}
+    if options:
+        doc["options"] = options
+    got, _, err = run(capsys, [command, problem_file(tmp_path, "p.json", doc)])
+    assert got == code, err
+    assert err.splitlines() == ([f"error: {message}"] if message else [])
 
 
 def test_unknown_field_message(capsys, tmp_path):

@@ -166,6 +166,8 @@ def test_tropical_hull_dual_anchors():
     assert tropical_hull_dual(y) == want
     line = Cone.from_vrep(2, [], [(1, 1)])
     assert tropical_hull_dual(line) == tropical_hull(line).dual()
+    point = Cone.origin(0)
+    assert tropical_hull_dual(point) == point == tropical_hull(point).dual()
 
 
 @st.composite
