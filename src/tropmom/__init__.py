@@ -37,7 +37,6 @@ from .lattice import (
 )
 from .moments import (
     BinomialIneq,
-    RegularSupportWarning,
     SemialgSpec,
     amgm_moment_cone,
     binomial_facets,
@@ -70,7 +69,6 @@ __all__ = [
     "MidpointTriple",
     "PointConfig",
     "PreconditionError",
-    "RegularSupportWarning",
     "ResourceLimitError",
     "ScanReport",
     "SchemaError",

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -30,12 +29,6 @@ from .linalg import (
 
 # in the order the command line's schema error lists them
 SET_KINDS = ("orthant", "cube", "full_space", "toric_cube", "binomials")
-
-
-class RegularSupportWarning(UserWarning):
-    """The binomial system cuts out a lower-dimensional cone, so the
-    tropicalization of the set may be strictly smaller than the cone of
-    the exponent differences."""
 
 
 @dataclass(frozen=True)
@@ -170,26 +163,19 @@ def render_binomial(support: PointConfig, normal: Sequence[int]) -> BinomialIneq
 
 
 def trop_of_set(s: SemialgSpec) -> Cone:
-    """The cone cut out by the exponent differences of the generators.
-
-    Equals the logarithmic limit set of the positive part when that cone
-    is full dimensional; otherwise a RegularSupportWarning is emitted and
-    the returned cone is only an upper bound.
-    """
+    """The cone cut out by the exponent differences, the dual of the order
+    cone.  It is the set's tropicalization only when full-dimensional, so a
+    set with empty interior is refused here: the one regularity gate, which
+    the moment cone and the semigroup check read the order cone through."""
     if s.kind == "toric_cube":
         raise PreconditionError(
             "a toric cube tropicalizes through its pullback; use order_cone"
         )
-    if s.kind == "full_space":
-        return Cone.full_space(s.n)
-    cone = Cone.from_hrep(s.n, s.exponent_differences())
+    cone = order_cone(s).dual()
     if not cone.is_full_dimensional():
-        warnings.warn(
-            RegularSupportWarning(
-                "exponent differences span a lower-dimensional cone; the "
-                "tropicalization may be strictly smaller"
-            ),
-            stacklevel=2,
+        raise PreconditionError(
+            "the exponent differences cut out a lower-dimensional cone: the "
+            "set has empty interior"
         )
     return cone
 
@@ -223,8 +209,8 @@ def semigroup_generation_check(s: SemialgSpec) -> bool:
     point of the cone.  A depth-first search decides it, and ends: the
     cone is pointed, so some functional is positive on it and falls at
     every step, and the points of the cone below a value are finitely many.
-    Only ambient dimension <= 3 is supported, and the order cone must be
-    pointed.
+    Only ambient dimension <= 3 is supported, and trop_of_set refuses a set
+    whose order cone is not pointed.
     """
     if s.kind == "toric_cube":
         raise PreconditionError(
@@ -236,14 +222,8 @@ def semigroup_generation_check(s: SemialgSpec) -> bool:
             "semigroup generation check supports ambient dimension <= 3 "
             "only; assert the hypothesis manually to skip it"
         )
-    vs = [v for v in dict.fromkeys(s.exponent_differences())]
-    if not vs:
-        return True
-    c = Cone.from_vrep(n, vs)
-    if not c.is_pointed():
-        raise PreconditionError(
-            "semigroup generation check requires a pointed order cone"
-        )
+    c = trop_of_set(s).dual()
+    vs = list(dict.fromkeys(s.exponent_differences()))
     if lattice_index(vs) > 1:
         return False
     r = rank(vs)
@@ -324,9 +304,9 @@ def trop_moment_cone(a: PointConfig, s: SemialgSpec) -> Cone:
     Measures on all of R^n only certify through even powers, so the full
     space routes through the even-simplex cone; a toric cube maps the
     support through its exponent matrix and takes the cube answer there;
-    every other kind is the order-cone convexity cone on the support.
+    every other kind is the convexity cone of trop_of_set's dual on it.
     """
-    if s.kind != "toric_cube" and s.n != a.n:
+    if s.n != a.n:
         raise ValueError("set specification dimension does not match the support")
     if s.kind == "full_space":
         return cone_K_even(a)
@@ -340,7 +320,7 @@ def trop_moment_cone(a: PointConfig, s: SemialgSpec) -> Cone:
             )
         # the image keeps the support's order, so its cone is the answer
         return cone_K(PointConfig(image), Cone.nonpos_orthant(d))
-    return cone_K(a, order_cone(s))
+    return cone_K(a, trop_of_set(s).dual())
 
 
 def binomial_facets(support: PointConfig, cone: Cone) -> tuple[BinomialIneq, ...]:

@@ -34,7 +34,7 @@ from .funcones import (
 from .lattice import (
     PointConfig, a_hat, cubical_hull, delta_simplex, lattice_points, midpoint_triples
 )
-from .linalg import IntVec, dot, kernel_basis
+from .linalg import IntVec, dot, intvec, kernel_basis
 from .moments import BinomialIneq, SemialgSpec, order_cone, render_binomial, trop_moment_cone
 
 _TRUNCATED_KINDS = ("orthant", "cube", "binomials")
@@ -163,11 +163,15 @@ def trop_pseudomoment_cube_stable(
 def clamp_extension(box: PointConfig, values: Sequence, alpha: Sequence[int]):
     """Extension off a coordinate box of a midpoint-convex, coordinate
     nonincreasing function: read the value at the nearest box point below,
-    clamping each coordinate to the box maximum."""
+    clamping each coordinate to the box maximum.  Entries of alpha must be
+    integers, one per box coordinate; anything else raises ValueError."""
     if len(values) != len(box):
         raise ValueError("one value per box point required")
+    alpha = intvec(alpha)
+    if len(alpha) != box.n:
+        raise ValueError("one coordinate per box dimension required")
     hi = [max(p[i] for p in box) for i in range(box.n)]
-    phi = tuple(min(int(x), h) for x, h in zip(alpha, hi))
+    phi = tuple(min(x, h) for x, h in zip(alpha, hi))
     return values[box.index(phi)]
 
 

@@ -303,6 +303,13 @@ MUTANTS = [
         ["tests/test_cli.py::test_lattice_guard_trips_before_listing",
          "tests/test_cli.py::test_mediated_guard_trips_before_listing"],
     ),
+    (
+        "trop_of_set accepts a set with empty interior",
+        "moments.py",
+        "if not cone.is_full_dimensional():",
+        "if False:",
+        ["tests/test_moments.py", "tests/test_cli.py::test_refusals"],
+    ),
 ]
 
 

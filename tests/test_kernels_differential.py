@@ -7,8 +7,10 @@ same canonical bases, ranks and solutions as rational elimination.  Â read off 
 and by completing W pair by pair, the lattice points of a hull listed
 column by column must equal those found by filtering its bounding box,
 the semigroup check by lattice index and parallelepipeds must agree with
-brute force, and each builder of a support must list it under a limit of
-its own size and refuse it, naming that size, under one point less.
+brute force, the regularity gate must return the cone of the exponent
+differences when it is full-dimensional and refuse the set otherwise, and
+each builder of a support must list it under a limit of its own size and
+refuse it, naming that size, under one point less.
 """
 
 from fractions import Fraction
@@ -25,7 +27,9 @@ from tropmom.cones import Cone, project_hrep
 from tropmom.errors import PreconditionError, ResourceLimitError
 from tropmom.lattice import PointConfig, a_hat, cubical_hull, delta_simplex, lattice_points
 from tropmom.linalg import _det, dot, kernel_basis, rank, rref_int, solve_linear
-from tropmom.moments import SemialgSpec, order_cone, semigroup_generation_check
+from tropmom.moments import (
+    SemialgSpec, order_cone, semigroup_generation_check, trop_moment_cone, trop_of_set
+)
 
 ENTRY = st.integers(-4, 4)
 
@@ -322,15 +326,50 @@ def test_a_hat_of_the_origin_is_the_origin(n, data):
 
 
 @st.composite
-def pointed_binomials(draw, n, top):
-    """Binomial systems in n variables, exponents up to top, with a pointed
-    order cone."""
+def binomial_systems(draw, n, top):
+    """Binomial systems in n variables, exponents up to top."""
     pairs = [(v[:n], v[n:]) for v in draw(vectors(1, n + 1, 2 * n, 0, top))]
     pairs = [(a, b) for a, b in pairs if a != b]
     assume(pairs)
-    spec = SemialgSpec.binomials(n, pairs)
+    return SemialgSpec.binomials(n, pairs)
+
+
+@st.composite
+def pointed_binomials(draw, n, top):
+    """Binomial systems in n variables, exponents up to top, with a pointed
+    order cone."""
+    spec = draw(binomial_systems(n, top))
     assume(order_cone(spec).is_pointed())
     return spec
+
+
+EMPTY_INTERIOR = (
+    "the exponent differences cut out a lower-dimensional cone: the set has "
+    "empty interior"
+)
+
+
+@pytest.mark.parametrize("n, top", [(2, 4), (3, 2)])
+@SMALL
+@given(data=st.data())
+def test_regularity_gate_matches_the_cone_of_the_differences(n, top, data):
+    """trop_of_set returns the cone the exponent differences cut out when
+    it is full-dimensional; otherwise it, the moment cone and the
+    semigroup check refuse the set, with the one message.  Few draws have
+    opposite differences, so half of them get their first pair reversed."""
+    spec = data.draw(binomial_systems(n, top))
+    if data.draw(st.booleans()):
+        a, b = spec.generators[0]
+        spec = SemialgSpec.binomials(n, spec.generators + ((b, a),))
+    want = Cone.from_hrep(n, spec.exponent_differences())
+    if want.is_full_dimensional():
+        assert trop_of_set(spec) == want
+        return
+    for call in (trop_of_set, semigroup_generation_check,
+                 partial(trop_moment_cone, delta_simplex(n, 1))):
+        with pytest.raises(PreconditionError) as refused:
+            call(spec)
+        assert str(refused.value) == EMPTY_INTERIOR
 
 
 @given(pointed_binomials(2, 4))

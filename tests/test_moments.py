@@ -1,4 +1,3 @@
-import warnings
 from fractions import Fraction
 
 import pytest
@@ -9,7 +8,6 @@ from tropmom.errors import PreconditionError
 from tropmom.lattice import PointConfig, almost_empty_simplices
 from tropmom.moments import (
     BinomialIneq,
-    RegularSupportWarning,
     SemialgSpec,
     amgm_moment_cone,
     binomial_facets,
@@ -60,12 +58,24 @@ def test_trop_of_set_toric_needs_positive_part():
         trop_of_set(SemialgSpec.toric_cube([[1, 2], [1, 3]]))
 
 
-def test_trop_of_set_warns_on_degenerate_cone():
-    degen = SemialgSpec.binomials(2, [((1, 1), (0, 0)), ((0, 0), (1, 1))])
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        trop_of_set(degen)
-    assert any(issubclass(w.category, RegularSupportWarning) for w in caught)
+EMPTY_INTERIOR = (
+    "the exponent differences cut out a lower-dimensional cone: the set has "
+    "empty interior"
+)
+
+
+def test_trop_of_set_refuses_a_set_with_empty_interior():
+    """The one regularity gate: the moment cone and the semigroup check
+    read the order cone through trop_of_set, so all three refuse alike,
+    on xy = 1 and on the diagonal x = y."""
+    for gens in ([((1, 1), (0, 0)), ((0, 0), (1, 1))],
+                 [((1, 0), (0, 1)), ((0, 1), (1, 0))]):
+        degen = SemialgSpec.binomials(2, gens)
+        for call in (trop_of_set, semigroup_generation_check,
+                     lambda s: trop_moment_cone(MOTZKIN, s)):
+            with pytest.raises(PreconditionError) as refused:
+                call(degen)
+            assert str(refused.value) == EMPTY_INTERIOR
 
 
 def test_order_cone():
@@ -169,6 +179,13 @@ def test_moment_cone_toric():
         "m(0,0)*m(2,1)^3 >= m(1,1)^4",
         "m(0,0)*m(1,2)*m(2,1) >= m(1,1)^3",
     }
+
+
+@pytest.mark.parametrize("support", [[(0, 0, 0), (1, 0, 0)], [(0,), (1,)]])
+def test_moment_cone_toric_checks_the_support_dimension(support):
+    toric = SemialgSpec.toric_cube([[1, 2], [1, 3]])
+    with pytest.raises(ValueError, match="set specification dimension does not match"):
+        trop_moment_cone(PointConfig(support), toric)
 
 
 def test_moment_cone_non_simplex_facet():

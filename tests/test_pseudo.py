@@ -111,6 +111,14 @@ def test_clamp_extension():
     vals = list(range(9))
     assert clamp_extension(box, vals, (5, 1)) == vals[box.index((2, 1))]
     assert clamp_extension(box, vals, (1, 2)) == vals[box.index((1, 2))]
+    # a point is read as given, so a fraction or a third coordinate on
+    # [0,2]x[0,1] is refused, not truncated to (1, 0)
+    box = cubical_hull(PointConfig([(0, 0), (2, 1)]))
+    vals = list(range(len(box)))
+    with pytest.raises(ValueError, match="integers"):
+        clamp_extension(box, vals, (1.7, 0.2))
+    with pytest.raises(ValueError, match="one coordinate per box dimension"):
+        clamp_extension(box, vals, (1, 0, 7))
 
 
 def test_general_stabilization_square():

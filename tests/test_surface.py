@@ -7,7 +7,8 @@ package.  The surface only tests used is gone: the generator projection
 lives in tests/oracles.py.  The entry points return the Cone they compute,
 so the records that wrapped it are gone too.  Each support builder guards
 its own size, so the size functions are gone, and a scan reports only what
-its caller cannot compute.
+its caller cannot compute.  A set with empty interior is refused by
+trop_of_set, so the warning it used to emit is gone.
 """
 
 import importlib
@@ -82,3 +83,10 @@ def test_size_functions_are_gone():
 def test_scan_report_holds_only_what_the_caller_cannot_compute():
     fields = [f.name for f in dataclasses.fields(tropmom.ScanReport)]
     assert fields == ["results", "first_stable", "closed_form"]
+
+
+def test_regular_support_warning_is_gone():
+    moments = importlib.import_module("tropmom.moments")
+    for module in (tropmom, moments):
+        assert not hasattr(module, "RegularSupportWarning")
+    assert "RegularSupportWarning" not in tropmom.__all__
