@@ -18,18 +18,17 @@ is canonical.
 Bit k of a tight mask stands for the k-th of the cleaned rows added, and
 is set when the ray is tight on that row.  A ray made from a positive and
 a negative one is tight exactly where both are, so the masks are the
-ray-row incidence, with no dot product spent on it.
+ray-row incidence, with no dot product spent on it.  A ``cones.Cone``
+reads them once, when it is built, to make its given side minimal.
 
-A row with at most three nonzeros (every unit, midpoint and monotone
-row) is read flat, padded with zeros, against four rays or more; against
-fewer the read costs more than it saves.  Two rays can be adjacent only
-if they share at least d - 2 tight rows, d the dimension of the current
-cone modulo its lineality, so pairs with fewer skip the combinatorial
-test (Fukuda & Prodon 1996), which first retries the ray that ruled out
-the positive ray's previous pair.  Only a cut with no ray strictly on
-its positive side changes d: the cone collapses to a face, whose
-dimension is then computed.  With the exact adjacency test every ray
-kept is extreme, so the result needs no maximality filter.
+Each row is classified against every ray by one dot product.  Two rays
+can be adjacent only if they share at least d - 2 tight rows, d the
+dimension of the current cone modulo its lineality, so pairs with fewer
+skip the combinatorial test (Fukuda & Prodon 1996), which first retries
+the ray that ruled out the positive ray's previous pair.  Only a cut
+with no ray strictly on its positive side changes d: the cone collapses
+to a face, whose dimension is then computed.  With the exact adjacency
+test every ray kept is extreme, so the result needs no maximality filter.
 """
 
 from __future__ import annotations
@@ -150,14 +149,9 @@ class DoubleDescription:
                 # as former lineality it is tight for every earlier row
                 rays.append([b0, bit - 1])
                 continue
-            flat = len(rays) > 3 and len(a) - a.count(0) < 4
-            if flat:
-                nz = [(i, x) for i, x in enumerate(a) if x] + [(0, 0)] * 3
-                (i0, a0), (i1, a1), (i2, a2), *_ = nz
             pos, zero, neg = [], [], []
             for entry in rays:
-                v = entry[0]
-                t = a0 * v[i0] + a1 * v[i1] + a2 * v[i2] if flat else dot(a, v)
+                t = dot(a, entry[0])
                 if t > 0:
                     pos.append((entry, t))
                 elif t < 0:

@@ -1,8 +1,9 @@
 """Rational polyhedral cones with exact dual representations.
 
-A cone is stored in up to two representations, and the two are one dual
-pair: the H-rep of a cone is the V-rep of its dual and the other way
-round, so one routine completes either from the other.
+A cone holds both of its representations, minimal and canonical, from
+the moment it is built, and the two are one dual pair: the H-rep of a
+cone is the V-rep of its dual and the other way round, so one routine
+completes either from the other, and the dual swaps them.
 
 * H-rep: facet inequalities ``<a, x> >= 0`` and equations ``<e, x> = 0``,
   with primitive integer normals;
@@ -10,9 +11,9 @@ round, so one routine completes either from the other.
   lineality space) plus a lineality basis in integer reduced row echelon
   form.
 
-A side that was not given is one run of the double description method
-on the other, minimal and canonical.  A given side, once asked for, is
-made minimal from the incidence of its rows with the other's minimal form,
+A cone is built from one side's rows.  The other side is one run of the
+double description method on them, minimal and canonical; the given side
+is made minimal at once from the incidence of its rows with that output,
 not by a second run: the incidence is read off the tight masks that run
 kept, rows tight on every generator are implicit equations, and the
 facets are the other rows with maximal tight sets.  The double
@@ -33,7 +34,7 @@ sectors.  Both routes are kept because they check each other.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 from ._dd import Described, DoubleDescription, _clean_rows, _maximal, _reduce_mod, _unit
 from .linalg import IntVec, dot, kernel_basis, primitive
@@ -90,38 +91,38 @@ def double_description(
 
 class Cone:
     """An exact rational polyhedral cone in R^dim.  ``_sides`` holds the
-    H-rep (normals, equations) and the V-rep (rays, lineality basis), each
-    None until given or computed; ``_minimal[k]`` marks side k minimal.
-    ``_masks`` holds the tight masks of the double description that
-    computed one side, and the cone's dimension it found, until they have
-    made the given side minimal."""
+    minimal H-rep (normals, equations) and the minimal V-rep (rays,
+    lineality basis); build one with from_hrep, from_vrep or a named
+    cone."""
 
-    __slots__ = ("dim", "_sides", "_minimal", "_masks")
+    __slots__ = ("dim", "_sides")
 
-    def __init__(self, dim: int):
-        if dim < 0:
-            raise ValueError("dimension must be nonnegative")
-        self.dim = dim
-        self._sides: list[Optional[tuple[Rows, Rows]]] = [None, None]
-        self._minimal = [False, False]
-        self._masks: Optional[list[int]] = None
+    def __init__(self, dim: int, sides: tuple[tuple[Rows, Rows], tuple[Rows, Rows]]):
+        self.dim, self._sides = dim, sides
 
     # -- construction -------------------------------------------------
 
     @classmethod
-    def _given(
-        cls, dim: int, k: int, rows: Iterable, basis: Iterable, what: str
-    ) -> "Cone":
-        c = cls(dim)
+    def _completed(cls, dim: int, k: int, rows: Collection, out: Described) -> "Cone":
+        """The cone whose side k (0: H, 1: V) has the cleaned rows and whose
+        other side is out, their double description: side k is made minimal
+        by its incidence with out, read off out's masks."""
+        other = (tuple(out[0]), tuple(out[1]))
+        side = _by_incidence(dim, rows, *other, out.masks, out.cone_dim)
+        return cls(dim, (side, other) if k == 0 else (other, side))
+
+    @classmethod
+    def _given(cls, dim: int, k: int, rows: Iterable, basis: Iterable, what: str) -> "Cone":
+        if dim < 0:
+            raise ValueError("dimension must be nonnegative")
         try:
-            side = (tuple(_clean_rows(rows)), tuple(_clean_rows(basis)))
+            rows, basis = _clean_rows(rows), _clean_rows(basis)
         except TypeError:
             raise ValueError(f"{what} entries must be integers") from None
-        for row in side[0] + side[1]:
+        for row in rows + basis:
             if len(row) != dim:
                 raise ValueError(f"{what} of wrong length")
-        c._sides[k] = side
-        return c
+        return cls._completed(dim, k, rows, double_description(dim, rows, basis))
 
     @classmethod
     def from_hrep(
@@ -145,54 +146,25 @@ class Cone:
 
     @classmethod
     def nonpos_orthant(cls, dim: int) -> "Cone":
-        return cls.from_hrep(
-            dim, [tuple(-x for x in _unit(dim, i)) for i in range(dim)]
-        )
+        return cls.from_hrep(dim, [tuple(-x for x in _unit(dim, i)) for i in range(dim)])
 
-    # -- representation completion ------------------------------------
-
-    def _side(self, k: int) -> tuple[Rows, Rows]:
-        """Side k (0: H, 1: V), minimal and canonical.  A side not given
-        is one double description of the other; a given side is made
-        minimal by its incidence with the other's minimal form, read off
-        the masks of that double description."""
-        if not self._minimal[k]:
-            given, other = self._sides[k], self._sides[1 - k]
-            if given is None and other is None:
-                raise ValueError(
-                    "cone has no representation; build it with from_hrep or from_vrep"
-                )
-            if given is None:
-                self._described(k, double_description(self.dim, *other))
-            else:
-                gens, lin = self._side(1 - k)
-                self._sides[k] = _by_incidence(self.dim, given[0], gens, lin, *self._masks)
-                self._masks = None
-                self._minimal[k] = True
-        return self._sides[k]
-
-    def _described(self, k: int, out) -> None:
-        """Take side k, and its masks, from a double description of the
-        other side's rows."""
-        self._sides[k] = (tuple(out[0]), tuple(out[1]))
-        self._masks = (out.masks, out.cone_dim)
-        self._minimal[k] = True
+    # -- representations ------------------------------------------------
 
     @property
     def rays(self) -> Rows:
-        return self._side(1)[0]
+        return self._sides[1][0]
 
     @property
     def lineality(self) -> Rows:
-        return self._side(1)[1]
+        return self._sides[1][1]
 
     @property
     def ineqs(self) -> Rows:
-        return self._side(0)[0]
+        return self._sides[0][0]
 
     @property
     def eqs(self) -> Rows:
-        return self._side(0)[1]
+        return self._sides[0][1]
 
     # -- basic queries -------------------------------------------------
 
@@ -222,10 +194,10 @@ class Cone:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Cone):
             return NotImplemented
-        return self.dim == other.dim and self._side(0) == other._side(0)
+        return self.dim == other.dim and self._sides[0] == other._sides[0]
 
     def __hash__(self):
-        return hash((self.dim, self._side(0)))
+        return hash((self.dim, self._sides[0]))
 
     def __repr__(self) -> str:
         return (
@@ -237,10 +209,7 @@ class Cone:
 
     def dual(self) -> "Cone":
         """The cone of linear functionals nonnegative on this cone."""
-        c = Cone(self.dim)
-        c._sides = [self._side(1), self._side(0)]
-        c._minimal = [True, True]
-        return c
+        return Cone(self.dim, self._sides[::-1])
 
 
 # a == b; kept only for the WRAPPED table of perfbench/tracing.py
@@ -248,8 +217,11 @@ def cone_equal(a: Cone, b: Cone) -> bool:
     return a == b
 
 
-def tropical_hull(y: Cone) -> Cone:
-    """Smallest tropically convex closed cone containing y.
+def tropical_hull(
+    dim: int, rays: Iterable[Sequence[int]], lineality: Iterable[Sequence[int]] = ()
+) -> Cone:
+    """Smallest tropically convex closed cone containing the cone y in
+    R^dim generated by rays and the lines of lineality.
 
     Intersection over coordinates i of y + V_i, where V_i is the cone of
     vectors with minimal i-th coordinate (generated by the unit vectors
@@ -266,12 +238,11 @@ def tropical_hull(y: Cone) -> Cone:
     inside every sum's facet exactly when the hull is full-dimensional;
     otherwise the double description runs again and takes every row.
     """
-    n = y.dim
+    n = dim
     if n == 0:
         return Cone.origin(0)
-    gens, lins = y._sides[1] or y._side(1)
-    shared = DoubleDescription(n, [*lins, (1,) * n])
-    shared.add(gens)
+    shared = DoubleDescription(n, [*lineality, (1,) * n])
+    shared.add(rays)
     tight_gens = len(shared.added)  # the first bits of every sum's masks
     sums = []
 
@@ -303,9 +274,7 @@ def tropical_hull(y: Cone) -> Cone:
     x = [sum(col) for col in zip(*out[0])] or [0] * n
     if len(kept) < len(rows) and any(dot(a, x) <= 0 for s, _ in sums for a in s[0]):
         state, out = final(rows)
-    hull = Cone.from_hrep(n, state.added)
-    hull._described(1, out)
-    return hull
+    return Cone._completed(n, 0, state.added, out)
 
 
 def _uncancelled(sums: list, gens: int, order: list[int]) -> list[IntVec]:
@@ -355,9 +324,7 @@ def tropical_hull_dual(y: Cone) -> Cone:
         piece = Cone.from_hrep(n, y.rays + tuple(sector), y.lineality + ((1,) * n,))
         rays += piece.rays
         lins += piece.lineality
-    total = Cone.from_vrep(n, rays, lins)
-    total.rays  # the sum's minimal V-rep is this route's work, done here
-    return total
+    return Cone.from_vrep(n, rays, lins)
 
 
 def fourier_motzkin_project(cone: Cone, coords: Sequence[int]) -> Cone:
@@ -497,8 +464,6 @@ def project_hrep(
                 raise ArithmeticError("projection oracle made no progress")
             found[y] = None
         if not found:
-            image = Cone.from_vrep(k, approx.added, lines)
-            image._described(0, out)
-            return image
+            return Cone._completed(k, 1, approx.added, out)
         approx.add(found)
     raise ArithmeticError("projection oracle did not converge")

@@ -61,10 +61,9 @@ def cone_K(a: PointConfig, c: Cone) -> Cone:
         raise ValueError("order cone dimension does not match the configuration")
     cd = c.dual()
     image = lambda u: tuple(dot(p, u) for p in a.points)
-    y = Cone.from_vrep(
+    return tropical_hull(
         len(a), [image(u) for u in cd.rays], [image(l) for l in cd.lineality]
     )
-    return tropical_hull(y)
 
 
 def cone_K_facets_via_simplices(a: PointConfig) -> tuple[IntVec, ...]:

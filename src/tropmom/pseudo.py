@@ -164,7 +164,8 @@ def clamp_extension(box: PointConfig, values: Sequence, alpha: Sequence[int]):
     """Extension off a coordinate box of a midpoint-convex, coordinate
     nonincreasing function: read the value at the nearest box point below,
     clamping each coordinate to the box maximum.  Entries of alpha must be
-    integers, one per box coordinate; anything else raises ValueError."""
+    integers, one per box coordinate, and none under the box's lower
+    corner, where no box point lies below; anything else raises ValueError."""
     if len(values) != len(box):
         raise ValueError("one value per box point required")
     alpha = intvec(alpha)
@@ -172,6 +173,8 @@ def clamp_extension(box: PointConfig, values: Sequence, alpha: Sequence[int]):
         raise ValueError("one coordinate per box dimension required")
     hi = [max(p[i] for p in box) for i in range(box.n)]
     phi = tuple(min(x, h) for x, h in zip(alpha, hi))
+    if phi not in box:
+        raise ValueError(f"{alpha} is under the box's lower corner, with no box point below")
     return values[box.index(phi)]
 
 

@@ -84,6 +84,14 @@ MUTANTS = [
         ["tests/test_cones.py::test_contains"],
     ),
     (
+        "a built cone keeps its given rows unminimized",
+        "cones.py",
+        "side = _by_incidence(dim, rows, *other, out.masks, out.cone_dim)",
+        "side = (tuple(rows), ())",
+        ["tests/test_dd_differential.py::test_v_given_minimal_forms_match_round_trip",
+         "tests/test_reuse_differential.py::test_projection_generated_by_its_members_and_inner_lines"],
+    ),
+    (
         "minimal forms keep every tight set as maximal",
         "_dd.py",
         "if not any(m & o == m for o in maximal):",
@@ -102,13 +110,6 @@ MUTANTS = [
         "_dd.py",
         "if last is not ne and meet & last[1] == meet:",
         "if meet & last[1] == meet:",
-        ["tests/test_dd_differential.py::test_dd_matches_unfiltered_oracle"],
-    ),
-    (
-        "double description classifies a sparse row without its third nonzero",
-        "_dd.py",
-        "a0 * v[i0] + a1 * v[i1] + a2 * v[i2]",
-        "a0 * v[i0] + a1 * v[i1]",
         ["tests/test_dd_differential.py::test_dd_matches_unfiltered_oracle"],
     ),
     (
@@ -240,8 +241,8 @@ MUTANTS = [
     (
         "cone equality ignores the equations",
         "cones.py",
-        "self._side(0) == other._side(0)",
-        "self._side(0)[0] == other._side(0)[0]",
+        "self._sides[0] == other._sides[0]",
+        "self._sides[0][0] == other._sides[0][0]",
         ["tests/test_cones.py::test_equality_is_mutual_containment"],
     ),
     (

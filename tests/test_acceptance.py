@@ -169,7 +169,7 @@ def test_c11_tropical_hull_duality():
             for _ in range(rng.randrange(0, 2))
         ]
         y = Cone.from_vrep(dim, rays, lins)
-        assert tropical_hull(y).dual() == tropical_hull_dual(y), (rays, lins)
+        assert tropical_hull(dim, rays, lins).dual() == tropical_hull_dual(y), (rays, lins)
 
 
 def test_c12_moment_inside_pseudomoment():

@@ -754,6 +754,10 @@ EMPTY_INTERIOR = (
          "problem.options.assume_semigroup_generated: expected a boolean"),
         # the truncated pseudo-moment side does not read the gate
         ("pseudomoment --degree 3", MOTZKIN_SUPPORT, OPPOSED, {}, 0, None),
+        ("moment", [5], {"kind": "cube"}, {}, 2,
+         "problem.support[0]: expected a list of integers"),
+        ("moment", MOTZKIN_SUPPORT, {"kind": "binomials", "gens": [5]}, {}, 2,
+         "problem.set.gens[0]: expected an object"),
     ],
 )
 def test_refusals(capsys, tmp_path, command, support, kind, options, code, message):

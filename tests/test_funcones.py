@@ -136,3 +136,10 @@ def test_projection_equality():
     assert projection_equality_KM(PointConfig([(0, 3), (1, 0), (3, 1), (1, 1)])) is True
     # convex position: no almost-empty simplices at all
     assert projection_equality_KM(PointConfig([(0, 0), (1, 0), (0, 1), (1, 1)])) is True
+
+
+@pytest.mark.parametrize("build", [cone_K, cone_M])
+def test_refusals(build):
+    with pytest.raises(ValueError) as info:
+        build(MOTZKIN, Cone.nonpos_orthant(3))
+    assert str(info.value) == "order cone dimension does not match the configuration"

@@ -208,3 +208,18 @@ def test_a_hat_hypothesis_failures():
     flat = SemialgSpec.binomials(2, [((1, 1), (0, 0)), ((0, 0), (1, 1))])
     with pytest.raises(PreconditionError, match="stabilization hypothesis"):
         a_hat(motzkin, order_cone(flat))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: PointConfig([()]), "points must have at least one coordinate"),
+        (lambda: a_hat(PointConfig([(0, 0), (1, 1)]), order_cone(SemialgSpec.cube(3))),
+         "order cone dimension does not match the configuration"),
+    ],
+    ids=["no-coordinate", "a-hat-dimension"],
+)
+def test_refusals(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError and str(info.value) == message

@@ -94,3 +94,14 @@ def test_lattice_index():
     assert lattice_index([(1, 0), (1, 1), (1, 3)]) == 1
     assert lattice_index([]) == 1
     assert lattice_index([(0, 0)]) == 1
+
+
+@pytest.mark.parametrize(
+    "vertices, message",
+    [([], "no vertices"), ([(0, 0), (1, 1), (2, 2)], "vertices are affinely dependent")],
+    ids=["empty", "dependent"],
+)
+def test_refusals(vertices, message):
+    with pytest.raises(ValueError) as info:
+        barycentric_coords(vertices, (1, 1))
+    assert str(info.value) == message

@@ -232,3 +232,40 @@ def test_binomial_ineq_validation():
     with pytest.raises(ValueError):
         BinomialIneq((((0, 0), 0),), (((1, 1), 1),))
     assert str(BinomialIneq((((1, 0), 1),), ())) == "m(1,0) >= 1"
+
+
+TORIC = SemialgSpec.toric_cube([[1, 2]])
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: SemialgSpec(0, "orthant"), ValueError,
+         "ambient dimension must be positive"),
+        (lambda: SemialgSpec(2, "ball"), ValueError, "unknown set kind 'ball'"),
+        (lambda: SemialgSpec(2, "orthant", (((1, 0), (0, 1)),)), ValueError,
+         "orthant takes no generators"),
+        (lambda: SemialgSpec(2, "full_space", (((1, 0), (0, 1)),)), ValueError,
+         "full_space takes no generators"),
+        (lambda: SemialgSpec(2, "toric_cube"), ValueError,
+         "toric_cube requires an exponent matrix"),
+        (lambda: SemialgSpec.toric_cube([[1, -1]]), ValueError,
+         "exponent matrix entries must be nonnegative"),
+        (lambda: SemialgSpec(2, "cube", q_matrix=((1, 1),)), ValueError,
+         "only toric_cube takes an exponent matrix"),
+        (lambda: SemialgSpec.toric_cube([]), ValueError, "exponent matrix must be nonempty"),
+        (lambda: BinomialIneq((((0, 0), 1), ((0, 0), 1)), (((1, 1), 2),)), ValueError,
+         "repeated point on one side"),
+        (lambda: render_binomial(MOTZKIN, (1, -1)), ValueError,
+         "normal length does not match the support"),
+        (lambda: semigroup_generation_check(TORIC), PreconditionError,
+         "semigroup generation is checked on the pullback of a toric cube"),
+    ],
+    ids=["n", "kind", "orthant-gens", "full-space-gens", "no-matrix", "negative-entry",
+         "matrix-on-cube", "empty-matrix", "repeated-point", "normal-length",
+         "semigroup-toric"],
+)
+def test_refusals(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message

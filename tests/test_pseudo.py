@@ -119,6 +119,13 @@ def test_clamp_extension():
         clamp_extension(box, vals, (1.7, 0.2))
     with pytest.raises(ValueError, match="one coordinate per box dimension"):
         clamp_extension(box, vals, (1, 0, 7))
+    # no box point lies below a point under the box's lower corner, on a box
+    # at the origin or on the box [1,2]x[1,2]
+    with pytest.raises(ValueError, match=r"\(-1, 0\) is under the box's lower corner"):
+        clamp_extension(box, vals, (-1, 0))
+    box = cubical_hull(PointConfig([(1, 1), (2, 2)]))
+    with pytest.raises(ValueError, match=r"\(0, 0\) is under the box's lower corner"):
+        clamp_extension(box, list(range(len(box))), (0, 0))
 
 
 def test_general_stabilization_square():
@@ -278,3 +285,21 @@ def test_moment_cone_inside_stabilized_cone_inside_midpoint_cone(case):
     mom = trop_moment_cone(a, spec)
     assert psd.contains_cone(mom)
     assert cone_M(a, order_cone(spec)).contains_cone(psd)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: trop_pseudomoment_stable(MOTZKIN, SemialgSpec.toric_cube([[1, 2]])),
+         PreconditionError, "no stabilized pseudo-moment construction for set kind 'toric_cube'"),
+        (lambda: trop_pseudomoment(MOTZKIN, SemialgSpec.cube(3), 4), ValueError,
+         "set specification dimension does not match the support"),
+        (lambda: clamp_extension(cubical_hull(PointConfig([(0, 0), (1, 1)])), [1, 2], (0, 0)),
+         ValueError, "one value per box point required"),
+    ],
+    ids=["stable-toric", "dimension", "values"],
+)
+def test_refusals(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message

@@ -42,7 +42,7 @@ import oracles
 from test_corpus_digests import _corpus
 from test_kernels_differential import projection_systems, systems
 from tropmom import _dd, _simplex, cli, cones, pseudo
-from tropmom.cones import Cone, project_hrep, tropical_hull
+from tropmom.cones import Cone, project_hrep
 from tropmom.errors import PreconditionError
 from tropmom.funcones import comparable_pairs, cone_M, constraint_rows, cover_pairs
 from tropmom.lattice import PointConfig, a_hat, cubical_hull, delta_simplex, midpoint_triples
@@ -252,10 +252,12 @@ def test_inner_point_or_line_off_the_source_raises():
 
 def test_projection_generated_by_its_members_and_inner_lines():
     # the image of {x0 >= 0} in R^3 is the half-plane x0 >= 0, whose line
-    # (0, 1) is given; the tropical hull reads the generators as given
+    # (0, 1) is given; the image is built with both sides minimal, from the
+    # incidence of its members with the facets of their double description
     image = project_hrep(3, [(1, 0, 0)], [0, 1], inner=((), [(0, 1, 0)]))
+    assert (image.rays, image.lineality) == (((1, 0),), ((0, 1),))
     fresh = Cone.from_hrep(2, image.ineqs, image.eqs)
-    assert tropical_hull(image) == tropical_hull(fresh)
+    assert image == fresh
 
 
 def test_pool_function_off_the_source_raises_when_taken():

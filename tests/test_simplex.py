@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from tropmom._simplex import nonneg_combination, valid_on_system
 from tropmom.linalg import dot
 
@@ -91,3 +93,9 @@ def _combos(steps, m):
             for b in steps:
                 for c in steps:
                     yield (a, b, c)
+
+
+def test_refusals():
+    with pytest.raises(ValueError) as info:
+        nonneg_combination([(1,)], ())
+    assert str(info.value) == "empty ambient dimension"

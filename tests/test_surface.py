@@ -8,7 +8,9 @@ lives in tests/oracles.py.  The entry points return the Cone they compute,
 so the records that wrapped it are gone too.  Each support builder guards
 its own size, so the size functions are gone, and a scan reports only what
 its caller cannot compute.  A set with empty interior is refused by
-trop_of_set, so the warning it used to emit is gone.
+trop_of_set, so the warning it used to emit is gone.  A Cone holds both
+minimal sides from the moment it is built, so the state that completed a
+side when it was first read is gone.
 """
 
 import importlib
@@ -90,3 +92,12 @@ def test_regular_support_warning_is_gone():
     for module in (tropmom, moments):
         assert not hasattr(module, "RegularSupportWarning")
     assert "RegularSupportWarning" not in tropmom.__all__
+
+
+def test_lazy_side_state_is_gone():
+    assert Cone.__slots__ == ("dim", "_sides")
+    for name in ("_side", "_described", "_minimal", "_masks"):
+        assert not hasattr(Cone, name)
+        assert not hasattr(Cone.origin(2), name)
+    params = list(inspect.signature(tropmom.tropical_hull).parameters)
+    assert params == ["dim", "rays", "lineality"]
