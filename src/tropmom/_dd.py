@@ -12,14 +12,14 @@ The lineality basis starts from the unit vectors and is cut by each
 equation and row with ``linalg._lineality_step``, which ``kernel_basis``
 runs too.  Rows enter through ``_clean_rows``: ints only (any other
 number raises TypeError, never truncated), made primitive with one gcd.
-Every ray is such a row, a lineality vector or built by ``primitive``, so
-``result()`` reduces rays only modulo a nonempty basis; modulo none it
-is canonical.
-Bit k of a tight mask stands for the k-th of the cleaned rows added, and
-is set when the ray is tight on that row.  A ray made from a positive and
-a negative one is tight exactly where both are, so the masks are the
-ray-row incidence, with no dot product spent on it.  A ``cones.Cone``
-reads them once, when it is built, to make its given side minimal.
+Every ray is such a row, a lineality vector or built by ``primitive``,
+so ``result()`` reduces rays only modulo a nonempty basis; modulo none
+it is canonical.  Bit k of a tight mask stands for the k-th of the
+cleaned rows added, and is set when the ray is tight on that row.  A ray
+made from a positive and a negative one is tight exactly where both are,
+so the masks are the ray-row incidence, with no dot product spent on it.
+A ``cones.Cone`` reads them once, when it is built, to make its given
+side minimal: the rows tight on every ray are its implicit equations.
 
 Each row is classified against every ray by one dot product.  Two rays
 can be adjacent only if they share at least d - 2 tight rows, d the
@@ -70,8 +70,9 @@ def _reduce_mod(basis: Sequence[IntVec], vec: Sequence[int]) -> IntVec:
 
 def _maximal(rows: Collection[IntVec], masks: Sequence[int]) -> tuple:
     """The tight sets of the rows (rows[j] is tight on vector i when bit j
-    of masks[i] is set) but the full one, each with its first row, and the
-    maximal ones: largest first, unless a maximal one taken contains it."""
+    of masks[i] is set) but the full one, each with its first row; the
+    maximal ones, largest first unless one taken contains it; the implicit
+    rows, whose tight set is full."""
     tight = [0] * len(rows)
     for i, m in enumerate(masks):
         while m:
@@ -83,16 +84,17 @@ def _maximal(rows: Collection[IntVec], masks: Sequence[int]) -> tuple:
     for a, mask in zip(rows, tight):
         if mask != full:
             by_mask.setdefault(mask, a)
+    implicit = [a for a, mask in zip(rows, tight) if mask == full]
     maximal: list[int] = []
     for m in sorted(by_mask, key=int.bit_count, reverse=True):
         if not any(m & o == m for o in maximal):
             maximal.append(m)
-    return by_mask, maximal
+    return by_mask, maximal, implicit
 
 
 class Described(tuple):
     """(rays, lineality basis) of a double description, carrying ``masks``,
-    each ray's tight mask in the order of the rays, and ``cone_dim``."""
+    each ray's tight mask in the order of the rays."""
 
 
 class DoubleDescription:
@@ -115,7 +117,7 @@ class DoubleDescription:
         read off the masks of out, the double description of its generators
         gens in this order: the generators with maximal tight sets, one per
         set, are the rays, and the facets' kernel is the lineality."""
-        by_mask, maximal = _maximal(gens, out.masks)
+        by_mask, maximal, _ = _maximal(gens, out.masks)
         state = cls(dim, out[0])
         state.cone_dim, state.added = dim, dict.fromkeys(out[0])
         state.rays = [[by_mask[m], m] for m in maximal]
@@ -191,7 +193,7 @@ class DoubleDescription:
     def result(self) -> Described:
         """The rays, extreme, reduced modulo the lineality basis (in integer
         reduced row echelon form), primitive, distinct and sorted; the
-        basis; the masks; the cone's dimension.  The state is unchanged."""
+        basis; the masks.  The state is unchanged."""
         lin = rref_int(self.lin)
         by_vec: dict[IntVec, int] = {}
         for vec, mask in self.rays:
@@ -201,5 +203,4 @@ class DoubleDescription:
         rays = sorted(by_vec)
         out = Described((rays, lin))
         out.masks = [by_vec[r] for r in rays]
-        out.cone_dim = self.cone_dim
         return out

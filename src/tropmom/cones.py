@@ -14,14 +14,15 @@ completes either from the other, and the dual swaps them.
 A cone is built from one side's rows.  The other side is one run of the
 double description method on them, minimal and canonical; the given side
 is made minimal at once from the incidence of its rows with that output,
-not by a second run: the incidence is read off the tight masks that run
-kept, rows tight on every generator are implicit equations, and the
-facets are the other rows with maximal tight sets.  The double
-description (``_dd``) is resumable: rows can be added to it later, and
-a copy continues from a shared prefix.  All arithmetic is integer and
-exact.  Both representations are canonical, so a cone's minimal H-rep
-is its identity: two cones are equal as sets exactly when they have the
-same dimension and the same minimal H-rep, and they print identically.
+not by a second run or a kernel: the incidence is read off the tight
+masks that run kept, rows tight on every generator are implicit, the
+equations span them and the given ones, and the facets are the other
+rows with maximal tight sets.  The double description (``_dd``) is
+resumable: rows can be added to it later, and a copy continues from a
+shared prefix.  All arithmetic is integer and exact.  Both
+representations are canonical, so a cone's minimal H-rep is its
+identity: two cones are equal as sets exactly when they have the same
+dimension and the same minimal H-rep, and they print identically.
 
 The tropical hull of a cone Y is computed from its definition as the
 intersection of the Minkowski sums Y + V_i, where V_i is the cone of
@@ -37,34 +38,27 @@ from __future__ import annotations
 from typing import Collection, Iterable, Optional, Sequence
 
 from ._dd import Described, DoubleDescription, _clean_rows, _maximal, _reduce_mod, _unit
-from .linalg import IntVec, dot, kernel_basis, primitive
+from .linalg import IntVec, dot, primitive, rref_int
 
 Rows = tuple[IntVec, ...]
 
 
 def _by_incidence(
-    dim: int,
-    normals: Sequence[IntVec],
-    gens: Sequence[IntVec],
-    lin: Sequence[IntVec],
-    masks: Sequence[int],
-    cone_dim: int,
+    rows: Collection[IntVec], given: Sequence[IntVec], masks: Sequence[int]
 ) -> tuple[Rows, Rows]:
-    """Minimal (facets, equations) of {x : <a, x> >= 0 for a in normals},
-    in double description's canonical form, from the cone's minimal
-    V-representation (gens, lin), of dimension cone_dim, and the masks of
-    the double description that computed it (bit j of masks[i]: normals[j]
-    is tight on gens[i]); with the roles swapped, the minimal
-    V-representation from the minimal H-representation.
+    """Minimal (facets, equations) of {x : <a, x> >= 0 for a in rows,
+    <e, x> = 0 for e in given}, in double description's canonical form,
+    from the masks of the double description of its V-representation (bit
+    j of masks[i]: rows[j] is tight on ray i); with the roles swapped, the
+    minimal V-representation from the minimal H-representation.
 
-    The equations are the row-reduced kernel of gens and lin (none if
-    cone_dim is dim).  A normal tight on every generator is an implicit
-    equation.  The tight set of any other is a face, and every face lies in
-    a facet, so the facets are the normals with maximal tight sets, one per
-    set, reduced modulo the equations.
-    """
-    eqs = [] if cone_dim == dim else kernel_basis(list(gens) + list(lin), dim)
-    by_mask, maximal = _maximal(normals, masks)
+    A row tight on every ray is an implicit equation, and the implicit and
+    given equations cut out the cone's span (Schrijver 1986, section 8.2),
+    so the equations are their reduced echelon form.  Any other row is tight
+    on a face, which lies in a facet, so the facets are the rows with
+    maximal tight sets, one per set, reduced modulo the equations."""
+    by_mask, maximal, implicit = _maximal(rows, masks)
+    eqs = rref_int([*given, *implicit]) if given or implicit else []
     facets = [_reduce_mod(eqs, by_mask[m]) if eqs else by_mask[m] for m in maximal]
     return tuple(sorted(facets)), tuple(eqs)
 
@@ -103,12 +97,14 @@ class Cone:
     # -- construction -------------------------------------------------
 
     @classmethod
-    def _completed(cls, dim: int, k: int, rows: Collection, out: Described) -> "Cone":
-        """The cone whose side k (0: H, 1: V) has the cleaned rows and whose
-        other side is out, their double description: side k is made minimal
-        by its incidence with out, read off out's masks."""
+    def _completed(
+        cls, dim: int, k: int, rows: Collection, given: Sequence, out: Described
+    ) -> "Cone":
+        """The cone whose side k (0: H, 1: V) has the cleaned rows and the
+        given equations (lines for V), made minimal by its incidence with
+        out, their double description and the other side."""
         other = (tuple(out[0]), tuple(out[1]))
-        side = _by_incidence(dim, rows, *other, out.masks, out.cone_dim)
+        side = _by_incidence(rows, given, out.masks)
         return cls(dim, (side, other) if k == 0 else (other, side))
 
     @classmethod
@@ -122,7 +118,7 @@ class Cone:
         for row in rows + basis:
             if len(row) != dim:
                 raise ValueError(f"{what} of wrong length")
-        return cls._completed(dim, k, rows, double_description(dim, rows, basis))
+        return cls._completed(dim, k, rows, basis, double_description(dim, rows, basis))
 
     @classmethod
     def from_hrep(
@@ -274,7 +270,7 @@ def tropical_hull(
     x = [sum(col) for col in zip(*out[0])] or [0] * n
     if len(kept) < len(rows) and any(dot(a, x) <= 0 for s, _ in sums for a in s[0]):
         state, out = final(rows)
-    return Cone._completed(n, 0, state.added, out)
+    return Cone._completed(n, 0, state.added, (), out)
 
 
 def _uncancelled(sums: list, gens: int, order: list[int]) -> list[IntVec]:
@@ -396,6 +392,8 @@ def project_hrep(
     from ._simplex import RowSystem, row_values, valid_on_system
 
     rows = tuple(_clean_rows(ineqs))
+    if any(len(a) != dim for a in rows):
+        raise ValueError("normal vector of wrong length")
     coords = list(coords)
     if len(set(coords)) != len(coords):
         raise ValueError("projection coordinates must be distinct")
@@ -464,6 +462,6 @@ def project_hrep(
                 raise ArithmeticError("projection oracle made no progress")
             found[y] = None
         if not found:
-            return Cone._completed(k, 1, approx.added, out)
+            return Cone._completed(k, 1, approx.added, lines, out)
         approx.add(found)
     raise ArithmeticError("projection oracle did not converge")

@@ -99,28 +99,28 @@ def _hull_columns(vertices: Sequence[Sequence[int]]):
     conv(vertices) onto the first n - 1 coordinates: the integer points of
     conv(vertices) over it are (prefix, t) for lo <= t <= hi, the range
     read off the hull's facets, each equation taken as two opposite
-    inequalities.  The projection is the hull of the projected vertices;
-    in one coordinate it is their bounding box.  A row free of t holds on
-    the hull, so on its projection too, and bounds no column."""
+    inequalities.  The prefixes are the columns of the hull of the
+    projected vertices, and in one coordinate [min, max] is the one
+    column.  A row free of t holds on the projection and bounds none."""
     verts = [intvec(v) for v in vertices]
+    n, box = len(verts[0]), (min(v[-1] for v in verts), max(v[-1] for v in verts))
+    if n == 1:
+        yield (), *box
+        return
     hull = _hull_cone(verts)
-    n = len(verts[0])
     rows = hull.ineqs + hull.eqs + tuple(tuple(-x for x in e) for e in hull.eqs)
-    box = [(min(v[i] for v in verts), max(v[i] for v in verts)) for i in range(n)]
-    if n > 2:
-        prefixes = lattice_points([v[:-1] for v in verts]).points
-    else:
-        prefixes = itertools.product(*(range(l, h + 1) for l, h in box[:-1]))
-    for p in prefixes:
-        lo, hi = box[-1]
-        for a in rows:
-            # a[:n-1].p + a[n-1] t + a[n] >= 0
-            c, k = dot(a[: n - 1], p) + a[n], a[n - 1]
-            if k > 0:
-                lo = max(lo, -(c // k))
-            elif k < 0:
-                hi = min(hi, c // -k)
-        yield p, lo, hi
+    for q, l, h in _hull_columns([v[:-1] for v in verts]):
+        # a[:n-2].q + a[n-2] s + a[n-1] t + a[n] >= 0 over the prefix (q, s)
+        bases = [(dot(a[: n - 2], q) + a[n], a[n - 2], a[n - 1]) for a in rows]
+        for s in range(l, h + 1):
+            lo, hi = box
+            for c, b, k in bases:
+                c += b * s
+                if k > 0:
+                    lo = max(lo, -(c // k))
+                elif k < 0:
+                    hi = min(hi, c // -k)
+            yield q + (s,), lo, hi
 
 
 def lattice_points(

@@ -28,7 +28,8 @@ RatVec = tuple[Fraction, ...]
 
 
 def dot(u: Sequence, v: Sequence):
-    assert len(u) == len(v)
+    if len(u) != len(v):
+        raise ValueError("vectors of different lengths")
     return sum(map(mul, u, v))
 
 

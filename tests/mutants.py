@@ -77,17 +77,24 @@ MUTANTS = [
         ["tests/test_cones.py::test_tropical_hull_keeps_every_row_unless_full_dimensional"],
     ),
     (
-        "minimal forms skip the kernel of a cone that is not full-dimensional",
+        "implicit rows left out of the equations",
         "cones.py",
-        "cone_dim == dim",
-        "cone_dim <= dim",
-        ["tests/test_cones.py::test_contains"],
+        "rref_int([*given, *implicit])",
+        "rref_int([*given])",
+        ["tests/test_cones.py::test_equations_read_off_the_incidence"],
+    ),
+    (
+        "given equations left out of the equations",
+        "cones.py",
+        "rref_int([*given, *implicit])",
+        "rref_int([*implicit])",
+        ["tests/test_cones.py::test_equations_read_off_the_incidence"],
     ),
     (
         "a built cone keeps its given rows unminimized",
         "cones.py",
-        "side = _by_incidence(dim, rows, *other, out.masks, out.cone_dim)",
-        "side = (tuple(rows), ())",
+        "side = _by_incidence(rows, given, out.masks)",
+        "side = (tuple(rows), tuple(given))",
         ["tests/test_dd_differential.py::test_v_given_minimal_forms_match_round_trip",
          "tests/test_reuse_differential.py::test_projection_generated_by_its_members_and_inner_lines"],
     ),
@@ -269,8 +276,8 @@ MUTANTS = [
     (
         "hull columns cover the bounding box",
         "lattice.py",
-        "    if n > 2:",
-        "    if False:",
+        "range(l, h + 1)",
+        "range(min(v[-2] for v in verts), max(v[-2] for v in verts) + 1)",
         ["tests/test_lattice.py::test_thin_hull_reads_only_the_columns_over_its_shadow"],
     ),
     (

@@ -123,6 +123,31 @@ def test_dd_round_trip():
         assert c == back
 
 
+@pytest.mark.parametrize(
+    "given_as, dim, rows, lin_rows, eqs",
+    [
+        # no rays: every row is tight on all of them, so implicit
+        ("h", 2, [(1, 0), (-1, 0)], [], ((1, 0),)),
+        # the given equation is an implicit row too
+        ("h", 3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0)], [(2, 0, 0)], ((1, 0, 0),)),
+        # the given equation makes the row (0, 1, 0) implicit
+        ("h", 3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0)], [(1, 1, 0)], ((1, 0, 0), (0, 1, 0))),
+        # no row is implicit
+        ("h", 3, [(0, 1, 0)], [(1, 0, 1)], ((1, 0, 1),)),
+        # a generator in the lineality, as the negative of another
+        ("v", 2, [(1, 0), (-1, 0), (0, 1)], [], ((1, 0),)),
+    ],
+    ids=["no-rays", "given-is-implicit", "given-makes-implicit", "given-only",
+         "line-generator"],
+)
+def test_equations_read_off_the_incidence(given_as, dim, rows, lin_rows, eqs):
+    build = Cone.from_hrep if given_as == "h" else Cone.from_vrep
+    cone = build(dim, rows, lin_rows)
+    assert (cone.eqs if given_as == "h" else cone.lineality) == eqs
+    forms = (cone.ineqs, cone.eqs, cone.rays, cone.lineality)
+    assert forms == oracles.minimal_forms(dim, rows, lin_rows, given_as)
+
+
 def test_tropical_hull_anchors():
     assert tropical_hull(2, []) == Cone.from_vrep(2, [], [(1, 1)])
     full = Cone.full_space(3)
@@ -286,8 +311,17 @@ def test_double_description_lineality():
         (lambda: Cone.from_hrep(2, [], [(1,)]), "normal vector of wrong length"),
         (lambda: Cone.from_vrep(2, [(1, 0, 0)]), "generator of wrong length"),
         (lambda: Cone.from_vrep(2, [], [(1,)]), "generator of wrong length"),
+        # a short vector would be truncated by zip, or read as zero-padded
+        (lambda: Cone.from_hrep(2, [(1, 0), (0, 1)]).contains_point((1,)),
+         "vectors of different lengths"),
+        (lambda: double_description(3, [(1, 0)], []), "vectors of different lengths"),
+        (lambda: tropical_hull(3, [(1, 0)]), "vectors of different lengths"),
+        (lambda: project_hrep(3, [(1, -1), (0, 1, 0)], [0, 1]),
+         "normal vector of wrong length"),
+        (lambda: project_hrep(2, [(1, 0, 1), (0, 1)], [0]), "normal vector of wrong length"),
     ],
-    ids=["outer-dimension", "negative-dimension", "normal", "equation", "ray", "line"],
+    ids=["outer-dimension", "negative-dimension", "normal", "equation", "ray", "line",
+         "point", "dd-row", "hull-generator", "projected-short-row", "projected-long-row"],
 )
 def test_refusals(call, message):
     with pytest.raises(ValueError) as info:

@@ -217,5 +217,6 @@ def test_seeded_state_continues_as_the_facets_would(case):
         seeded.add(rows)
         fresh.add(rows)
         got, want = seeded.result(), fresh.result()
-        assert (got, got.masks, got.cone_dim) == (want, want.masks, want.cone_dim)
+        assert (got, got.masks) == (want, want.masks)
+        assert seeded.cone_dim == fresh.cone_dim
     assert got == oracles.double_description(dim, list(out[0]) + more, ())

@@ -97,11 +97,17 @@ def test_lattice_index():
 
 
 @pytest.mark.parametrize(
-    "vertices, message",
-    [([], "no vertices"), ([(0, 0), (1, 1), (2, 2)], "vertices are affinely dependent")],
-    ids=["empty", "dependent"],
+    "call, message",
+    [
+        (lambda: barycentric_coords([], (1, 1)), "no vertices"),
+        (lambda: barycentric_coords([(0, 0), (1, 1), (2, 2)], (1, 1)),
+         "vertices are affinely dependent"),
+        # zip would truncate the longer vector
+        (lambda: dot((1, 2), (1,)), "vectors of different lengths"),
+    ],
+    ids=["empty", "dependent", "dot-lengths"],
 )
-def test_refusals(vertices, message):
+def test_refusals(call, message):
     with pytest.raises(ValueError) as info:
-        barycentric_coords(vertices, (1, 1))
+        call()
     assert str(info.value) == message

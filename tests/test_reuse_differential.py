@@ -22,10 +22,9 @@ source must raise when it is taken.  The work counts of two scans, of
 the 9-point cubical-hull projection and of the seed-1 ``projection`` and
 ``scan`` corpora, the fresh double descriptions of a moment cone and a
 scan, the rows the tropical hulls of three moment cones hand to double
-description and the kernels their minimal forms compute, and the LPs of
-the sums-of-squares dual on two supports whose kernel exceeds the affine
-functions, are pinned, so that losing the reuse shows up as a changed
-count.
+description, and the LPs of the sums-of-squares dual on two supports
+whose kernel exceeds the affine functions, are pinned, so that losing the
+reuse shows up as a changed count.
 """
 
 import contextlib
@@ -323,17 +322,16 @@ def built_supports(run) -> tuple:
 def _work(run) -> Counter:
     """LPs, refuted LPs, column builds, projections, fresh double
     descriptions, double descriptions seeded from a cone's generators and
-    the facets they seed, rows handed to a double description's ``add``
-    (and to its last call) and kernels computed by ``cones`` in run()."""
+    the facets they seed, and rows handed to a double description's
+    ``add`` (and to its last call) in run()."""
     counts: Counter = Counter()
-    lp, columns, project, dd, seeded, add, kernel = (
+    lp, columns, project, dd, seeded, add = (
         _simplex.nonneg_combination,
         _simplex._columns,
         pseudo.project_hrep,
         cones.double_description,
         _dd.DoubleDescription.seeded,
         _dd.DoubleDescription.add,
-        cones.kernel_basis,
     )
 
     def spy_lp(rows, target):
@@ -367,7 +365,6 @@ def _work(run) -> Counter:
         mp.setattr(cones, "double_description", spy("dd", dd))
         mp.setattr(_dd.DoubleDescription, "seeded", classmethod(spy_seeded))
         mp.setattr(_dd.DoubleDescription, "add", spy_add)
-        mp.setattr(cones, "kernel_basis", spy("kernel", kernel))
         run()
     return counts
 
@@ -450,15 +447,14 @@ def _ten_point_cube(tmp_path):
     ids=["motzkin-cube-moment", "ten-point-cube"],
 )
 def test_hull_work_counts(run, rows, before, tmp_path):
-    # the sums y + V_i take their unit vectors down a halving tree, and a
-    # full-dimensional cone's minimal H-side computes no kernel; ``before``
-    # is the row count when each sum took its n - 1 units, with 3 kernels
-    # on both; the one fresh double description left is the order cone's,
-    # and the hull's final one still runs, seeded with its largest sum's
-    # facets and given the others' rows
+    # the sums y + V_i take their unit vectors down a halving tree; ``before``
+    # is the row count when each sum took its n - 1 units; the one fresh
+    # double description left is the order cone's, and the hull's final
+    # one still runs, seeded with its largest sum's facets and given the
+    # others' rows
     counts = _work(lambda: run(tmp_path))
     assert (counts["rows"], counts["seeded_rows"]) == rows
-    assert (counts["kernel"], counts["dd"], counts["seeded"]) == (0, 1, 1)
+    assert (counts["dd"], counts["seeded"]) == (1, 1)
     assert sum(rows) < before
 
 

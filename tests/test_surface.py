@@ -10,7 +10,9 @@ its own size, so the size functions are gone, and a scan reports only what
 its caller cannot compute.  A set with empty interior is refused by
 trop_of_set, so the warning it used to emit is gone.  A Cone holds both
 minimal sides from the moment it is built, so the state that completed a
-side when it was first read is gone.
+side when it was first read is gone, and it reads its equations off the
+incidence its double description kept, so cones computes no kernel and a
+double description's result carries no cone dimension.
 """
 
 import importlib
@@ -101,3 +103,10 @@ def test_lazy_side_state_is_gone():
         assert not hasattr(Cone.origin(2), name)
     params = list(inspect.signature(tropmom.tropical_hull).parameters)
     assert params == ["dim", "rays", "lineality"]
+
+
+def test_built_cones_compute_no_kernel():
+    cones = importlib.import_module("tropmom.cones")
+    assert not hasattr(cones, "kernel_basis")
+    assert list(inspect.signature(cones._by_incidence).parameters) == ["rows", "given", "masks"]
+    assert not hasattr(cones.double_description(2, [(1, 0)], []), "cone_dim")
